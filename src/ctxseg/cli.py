@@ -103,8 +103,7 @@ def _cmd_context(args, cfg: PipelineConfig) -> int:
 def _cmd_propagate(args, cfg: PipelineConfig) -> int:
     g = graph.load_graph(args.graph)
     links = ctx.load_links(args.links, g.n)
-    scores = propagation.predict_all_links(
-        links, g.operator, cfg.propagation_config(), threads=cfg.threads)
+    scores = propagation.predict_all_links(links, g.operator, cfg.propagation_config())
     propagation.dump_scores(scores, args.out)
     print(f"wrote scores for {len(scores)} class pairs to {args.out}")
     return 0

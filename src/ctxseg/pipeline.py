@@ -31,8 +31,6 @@ def stage_seed(seed: int, stage: str) -> int:
 class PipelineConfig:
     k: int = 20
     mu: float = 0.99
-    tol: float = 1e-6
-    max_iters: int = 1000
     det_threshold: float = 0.5
     iou_threshold: float = 0.5
     min_instances: int = 3
@@ -48,7 +46,6 @@ class PipelineConfig:
     lambda_reg: float = 1e-4
     max_sweeps: int = 10
     seed: int = 0
-    threads: int = 1
     no_context: bool = False
     literal_alg1: bool = False
 
@@ -57,8 +54,6 @@ class PipelineConfig:
         checks = [
             (self.k >= 1, "k must be >= 1"),
             (0.0 < self.mu < 1.0, "mu must lie in (0, 1)"),
-            (self.tol > 0.0, "tol must be positive"),
-            (self.max_iters >= 1, "max_iters must be >= 1"),
             (0.0 <= self.det_threshold <= 1.0, "det_threshold must lie in [0, 1]"),
             (0.0 <= self.iou_threshold <= 1.0, "iou_threshold must lie in [0, 1]"),
             (self.min_instances >= 1, "min_instances must be >= 1"),
@@ -72,7 +67,6 @@ class PipelineConfig:
             (self.learning_rate > 0.0, "learning_rate must be positive"),
             (self.lambda_reg >= 0.0, "lambda_reg must be >= 0"),
             (self.max_sweeps >= 1, "max_sweeps must be >= 1"),
-            (self.threads >= 1, "threads must be >= 1"),
         ]
         for ok, message in checks:
             if not ok:
@@ -91,8 +85,7 @@ class PipelineConfig:
 
     def propagation_config(self) -> propagation.PropagationConfig:
         return propagation.PropagationConfig(
-            mu=self.mu, tol=self.tol, max_iters=self.max_iters,
-            prune_eps=self.prune_eps, literal_update=self.literal_alg1)
+            mu=self.mu, prune_eps=self.prune_eps, literal_update=self.literal_alg1)
 
     def unary_config(self) -> crf.UnaryTrainConfig:
         return crf.UnaryTrainConfig(
@@ -128,8 +121,7 @@ def graph_stage(seq: VideoSequence, cfg: PipelineConfig) -> graph.SimilarityGrap
 
 def propagate_stage(links, g: graph.SimilarityGraph,
                     cfg: PipelineConfig) -> dict[tuple[int, int], propagation.LinkScoreMatrix]:
-    return propagation.predict_all_links(links, g.operator,
-                                         cfg.propagation_config(), threads=cfg.threads)
+    return propagation.predict_all_links(links, g.operator, cfg.propagation_config())
 
 
 def crf_label_space(labels: dict[int, int], scores) -> int:

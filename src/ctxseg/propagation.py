@@ -2,55 +2,53 @@
 
 Observed links for a class pair diffuse in two stages: a row pass spreads
 each nonzero row of the observed matrix over the graph, then a column pass
-spreads each column of the row result. Both passes iterate
+spreads each column of the row result. Each pass is the limit of the
+fixed-point iteration ``P <- mu * P L + (1 - mu) * source`` (row pass, from
+the right) or ``mu * L P + ...`` (column pass, from the left), which is a
+product with the resolvent
 
-    P(t+1) = mu * P(t) <op> L + (1 - mu) * source,    P(1) = 0
+    R = (1 - mu) (I - mu L)^{-1},
 
-to a fixed point; with the row pass acting from the right and the column
-pass from the left the limit is the separable closed form
+so the two passes together give the separable closed form
 
-    (1 - mu)^2 (I - mu L)^{-1} O (I - mu L)^{-1},
+    (1 - mu)^2 (I - mu L)^{-1} O (I - mu L)^{-1} = R O R.
 
-which ``dense_two_pass_limit`` evaluates directly as a small-instance oracle.
-The ``literal_update`` option applies the left-multiplication update in both
-passes instead, for comparison; its limit is (1-mu)^2 (I - mu L)^{-2} O.
+``R`` depends only on the graph and ``mu``, so ``predict_all_links`` inverts
+the dense ``I - mu L`` once and shares it across every class pair and both
+passes; it holds n^2 doubles. ``dense_two_pass_limit`` evaluates the closed
+form by separate dense solves as a small-instance oracle. The
+``literal_update`` option applies the left product in both passes instead,
+for comparison; its limit is (1-mu)^2 (I - mu L)^{-2} O = R R O.
 """
 
 from __future__ import annotations
 
 import json
-import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
 class PropagationConfig:
     mu: float = 0.99
-    tol: float = 1e-6
-    max_iters: int = 1000
     prune_eps: float = 1e-8
     literal_update: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.mu < 1.0):
             raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass
 class PassResult:
+    """One pass's scores; a direct solve always reports one converged step."""
+
     matrix: sparse.csr_matrix
-    converged: bool
-    iterations: int
+    converged: bool = True
+    iterations: int = 1
 
 
 @dataclass
@@ -62,77 +60,47 @@ class LinkScoreMatrix:
     col_iterations: int
 
 
-def _max_abs(M: sparse.spmatrix) -> float:
-    return float(np.abs(M.data).max()) if M.nnz else 0.0
+def resolvent(op: sparse.spmatrix, mu: float) -> np.ndarray:
+    """Dense R = (1 - mu) (I - mu L)^{-1}, shared by every pass."""
+    M = np.eye(op.shape[0]) - mu * op.toarray()
+    return (1.0 - mu) * np.linalg.inv(M)
 
 
-# Below this many cells the iteration runs on a dense block, which is far
-# faster for small instances; above it, sparse arithmetic bounds memory.
-DENSE_CELL_LIMIT = 1 << 22
-
-
-def _iterate(source: sparse.csr_matrix, op: sparse.csr_matrix,
-             cfg: PropagationConfig, left: bool) -> PassResult:
-    """Fixed point of P <- mu * (op @ P) + (1-mu) * source (or P @ op)."""
-    cells = source.shape[0] * source.shape[1]
-    if cells <= DENSE_CELL_LIMIT:
-        S = source.toarray() * (1.0 - cfg.mu)
-        P = np.zeros_like(S)
-        converged = False
-        it = 0
-        for it in range(1, cfg.max_iters + 1):
-            prod = op @ P if left else (op.T @ P.T).T
-            P_next = cfg.mu * prod + S
-            delta = float(np.abs(P_next - P).max()) if P.size else 0.0
-            P = P_next
-            if delta < cfg.tol:
-                converged = True
-                break
-        return PassResult(sparse.csr_matrix(P), converged, it)
-
-    S = source.multiply(1.0 - cfg.mu).tocsr()
-    P = sparse.csr_matrix(source.shape)
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        prod = op @ P if left else P @ op
-        P_next = prod.multiply(cfg.mu).tocsr() + S
-        delta = _max_abs(P_next - P)
-        P = P_next
-        if delta < cfg.tol:
-            converged = True
-            break
-    return PassResult(P, converged, it)
+def _left_product(R: np.ndarray, P: sparse.csr_matrix) -> sparse.csr_matrix:
+    """R @ P using only the nonzero rows of P; zero columns stay exactly zero."""
+    active = np.flatnonzero(np.diff(P.indptr))
+    return sparse.csr_matrix(R[:, active] @ P[active].toarray())
 
 
 def propagate_row_pass(O: sparse.spmatrix, op: sparse.spmatrix,
-                       cfg: PropagationConfig) -> PassResult:
-    """Diffuse each nonzero row of O over the graph.
+                       cfg: PropagationConfig,
+                       R: Optional[np.ndarray] = None) -> PassResult:
+    """Diffuse each nonzero row of O over the graph: (1-mu) O (I - mu L)^{-1}.
 
-    Rows of O without any observed link stay exactly zero; the iteration runs
-    only on the submatrix of active rows. Limit: (1-mu) O (I - mu L)^{-1}.
+    Rows of O without any observed link stay exactly zero. ``R`` is the
+    precomputed ``resolvent(op, cfg.mu)``, if the caller has it.
     """
     O = O.tocsr()
-    op = op.tocsr()
+    if R is None:
+        R = resolvent(op, cfg.mu)
     if cfg.literal_update:
-        return _iterate(O, op, cfg, left=True)
-
-    n = O.shape[0]
+        return PassResult(_left_product(R, O))
     active = np.flatnonzero(np.diff(O.indptr))
-    res = _iterate(O[active], op, cfg, left=False)
-    coo = res.matrix.tocoo()
-    full = sparse.csr_matrix(
-        (coo.data, (active[coo.row], coo.col)), shape=(n, O.shape[1]))
-    return PassResult(full, res.converged, res.iterations)
+    out = np.zeros(O.shape)
+    out[active] = O[active] @ R
+    return PassResult(sparse.csr_matrix(out))
 
 
 def propagate_column_pass(P_rows: sparse.spmatrix, op: sparse.spmatrix,
-                          cfg: PropagationConfig) -> PassResult:
-    """Diffuse each column of the row-pass result over the graph.
+                          cfg: PropagationConfig,
+                          R: Optional[np.ndarray] = None) -> PassResult:
+    """Diffuse each column of the row-pass result: (1-mu) (I - mu L)^{-1} P_rows.
 
-    Limit: (1-mu) (I - mu L)^{-1} P_rows. Zero columns stay exactly zero.
+    Zero columns stay exactly zero. ``R`` is as for the row pass.
     """
-    return _iterate(P_rows.tocsr(), op.tocsr(), cfg, left=True)
+    if R is None:
+        R = resolvent(op, cfg.mu)
+    return PassResult(_left_product(R, P_rows.tocsr()))
 
 
 def _prune(M: sparse.csr_matrix, eps: float) -> sparse.csr_matrix:
@@ -142,58 +110,36 @@ def _prune(M: sparse.csr_matrix, eps: float) -> sparse.csr_matrix:
     return M
 
 
-def _predict_pair(pair, O, op, cfg) -> LinkScoreMatrix:
-    rows = propagate_row_pass(O, op, cfg)
-    pr = _prune(rows.matrix, cfg.prune_eps)
-    cols = propagate_column_pass(pr, op, cfg)
-    pc = _prune(cols.matrix, cfg.prune_eps)
-    if not (rows.converged and cols.converged):
-        log.warning("propagation for class pair %s hit max_iters=%d before tol=%g",
-                    pair, cfg.max_iters, cfg.tol)
-    return LinkScoreMatrix(pair, pc, rows.converged and cols.converged,
-                           rows.iterations, cols.iterations)
-
-
 def predict_all_links(observed: dict[tuple[int, int], sparse.spmatrix],
-                      op: sparse.spmatrix, cfg: PropagationConfig,
-                      threads: int = 1) -> dict[tuple[int, int], LinkScoreMatrix]:
+                      op: sparse.spmatrix, cfg: PropagationConfig
+                      ) -> dict[tuple[int, int], LinkScoreMatrix]:
     """Run both passes for every class pair with at least one observed link.
 
-    Pairs are independent; with ``threads`` > 1 they run on a thread pool and
-    the result is identical regardless of the schedule. Scores below
-    ``cfg.prune_eps`` are dropped from storage after each pass.
+    The resolvent is computed once and shared by every pair and pass. Scores
+    below ``cfg.prune_eps`` are dropped from storage after each pass.
     """
     pairs = [(p, M.tocsr()) for p, M in sorted(observed.items()) if M.nnz > 0]
-    op = op.tocsr()
-    if threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda pm: _predict_pair(pm[0], pm[1], op, cfg), pairs))
-    else:
-        results = [_predict_pair(p, M, op, cfg) for p, M in pairs]
-    return {r.pair: r for r in results}
-
-
-def dense_row_pass_limit(O: np.ndarray, op: np.ndarray, mu: float) -> np.ndarray:
-    """Closed form (1-mu) O (I - mu L)^{-1} by dense solve."""
-    M = np.eye(op.shape[0]) - mu * op
-    return (1.0 - mu) * np.linalg.solve(M.T, O.T).T
-
-
-def dense_column_pass_limit(P_rows: np.ndarray, op: np.ndarray, mu: float) -> np.ndarray:
-    """Closed form (1-mu) (I - mu L)^{-1} P_rows by dense solve."""
-    M = np.eye(op.shape[0]) - mu * op
-    return (1.0 - mu) * np.linalg.solve(M, P_rows)
+    if not pairs:
+        return {}
+    R = resolvent(op, cfg.mu)
+    out = {}
+    for pair, O in pairs:
+        rows = propagate_row_pass(O, op, cfg, R)
+        cols = propagate_column_pass(_prune(rows.matrix, cfg.prune_eps), op, cfg, R)
+        out[pair] = LinkScoreMatrix(pair, _prune(cols.matrix, cfg.prune_eps), True,
+                                    rows.iterations, cols.iterations)
+    return out
 
 
 def dense_two_pass_limit(O: np.ndarray, op: np.ndarray, mu: float,
                          literal_update: bool = False) -> np.ndarray:
-    """Exact limit of the two-pass scheme on dense inputs (test oracle)."""
+    """Exact limit of the two-pass scheme by dense solves (test oracle)."""
     O = np.asarray(O, dtype=float)
-    op = np.asarray(op, dtype=float)
+    M = np.eye(O.shape[0]) - mu * np.asarray(op, dtype=float)
     if literal_update:
-        M = np.eye(op.shape[0]) - mu * op
         return (1.0 - mu) ** 2 * np.linalg.solve(M, np.linalg.solve(M, O))
-    return dense_column_pass_limit(dense_row_pass_limit(O, op, mu), op, mu)
+    rows = (1.0 - mu) * np.linalg.solve(M.T, O.T).T
+    return (1.0 - mu) * np.linalg.solve(M, rows)
 
 
 def dump_scores(scores: dict[tuple[int, int], LinkScoreMatrix], path) -> None:

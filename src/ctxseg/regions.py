@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -126,9 +127,6 @@ class VideoSequence:
         self.frame_count = frame_count
         self.class_count = class_count
         self._index = {r.region_id: i for i, r in enumerate(self.regions)}
-        self.regions_by_frame: dict[int, list[Region]] = {}
-        for r in self.regions:
-            self.regions_by_frame.setdefault(r.frame, []).append(r)
 
     @property
     def n(self) -> int:
@@ -183,7 +181,13 @@ def _iter_records(path):
 def _parse_box(raw, where: str) -> Box:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise IngestError(f"{where}: bbox must be [x, y, w, h]")
-    return (float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]))
+    try:
+        box = (float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]))
+    except (TypeError, ValueError) as exc:
+        raise IngestError(f"{where}: invalid bbox ({exc})") from None
+    if not all(math.isfinite(v) for v in box):
+        raise IngestError(f"{where}: bbox holds a non-finite value")
+    return box
 
 
 def load_sequence(regions_path, detections_path=None,
@@ -209,6 +213,8 @@ def load_sequence(regions_path, detections_path=None,
         feat = np.asarray(feat_raw, dtype=np.float64)
         if feat.ndim != 1 or feat.size == 0:
             raise IngestError(f"{where}: feature must be a non-empty flat list")
+        if not np.isfinite(feat).all():
+            raise IngestError(f"{where}: feature holds a non-finite value")
         if dim is None:
             dim = feat.size
         elif feat.size != dim:
@@ -223,15 +229,19 @@ def load_sequence(regions_path, detections_path=None,
     if detections_path is not None:
         for lineno, rec in _iter_records(detections_path):
             where = f"{detections_path}:{lineno}"
+            bbox = _parse_box(rec.get("bbox"), where)
             try:
-                detections.append(Detection(
+                det = Detection(
                     frame=int(rec["frame"]),
-                    bbox=_parse_box(rec["bbox"], where),
+                    bbox=bbox,
                     class_id=int(rec["class"]),
                     confidence=float(rec["confidence"]),
-                ))
+                )
             except (KeyError, TypeError, ValueError) as exc:
                 raise IngestError(f"{where}: missing or invalid field ({exc})") from None
+            if not math.isfinite(det.confidence):
+                raise IngestError(f"{where}: confidence is not finite")
+            detections.append(det)
 
     return VideoSequence(regions, detections,
                          frame_count=config.frame_count,

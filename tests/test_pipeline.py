@@ -18,7 +18,7 @@ def test_config_rejects_unknown_fields():
 
 def test_config_validation_messages():
     for field, value in [("mu", 1.5), ("det_threshold", -0.1), ("rho", 0.0),
-                         ("k", 0), ("threads", 0), ("p_floor", 0.0)]:
+                         ("k", 0), ("p_floor", 0.0)]:
         cfg = PipelineConfig(**{field: value})
         with pytest.raises(ValueError, match=field):
             cfg.validate()

@@ -74,6 +74,36 @@ def test_nonpositive_area_rejected(tmp_path):
         load_sequence(p)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_feature_rejected_with_location(tmp_path, bad):
+    p = write_jsonl(tmp_path / "r.jsonl",
+                    [region_rec(0), region_rec(1, feature=[1.0, bad])])
+    with pytest.raises(IngestError, match=r"r\.jsonl:2: feature holds a non-finite"):
+        load_sequence(p)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_bbox_rejected_with_location(tmp_path, bad):
+    r = write_jsonl(tmp_path / "r.jsonl", [region_rec(0, bbox=[0, 0, bad, 4])])
+    with pytest.raises(IngestError, match=r"r\.jsonl:1: bbox holds a non-finite"):
+        load_sequence(r)
+    r = write_jsonl(tmp_path / "r.jsonl", [region_rec(0)])
+    d = write_jsonl(tmp_path / "d.jsonl", [det_rec(), det_rec(bbox=(bad, 0, 10, 10))])
+    with pytest.raises(IngestError, match=r"d\.jsonl:2: bbox holds a non-finite"):
+        load_sequence(r, d)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_confidence_rejected_with_location(tmp_path, bad):
+    r = write_jsonl(tmp_path / "r.jsonl", [region_rec(0)])
+    d = write_jsonl(tmp_path / "d.jsonl", [det_rec(conf=bad)])
+    with pytest.raises(IngestError, match=r"d\.jsonl:1: confidence is not finite"):
+        load_sequence(r, d)
+
+
 def test_filter_detections_strictly_exceeds(tmp_path):
     r = write_jsonl(tmp_path / "r.jsonl", [region_rec(0)])
     d = write_jsonl(tmp_path / "d.jsonl",
