@@ -9,8 +9,8 @@ against exhaustive enumeration.
 import numpy as np
 from scipy import sparse
 
-from ctxseg.crf import (CrfProblem, beta_adaptive, brute_force_oracle,
-                        build_pairwise, energy, infer)
+from ctxseg.crf import (CrfProblem, PairwiseTerms, beta_adaptive,
+                        brute_force_oracle, build_pairwise, energy, infer)
 from ctxseg.propagation import LinkScoreMatrix
 
 print(__doc__)
@@ -24,8 +24,10 @@ link[0, 1] = 1.0
 scores = {(1, 2): LinkScoreMatrix((1, 2), sparse.csr_matrix(link), True, 0, 0),
           (2, 1): LinkScoreMatrix((2, 1), sparse.csr_matrix(link.T), True, 0, 0)}
 beta = beta_adaptive(scores)
-tables = build_pairwise(scores, beta, lambda_pair=1.0, num_classes=3)
-problem = CrfProblem(unary, tables, beta=beta)
+pairwise = build_pairwise(scores, beta, lambda_pair=1.0, num_classes=3)
+problem = CrfProblem(unary, pairwise)
+print(f"pairwise terms on region pairs {pairwise.edges.tolist()}, table of (0, 1):")
+print(pairwise.tables[0].round(4))
 
 print("labeling energies:")
 for a in range(3):
@@ -45,10 +47,12 @@ trials = 200
 for _ in range(trials):
     n = int(rng.integers(3, 8))
     L = int(rng.integers(2, 5))
-    p = CrfProblem(rng.uniform(0, 3, (n, L)),
-                   {(a, b): rng.normal(scale=0.7, size=(L, L))
-                    for a in range(n) for b in range(a + 1, n)
-                    if rng.random() < 0.5})
+    unary = rng.uniform(0, 3, (n, L))
+    terms = [((a, b), rng.normal(scale=0.7, size=(L, L)))
+             for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5]
+    p = CrfProblem(unary, PairwiseTerms(
+        np.array([e for e, _ in terms], dtype=int).reshape(-1, 2),
+        np.array([t for _, t in terms]).reshape(-1, L, L)))
     got = infer(p)
     best = brute_force_oracle(p)
     assert got.energy >= best.energy - 1e-9

@@ -7,9 +7,8 @@ predicts link scores between all region pairs, and a CRF combining appearance
 unaries with link-derived pairwise costs assigns the final labels.
 """
 
-from .context import (ContextExemplarSet, LabelPairIndex, build_observed_links,
-                      extract_exemplars)
-from .crf import (CrfProblem, Labeling, UnaryModel, UnaryTrainConfig,
+from .context import ContextExemplarSet, build_observed_links, extract_exemplars
+from .crf import (CrfProblem, Labeling, PairwiseTerms, UnaryModel, UnaryTrainConfig,
                   beta_adaptive, brute_force_oracle, build_pairwise, energy,
                   infer, qpbo_fuse, train_unary, unary_potentials)
 from .evaluation import EvalReport, iou_per_class

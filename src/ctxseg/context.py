@@ -11,33 +11,12 @@ import json
 from dataclasses import dataclass
 from typing import AbstractSet, Mapping
 
+import numpy as np
 from scipy import sparse
 
-from .regions import VideoSequence
+from .regions import VideoSequence, iter_class_pair_records
 
 BACKGROUND = 0
-
-
-@dataclass(frozen=True)
-class LabelPairIndex:
-    """Ordered class pair (m, n) with its linearized position m * L + n."""
-
-    m: int
-    n: int
-    num_classes: int
-
-    def __post_init__(self):
-        if not (0 <= self.m < self.num_classes and 0 <= self.n < self.num_classes):
-            raise ValueError(f"class pair ({self.m}, {self.n}) out of range "
-                             f"for {self.num_classes} classes")
-
-    @property
-    def linear(self) -> int:
-        return self.m * self.num_classes + self.n
-
-    @classmethod
-    def from_linear(cls, index: int, num_classes: int) -> "LabelPairIndex":
-        return cls(index // num_classes, index % num_classes, num_classes)
 
 
 @dataclass
@@ -48,9 +27,6 @@ class ContextExemplarSet:
 
     def __len__(self) -> int:
         return len(self.exemplars)
-
-    def class_pairs(self) -> set[tuple[int, int]]:
-        return {(m, n) for _, _, m, n in self.exemplars}
 
 
 def extract_exemplars(labels: Mapping[int, int], frames: AbstractSet[int],
@@ -121,16 +97,6 @@ def dump_links(links: Mapping[tuple[int, int], sparse.spmatrix], path) -> None:
 
 
 def load_links(path, n: int) -> dict[tuple[int, int], sparse.csr_matrix]:
-    out: dict[tuple[int, int], sparse.csr_matrix] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            ij = rec["links"]
-            rows = [int(e[0]) for e in ij]
-            cols = [int(e[1]) for e in ij]
-            out[(int(rec["m"]), int(rec["n"]))] = sparse.csr_matrix(
-                ([1.0] * len(ij), (rows, cols)), shape=(n, n))
+    out = {pair: sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+           for pair, rows, cols, _ in iter_class_pair_records(path, "links", n, 2)}
     return dict(sorted(out.items()))

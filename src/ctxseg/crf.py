@@ -11,6 +11,11 @@ no-link cost; it subtracts the same constant from every labeling for each
 instantiated pair, so minimizers are unchanged relative to the unshifted
 cost, and pairs without any link score can be omitted entirely.
 
+The pairwise terms have one form throughout, ``PairwiseTerms``: an (E, 2)
+array of region pairs and an (E, L, L) array of their cost tables, so memory
+is O(E L^2) for the E region pairs that carry a stored score. Energy is one
+gather, and a fusion step gathers the 2 x 2 restriction of every table.
+
 Inference sweeps expansion proposals (every region offered one class) and
 accepts each move through a QPBO fusion step, which never increases the
 energy. ``brute_force_oracle`` enumerates labelings exactly on small
@@ -127,46 +132,55 @@ def beta_adaptive(scores: Mapping[tuple[int, int], LinkScoreMatrix]) -> float:
     return float(np.mean(data ** 2))
 
 
+@dataclass
+class PairwiseTerms:
+    """Pairwise cost tables of a CRF, one per region pair, as arrays.
+
+    ``edges`` is an (E, 2) int array of region pairs (a, b) with a < b, rows
+    in sorted order; ``tables[k]`` is the L x L cost of edge k, indexed
+    [label of a, label of b].
+    """
+
+    edges: np.ndarray   # (E, 2) int
+    tables: np.ndarray  # (E, L, L) costs
+
+    def __len__(self) -> int:
+        return len(self.edges)
+
+
 def build_pairwise(scores: Mapping[tuple[int, int], LinkScoreMatrix], beta: float,
-                   lambda_pair: float, num_classes: int,
-                   ) -> dict[tuple[int, int], np.ndarray]:
+                   lambda_pair: float, num_classes: int) -> PairwiseTerms:
     """Per-region-pair L x L cost tables from link scores.
 
-    A table exists for every unordered region pair (a < b) carrying at least
-    one nonzero score in some class pair; entry [m, n] reads the (a, b) score
+    An edge exists for every unordered region pair (a < b) carrying at least
+    one stored score in some class pair; entry [m, n] reads the (a, b) score
     of class pair (m, n). Diagonal score entries (i == j) are ignored.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    entries: dict[tuple[int, int], dict[tuple[int, int], float]] = {}
-    pair_keys: set[tuple[int, int]] = set()
+    empty = np.zeros(0, dtype=int)
+    parts = [(empty,) * 5]  # i, j, score, m, n of every off-diagonal entry
     for (m, n), mat in scores.items():
         coo = mat.scores.tocoo()
-        cell = {}
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            if i == j:
-                continue
-            cell[(int(i), int(j))] = float(v)
-            pair_keys.add((min(int(i), int(j)), max(int(i), int(j))))
-        entries[(m, n)] = cell
-
-    tables: dict[tuple[int, int], np.ndarray] = {}
-    for a, b in sorted(pair_keys):
-        tbl = np.zeros((num_classes, num_classes))
-        for (m, n), cell in entries.items():
-            s = cell.get((a, b))
-            if s is not None:
-                tbl[m, n] = lambda_pair * (np.exp(-(s * s) / (2.0 * beta)) - 1.0)
-        tables[(a, b)] = tbl
-    return tables
+        off = coo.row != coo.col
+        k = int(off.sum())
+        parts.append((coo.row[off], coo.col[off], coo.data[off],
+                      np.full(k, m), np.full(k, n)))
+    i, j, s, m, n = (np.concatenate(col) for col in zip(*parts))
+    size = max((mat.scores.shape[1] for mat in scores.values()), default=1)
+    keys, edge = np.unique(np.minimum(i, j).astype(np.int64) * size + np.maximum(i, j),
+                           return_inverse=True)  # sorted by (a, b)
+    tables = np.zeros((len(keys), num_classes, num_classes))
+    fwd = i < j  # the (a, b)-direction score fills entry [m, n]
+    s = s[fwd]
+    tables[edge[fwd], m[fwd], n[fwd]] = lambda_pair * (np.exp(-(s * s) / (2.0 * beta)) - 1.0)
+    return PairwiseTerms(np.stack([keys // size, keys % size], axis=1), tables)
 
 
 @dataclass
 class CrfProblem:
-    unary: np.ndarray                                 # (n, L) costs
-    pairwise: dict[tuple[int, int], np.ndarray]       # (a, b) a < b -> (L, L)
-    beta: float = 1.0
-    lambda_pair: float = 1.0
+    unary: np.ndarray         # (n, L) costs
+    pairwise: PairwiseTerms
 
     @property
     def n(self) -> int:
@@ -188,63 +202,60 @@ class Labeling:
 def energy(problem: CrfProblem, x: np.ndarray) -> float:
     """Total cost of a labeling; each stored pair counted once."""
     x = np.asarray(x)
-    e = float(problem.unary[np.arange(problem.n), x].sum())
-    for (a, b), tbl in problem.pairwise.items():
-        e += float(tbl[x[a], x[b]])
-    return e
+    edges, tables = problem.pairwise.edges, problem.pairwise.tables
+    terms = tables[np.arange(len(edges)), x[edges[:, 0]], x[edges[:, 1]]]
+    unary = problem.unary[np.arange(problem.n), x].sum()
+    # cumsum adds the terms one by one in edge order; np.sum would add them
+    # pairwise, which changes the last bits of the energy
+    return float(np.cumsum(np.concatenate([[unary], terms]))[-1])
 
 
 def qpbo_fuse(problem: CrfProblem, current: np.ndarray,
               proposal: np.ndarray) -> np.ndarray:
     """Best per-region choice between two labelings via QPBO.
 
-    Variables whose two options coincide are fixed up front; variables QPBO
-    leaves undecided keep their current label, so the fused labeling never
-    has higher energy than ``current``.
+    Variables whose two options coincide are fixed up front, and an edge with
+    one fixed end folds into the unary of its free end; variables QPBO leaves
+    undecided keep their current label, so the fused labeling never has
+    higher energy than ``current``.
     """
     current = np.asarray(current)
     proposal = np.asarray(proposal)
     free = np.flatnonzero(current != proposal)
     if free.size == 0:
         return current.copy()
-    pos = {int(v): k for k, v in enumerate(free)}
+    pos = np.full(problem.n, -1)
+    pos[free] = np.arange(free.size)
 
     unary = np.stack([problem.unary[free, current[free]],
                       problem.unary[free, proposal[free]]], axis=1)
-    pairwise: dict[tuple[int, int], np.ndarray] = {}
-    for (a, b), tbl in problem.pairwise.items():
-        oa = (current[a], proposal[a])
-        ob = (current[b], proposal[b])
-        fa, fb = a in pos, b in pos
-        if fa and fb:
-            t = np.array([[tbl[oa[za], ob[zb]] for zb in (0, 1)] for za in (0, 1)])
-            key = (pos[a], pos[b])
-            if key in pairwise:
-                pairwise[key] = pairwise[key] + t
-            else:
-                pairwise[key] = t
-        elif fa:
-            unary[pos[a], 0] += tbl[oa[0], ob[0]]
-            unary[pos[a], 1] += tbl[oa[1], ob[0]]
-        elif fb:
-            unary[pos[b], 0] += tbl[oa[0], ob[0]]
-            unary[pos[b], 1] += tbl[oa[0], ob[1]]
+    edges, tables = problem.pairwise.edges, problem.pairwise.tables
+    options = np.stack([current[edges], proposal[edges]], axis=2)  # (E, 2 ends, 2)
+    # t[k, za, zb]: cost of edge k when its ends take options za and zb
+    t = tables[np.arange(len(edges))[:, None, None],
+               options[:, 0, :, None], options[:, 1, None, :]]
+    pa, pb = pos[edges[:, 0]], pos[edges[:, 1]]
+    fa, fb = pa >= 0, pb >= 0
+    one = fa != fb  # one free end: the term joins that end's unary
+    var = np.where(fa, pa, pb)[one]
+    # np.add.at adds in edge order, so every unary sums its terms in that order
+    np.add.at(unary, (var, 0), t[one, 0, 0])
+    np.add.at(unary, (var, 1), np.where(fa, t[:, 1, 0], t[:, 0, 1])[one])
 
-    z = solve_binary_pairwise(unary, pairwise)
+    both = fa & fb
+    z = solve_binary_pairwise(unary, np.stack([pa, pb], axis=1)[both], t[both])
     fused = current.copy()
     take = free[z == 1]
     fused[take] = proposal[take]
     return fused
 
 
-def infer(problem: CrfProblem, max_sweeps: int = 10,
-          seed: Optional[int] = None) -> Labeling:
+def infer(problem: CrfProblem, max_sweeps: int = 10) -> Labeling:
     """Expansion sweeps fused by QPBO, from the unary-argmin labeling.
 
     Each sweep offers every class as a constant proposal in order; a fuse is
     kept only when it strictly lowers the energy, and sweeping stops after a
-    full pass without improvement or ``max_sweeps``. ``seed`` is accepted for
-    config plumbing; the sweep schedule is deterministic and ignores it.
+    full pass without improvement or ``max_sweeps``.
     """
     x = np.argmin(problem.unary, axis=1)
     e = energy(problem, x)
@@ -280,7 +291,6 @@ def brute_force_oracle(problem: CrfProblem) -> Labeling:
     if total > BRUTE_FORCE_LIMIT:
         raise ValueError(f"instance too large for enumeration: {L}^{n} labelings")
     radix = L ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    pairs = list(problem.pairwise.items())
     best_e = np.inf
     best_idx = -1
     chunk = 1 << 16
@@ -288,7 +298,7 @@ def brute_force_oracle(problem: CrfProblem) -> Labeling:
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         labelings = (idx[:, None] // radix[None, :]) % L
         e = problem.unary[np.arange(n)[None, :], labelings].sum(axis=1)
-        for (a, b), tbl in pairs:
+        for (a, b), tbl in zip(problem.pairwise.edges, problem.pairwise.tables):
             e += tbl[labelings[:, a], labelings[:, b]]
         k = int(np.argmin(e))
         if e[k] < best_e:

@@ -1,32 +1,33 @@
 """Dinic max-flow on float capacities, for the binary fusion solver.
 
-Blocking flows are found over a BFS level graph with an iterative DFS, so
-deep augmenting paths cannot hit the interpreter recursion limit. Residual
-capacities below ``EPS`` count as saturated.
+The network is given as arrays of arc tails, heads and capacities. Arc k is
+stored at id 2k with its zero-capacity reverse at 2k + 1, and each vertex
+lists the ids of the arcs leaving it in id order. Blocking flows are found
+over a BFS level graph with an iterative DFS, so deep augmenting paths
+cannot hit the interpreter recursion limit. Residual capacities below
+``EPS`` count as saturated.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
+
 EPS = 1e-12
 
 
 class MaxFlowGraph:
-    def __init__(self, n: int):
+    def __init__(self, n: int, tails: np.ndarray, heads: np.ndarray, caps: np.ndarray):
         self.n = n
-        self.to: list[int] = []
-        self.cap: list[float] = []
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-
-    def add_edge(self, u: int, v: int, cap: float, rcap: float = 0.0) -> None:
-        """Directed edge u -> v with capacity ``cap`` (reverse arc ``rcap``)."""
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(rcap)
+        tails, heads = np.asarray(tails, dtype=int), np.asarray(heads, dtype=int)
+        self.to: list[int] = np.stack([heads, tails], axis=1).ravel().tolist()
+        self.cap: list[float] = np.stack(
+            [np.asarray(caps, dtype=float), np.zeros(len(tails))], axis=1).ravel().tolist()
+        start = np.stack([tails, heads], axis=1).ravel()
+        order = np.argsort(start, kind="stable").tolist()
+        bounds = np.cumsum(np.bincount(start, minlength=n)).tolist()
+        self.adj: list[list[int]] = [order[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
 
     def _bfs_levels(self, s: int, t: int) -> bool:
         self.level = [-1] * self.n

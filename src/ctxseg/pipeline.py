@@ -135,14 +135,9 @@ def infer_stage(seq: VideoSequence, labels: dict[int, int], scores,
     num_classes = crf_label_space(labels, scores)
     model = crf.train_unary(labels, seq, cfg.unary_config(), num_classes=num_classes)
     unary = crf.unary_potentials(model, seq, p_floor=cfg.p_floor)
-    if scores:
-        beta = crf.beta_adaptive(scores)
-        pairwise = crf.build_pairwise(scores, beta, cfg.lambda_pair, num_classes)
-    else:
-        beta, pairwise = 1.0, {}
-    problem = crf.CrfProblem(unary, pairwise, beta=beta, lambda_pair=cfg.lambda_pair)
-    labeling = crf.infer(problem, max_sweeps=cfg.max_sweeps,
-                         seed=stage_seed(cfg.seed, "infer"))
+    pairwise = crf.build_pairwise(scores, crf.beta_adaptive(scores), cfg.lambda_pair,
+                                  num_classes)
+    labeling = crf.infer(crf.CrfProblem(unary, pairwise), max_sweeps=cfg.max_sweeps)
     pred = {seq.regions[i].region_id: int(labeling.assignment[i]) for i in range(seq.n)}
     return pred, labeling
 

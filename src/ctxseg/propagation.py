@@ -30,6 +30,8 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
+from .regions import iter_class_pair_records
+
 
 @dataclass
 class PropagationConfig:
@@ -153,19 +155,8 @@ def dump_scores(scores: dict[tuple[int, int], LinkScoreMatrix], path) -> None:
 
 
 def load_scores(path, n: int) -> dict[tuple[int, int], LinkScoreMatrix]:
-    out: dict[tuple[int, int], LinkScoreMatrix] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            entries = rec["scores"]
-            rows = [int(e[0]) for e in entries]
-            cols = [int(e[1]) for e in entries]
-            data = [float(e[2]) for e in entries]
-            pair = (int(rec["m"]), int(rec["n"]))
-            out[pair] = LinkScoreMatrix(
-                pair, sparse.csr_matrix((data, (rows, cols)), shape=(n, n)),
-                converged=True, row_iterations=0, col_iterations=0)
+    out = {pair: LinkScoreMatrix(
+               pair, sparse.csr_matrix((values[:, 0], (rows, cols)), shape=(n, n)),
+               converged=True, row_iterations=0, col_iterations=0)
+           for pair, rows, cols, values in iter_class_pair_records(path, "scores", n, 3)}
     return dict(sorted(out.items()))

@@ -4,20 +4,21 @@ The energy
 
     E(z) = sum_i theta_i(z_i) + sum_{ij} theta_ij(z_i, z_j),   z in {0,1}^n
 
-is mapped onto a doubled flow network with one literal node and one
-complement node per variable. Every term is split in half between the primal
-and the mirrored complement copy, submodular couplings become arcs between
-literal nodes and nonsubmodular ones cross over to complement nodes, so all
-arc capacities are nonnegative. After a max-flow, a variable whose two nodes
-fall on opposite sides of the minimum cut is labeled; nodes on the same side
-leave the variable undecided. Labeled variables satisfy weak autarky:
+comes as an (n, 2) unary array, an (E, 2) array of variable pairs and an
+(E, 2, 2) array of their tables. It is mapped onto a doubled flow network
+with one literal node and one complement node per variable. Every term is
+split in half between the primal and the mirrored complement copy,
+submodular couplings become arcs between literal nodes and nonsubmodular
+ones cross over to complement nodes, so all arc capacities are nonnegative.
+The arcs are built as arrays, per-variable arcs first and then couplings in
+edge order. After a max-flow, a variable whose two nodes fall on opposite
+sides of the minimum cut is labeled; nodes on the same side leave the
+variable undecided. Labeled variables satisfy weak autarky:
 overwriting any labeling with them never increases the energy, and if every
 coupling is submodular the full labeling is an exact global minimum.
 """
 
 from __future__ import annotations
-
-from typing import Mapping
 
 import numpy as np
 
@@ -26,70 +27,49 @@ from .maxflow import MaxFlowGraph
 UNLABELED = -1
 
 
-def solve_binary_pairwise(unary: np.ndarray,
-                          pairwise: Mapping[tuple[int, int], np.ndarray]) -> np.ndarray:
+def solve_binary_pairwise(unary: np.ndarray, edges: np.ndarray,
+                          tables: np.ndarray) -> np.ndarray:
     """Partial optimal labeling of a binary pairwise energy.
 
-    ``unary`` is (n, 2); ``pairwise`` maps variable pairs (a, b) to 2x2 cost
-    tables indexed [z_a, z_b]. Returns an int array with entries 0, 1, or
-    ``UNLABELED`` (-1).
+    ``unary`` is (n, 2); ``edges`` is (E, 2) with the variable pair (a, b) of
+    each term and ``tables`` is (E, 2, 2), indexed [k, z_a, z_b]. Returns an
+    int array with entries 0, 1, or ``UNLABELED`` (-1).
     """
     unary = np.asarray(unary, dtype=float)
     n = unary.shape[0]
     if n == 0:
         return np.zeros(0, dtype=int)
-
+    a, b = edges[:, 0], edges[:, 1]
+    A, B, C, D = tables[:, 0, 0], tables[:, 0, 1], tables[:, 1, 0], tables[:, 1, 1]
+    gap = B + C - A - D
+    sub = gap >= 0.0
+    # submodular:    A + (C-A) z_a + (D-C) z_b + gap [z_a=0][z_b=1]
+    # nonsubmodular: B + (D-B) z_a + (D-C) z_b + (A+D-B-C) [z_a=0][z_b=0]  (+ const)
     lin = unary[:, 1] - unary[:, 0]  # accumulated cost of choosing z_i = 1
-    lin = lin.copy()
-    products: list[tuple[int, int, float, bool]] = []  # (i, j, kappa, submodular)
-    for (a, b), tbl in pairwise.items():
-        A = float(tbl[0, 0])
-        B = float(tbl[0, 1])
-        C = float(tbl[1, 0])
-        D = float(tbl[1, 1])
-        gap = B + C - A - D
-        if gap >= 0.0:
-            # A + (C-A) z_a + (D-C) z_b + gap [z_a=0][z_b=1]
-            lin[a] += C - A
-            lin[b] += D - C
-            if gap > 0.0:
-                products.append((a, b, gap, True))
-        else:
-            # B + (D-B) z_a - (C-D) z_b + (A+D-B-C) [z_a=0][z_b=0]  (+ const)
-            lin[a] += D - B
-            lin[b] -= C - D
-            products.append((a, b, -gap, False))
+    # contributions interleaved a, b per edge: each lin sums them in edge order
+    np.add.at(lin, np.stack([a, b], axis=1).ravel(),
+              np.stack([np.where(sub, C - A, D - B), D - C], axis=1).ravel())
+    coupled = ~sub | (gap > 0.0)
+    a, b, sub, half = a[coupled], b[coupled], sub[coupled], np.abs(gap[coupled]) / 2.0
 
     source = 2 * n
     sink = 2 * n + 1
-    g = MaxFlowGraph(2 * n + 2)
-    for i in range(n):
-        half = lin[i] / 2.0
-        if half > 0.0:
-            g.add_edge(source, 2 * i, half)          # pay when z_i = 1
-            g.add_edge(2 * i + 1, sink, half)
-        elif half < 0.0:
-            g.add_edge(2 * i, sink, -half)           # pay when z_i = 0
-            g.add_edge(source, 2 * i + 1, -half)
-    for a, b, kappa, submodular in products:
-        half = kappa / 2.0
-        if submodular:
-            # pay when z_a = 0 and z_b = 1
-            g.add_edge(2 * a, 2 * b, half)
-            g.add_edge(2 * b + 1, 2 * a + 1, half)
-        else:
-            # pay when z_a = 0 and z_b = 0
-            g.add_edge(2 * a, 2 * b + 1, half)
-            g.add_edge(2 * b, 2 * a + 1, half)
-
+    # node 2i stands for z_i, node 2i + 1 for its complement; each term is
+    # split in half between an arc and its mirrored copy. Arcs per variable
+    # come first, pay when z_i = 1 (up) or z_i = 0, then the couplings.
+    lin = lin / 2.0
+    var = np.flatnonzero((lin > 0.0) | (lin < 0.0))
+    up = lin[var] > 0.0
+    lit, comp = 2 * var, 2 * var + 1
+    tails = [np.stack([np.where(up, source, lit), np.where(up, comp, source)], axis=1),
+             np.stack([2 * a, 2 * b + sub], axis=1)]
+    heads = [np.stack([np.where(up, lit, sink), np.where(up, sink, comp)], axis=1),
+             np.stack([2 * b + ~sub, 2 * a + 1], axis=1)]
+    caps = [np.repeat(np.abs(lin[var]), 2), np.repeat(half, 2)]
+    g = MaxFlowGraph(2 * n + 2, np.concatenate(tails, axis=None),
+                     np.concatenate(heads, axis=None), np.concatenate(caps))
     g.max_flow(source, sink)
-    reach = g.source_side(source)
+    reach = np.array(g.source_side(source))
 
-    out = np.full(n, UNLABELED, dtype=int)
-    for i in range(n):
-        u, v = reach[2 * i], reach[2 * i + 1]
-        if u and not v:
-            out[i] = 0
-        elif v and not u:
-            out[i] = 1
-    return out
+    u, v = reach[0::2][:n], reach[1::2][:n]
+    return np.where(u & ~v, 0, np.where(v & ~u, 1, UNLABELED))

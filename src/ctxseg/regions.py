@@ -178,6 +178,33 @@ def _iter_records(path):
             yield lineno, rec
 
 
+def iter_class_pair_records(path, key: str, n: int, width: int):
+    """Records ``{"m":, "n":, key: [[i, j, ...]...]}`` of a stage file.
+
+    Yields ``((m, n), rows, cols, values)`` per record: the region indices
+    i, j as int arrays and the remaining ``width - 2`` columns as a float
+    array. A missing field, a non-finite value or an index outside [0, n)
+    raises :class:`IngestError` naming the file and line.
+    """
+    for lineno, rec in _iter_records(path):
+        where = f"{path}:{lineno}"
+        try:
+            pair = (int(rec["m"]), int(rec["n"]))
+            entries = np.array(rec[key], dtype=float)
+            if entries.size and entries.shape[1:] != (width,):
+                raise ValueError(f"{key} rows must hold {width} numbers")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IngestError(f"{where}: missing or invalid field ({exc})") from None
+        entries = entries.reshape(-1, width)
+        if not np.isfinite(entries).all():
+            raise IngestError(f"{where}: {key} hold a non-finite value")
+        index = entries[:, :2].astype(int)
+        bad = index[(index < 0) | (index >= n)]
+        if bad.size:
+            raise IngestError(f"{where}: region index {bad[0]} out of range [0, {n})")
+        yield pair, index[:, 0], index[:, 1], entries[:, 2:]
+
+
 def _parse_box(raw, where: str) -> Box:
     if not isinstance(raw, (list, tuple)) or len(raw) != 4:
         raise IngestError(f"{where}: bbox must be [x, y, w, h]")
@@ -297,7 +324,10 @@ def load_labeling(path) -> dict[int, int]:
     for lineno, rec in _iter_records(path):
         if "id" not in rec:
             continue
-        out[int(rec["id"])] = int(rec["class"])
+        try:
+            out[int(rec["id"])] = int(rec["class"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IngestError(f"{path}:{lineno}: missing or invalid field ({exc})") from None
     return out
 
 

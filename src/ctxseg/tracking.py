@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
-from .regions import Box, Detection, VideoSequence
+from .regions import (Box, Detection, IngestError, VideoSequence, _iter_records,
+                      _parse_box)
 
 log = logging.getLogger(__name__)
 
@@ -251,15 +253,17 @@ def dump_hypotheses(hyps: list[TrajectoryHypothesis], path) -> None:
 
 def load_hypotheses(path) -> list[TrajectoryHypothesis]:
     out: list[TrajectoryHypothesis] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            entries = [TrajectoryEntry(int(e["frame"]), tuple(float(v) for v in e["bbox"]),
-                                       str(e["source"]))
-                       for e in rec["entries"]]
-            out.append(TrajectoryHypothesis(int(rec["class"]), entries,
-                                            float(rec.get("seed_confidence", 0.0))))
+    for lineno, rec in _iter_records(path):
+        where = f"{path}:{lineno}"
+        try:
+            class_id = int(rec["class"])
+            seed_confidence = float(rec.get("seed_confidence", 0.0))
+            raw = [(int(e["frame"]), e["bbox"], str(e["source"])) for e in rec["entries"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IngestError(f"{where}: missing or invalid field ({exc})") from None
+        if not math.isfinite(seed_confidence):
+            raise IngestError(f"{where}: seed_confidence is not finite")
+        entries = [TrajectoryEntry(frame, _parse_box(box, where), source)
+                   for frame, box, source in raw]
+        out.append(TrajectoryHypothesis(class_id, entries, seed_confidence))
     return out

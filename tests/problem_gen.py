@@ -4,13 +4,38 @@
 scores feed ``beta_adaptive`` and ``build_pairwise``, so the pairwise tables
 have exactly the shape inference sees. ``random_signed_problem`` draws
 arbitrary mixed-sign tables for robustness checks.
+
+Tests write small tables as dicts ``{(a, b): table}``; ``crf_problem`` and
+``binary_terms`` turn such a dict into the array form the library takes,
+and ``as_dict`` turns built terms back into a dict for reading.
 """
 
 import numpy as np
 from scipy import sparse
 
-from ctxseg.crf import CrfProblem, beta_adaptive, build_pairwise
+from ctxseg.crf import CrfProblem, PairwiseTerms, beta_adaptive, build_pairwise
 from ctxseg.propagation import LinkScoreMatrix
+
+
+def crf_problem(unary, pairwise):
+    """``CrfProblem`` from a unary array and ``{(a, b): L x L table}``, a < b."""
+    unary = np.asarray(unary, dtype=float)
+    L = unary.shape[1]
+    keys = sorted(pairwise)
+    return CrfProblem(unary, PairwiseTerms(
+        np.array(keys, dtype=int).reshape(-1, 2),
+        np.array([pairwise[k] for k in keys], dtype=float).reshape(-1, L, L)))
+
+
+def binary_terms(pairwise):
+    """``{(a, b): 2 x 2 table}`` as the (edges, tables) arrays of the QPBO solver."""
+    return (np.array(list(pairwise), dtype=int).reshape(-1, 2),
+            np.array(list(pairwise.values()), dtype=float).reshape(-1, 2, 2))
+
+
+def as_dict(pairwise):
+    """``PairwiseTerms`` as ``{(a, b): table}``."""
+    return {(int(a), int(b)): t for (a, b), t in zip(pairwise.edges, pairwise.tables)}
 
 
 def random_scores(rng, n, num_classes, max_pairs=None, max_links=5):
@@ -39,8 +64,7 @@ def random_link_problem(rng, max_n=8, max_classes=4, lambda_pair=1.0):
     unary = rng.uniform(0.0, 3.0, size=(n, L))
     scores = random_scores(rng, n, L)
     beta = beta_adaptive(scores)
-    pairwise = build_pairwise(scores, beta, lambda_pair, L)
-    return CrfProblem(unary, pairwise, beta=beta, lambda_pair=lambda_pair)
+    return CrfProblem(unary, build_pairwise(scores, beta, lambda_pair, L))
 
 
 def random_signed_problem(rng, max_n=8, max_classes=4, density=0.5):
@@ -53,4 +77,4 @@ def random_signed_problem(rng, max_n=8, max_classes=4, density=0.5):
         for b in range(a + 1, n):
             if rng.random() < density:
                 pairwise[(a, b)] = rng.normal(scale=1.0, size=(L, L))
-    return CrfProblem(unary, pairwise)
+    return crf_problem(unary, pairwise)

@@ -12,11 +12,12 @@ import time
 import numpy as np
 from scipy import sparse
 
-from problem_gen import random_link_problem, random_scores
+from problem_gen import (as_dict, binary_terms, crf_problem, random_link_problem,
+                         random_scores)
 
 from ctxseg.cli import main as cli_main
-from ctxseg.crf import (CrfProblem, beta_adaptive, brute_force_oracle,
-                        build_pairwise, energy, infer)
+from ctxseg.crf import (beta_adaptive, brute_force_oracle, build_pairwise,
+                        energy, infer)
 from ctxseg.evaluation import iou_per_class
 from ctxseg.propagation import (PropagationConfig, propagate_column_pass,
                                 propagate_row_pass)
@@ -148,7 +149,7 @@ def test_criterion_4_qpbo_binary_exactness():
                     if gap < 0:
                         t[0, 1] += -gap + rng.uniform(0.01, 0.5)
                     pairwise[(a, b)] = t
-        z = solve_binary_pairwise(unary, pairwise)
+        z = solve_binary_pairwise(unary, *binary_terms(pairwise))
         assert np.all(z != UNLABELED)
         best, best_e = None, np.inf
         for cand in itertools.product((0, 1), repeat=n):
@@ -168,12 +169,12 @@ def test_criterion_5_shift_equivalence():
         scores = random_scores(rng, n, L)
         beta = beta_adaptive(scores)
         lam = float(rng.uniform(0.5, 2.0))
-        shifted = build_pairwise(scores, beta, lam, L)
+        shifted = as_dict(build_pairwise(scores, beta, lam, L))
         literal = {k: t + lam for k, t in shifted.items()}
 
         def minimizers(pw):
-            problem = CrfProblem(unary, pw)
-            energies = {z: energy(problem, np.array(z))
+            p = crf_problem(unary, pw)
+            energies = {z: energy(p, np.array(z))
                         for z in itertools.product(range(L), repeat=n)}
             lo = min(energies.values())
             return {z for z, e in energies.items() if e <= lo + 1e-9}

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import ctxseg
+from ctxseg import propagation
 from ctxseg.cli import main
 
 
@@ -98,6 +99,80 @@ def test_non_finite_input_exits_with_diagnostic(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"ctxseg graph: error: {regions}:1: feature holds a non-finite value" in err
     assert "Traceback" not in err
+
+
+NAN = float("nan")
+GOOD_HYPOTHESIS = {"class": 1, "seed_confidence": 0.9,
+                   "entries": [{"frame": 0, "bbox": [0, 0, 5, 5], "source": "det"}]}
+# (stage file, its second record, message after "<file>:2: ")
+MALFORMED_STAGE_FILES = [
+    pytest.param("links", {"m": 1, "n": 2}, "missing or invalid field",
+                 id="links-missing-key"),
+    pytest.param("links", {"m": 1, "n": 2, "links": [[0, 1000000]]},
+                 "region index 1000000 out of range [0, {n})", id="links-index-range"),
+    pytest.param("links", {"m": 1, "n": 2, "links": [[0, NAN]]},
+                 "links hold a non-finite value", id="links-nan"),
+    pytest.param("links", {"m": 1, "n": 2, "links": [0, 1]},
+                 "missing or invalid field", id="links-flat-list"),
+    pytest.param("scores", {"n": 2, "scores": [[0, 1, 0.5]]},
+                 "missing or invalid field", id="scores-missing-key"),
+    pytest.param("scores", {"m": 1, "n": 2, "scores": [[0, 1, NAN]]},
+                 "scores hold a non-finite value", id="scores-nan"),
+    pytest.param("scores", {"m": 1, "n": 2, "scores": [[-1, 1, 0.5]]},
+                 "region index -1 out of range [0, {n})", id="scores-index-range"),
+    pytest.param("scores", {"m": 1, "n": 2, "scores": [[0, 1]]},
+                 "missing or invalid field", id="scores-short-row"),
+    pytest.param("hypotheses", {"entries": GOOD_HYPOTHESIS["entries"]},
+                 "missing or invalid field", id="hypotheses-missing-key"),
+    pytest.param("hypotheses", dict(GOOD_HYPOTHESIS, seed_confidence=NAN),
+                 "seed_confidence is not finite", id="hypotheses-nan-confidence"),
+    pytest.param("hypotheses", dict(GOOD_HYPOTHESIS, entries=[
+        {"frame": 0, "bbox": [0, 0, NAN, 5], "source": "det"}]),
+                 "bbox holds a non-finite value", id="hypotheses-nan-bbox"),
+    pytest.param("labels", {"id": 1}, "missing or invalid field",
+                 id="labels-missing-class"),
+]
+
+
+@pytest.mark.parametrize("kind, bad, message", MALFORMED_STAGE_FILES)
+def test_malformed_stage_file_exits_with_file_and_line(dataset, tmp_path, capsys,
+                                                       kind, bad, message):
+    regions = str(dataset / "regions.jsonl")
+    n = sum(1 for line in read(dataset / "regions.jsonl").splitlines() if line.strip())
+    good = {"links": {"m": 1, "n": 2, "links": [[0, 1]]},
+            "scores": {"m": 1, "n": 2, "scores": [[0, 1, 0.5]]},
+            "hypotheses": GOOD_HYPOTHESIS,
+            "labels": {"id": 0, "class": 0}}[kind]
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    labels = tmp_path / "good-labels.jsonl"
+    labels.write_text(json.dumps({"id": 0, "class": 0}) + "\n")
+    assert run(["graph", "--regions", regions, "--out", str(tmp_path / "g.json")]) == 0
+    argv = {
+        "links": ["propagate", "--links", str(path), "--graph", str(tmp_path / "g.json"),
+                  "--out", str(tmp_path / "s.jsonl")],
+        "scores": ["infer", "--regions", regions, "--scores", str(path),
+                   "--labels", str(labels), "--out", str(tmp_path / "p.jsonl"),
+                   "--summary"],
+        "hypotheses": ["context", "--regions", regions, "--hypotheses", str(path),
+                       "--out", str(tmp_path / "l.jsonl"),
+                       "--labels-out", str(tmp_path / "lab.jsonl")],
+        "labels": ["infer", "--regions", regions, "--labels", str(path),
+                   "--out", str(tmp_path / "p.jsonl")],
+    }[kind]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"ctxseg {argv[0]}: error: {path}:2: {message.format(n=n)}" in err
+    assert "Traceback" not in err
+
+
+def test_negative_scores_load(tmp_path):
+    # prune_eps=0 keeps round-off entries, which can fall just below zero
+    path = tmp_path / "scores.jsonl"
+    path.write_text(json.dumps({"m": 1, "n": 2, "scores": [[0, 1, -1e-17]]}) + "\n")
+    scores = propagation.load_scores(str(path), 3)
+    assert scores[(1, 2)].scores[0, 1] == -1e-17
 
 
 def test_chained_stages_reproduce_pipeline_byte_for_byte(dataset, tmp_path):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ctxseg.context import (LabelPairIndex, build_observed_links, dump_links,
-                            extract_exemplars, load_links)
+from ctxseg.context import (build_observed_links, dump_links, extract_exemplars,
+                            load_links)
 from ctxseg.regions import Region, VideoSequence
 
 
@@ -11,24 +11,6 @@ def make_seq(frame_of):
     regions = [Region(rid, f, np.array([1.0, 0.0]), 10, (0, 0, 5, 5))
                for rid, f in frame_of.items()]
     return VideoSequence(regions, [], frame_count=max(frame_of.values()) + 1)
-
-
-class TestLabelPairIndex:
-    def test_linearization_bijective(self):
-        L = 4
-        seen = set()
-        for m in range(L):
-            for n in range(L):
-                idx = LabelPairIndex(m, n, L)
-                assert 0 <= idx.linear < L * L
-                seen.add(idx.linear)
-                back = LabelPairIndex.from_linear(idx.linear, L)
-                assert (back.m, back.n) == (m, n)
-        assert len(seen) == L * L
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            LabelPairIndex(4, 0, 4)
 
 
 class TestExtractExemplars:

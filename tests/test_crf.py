@@ -1,10 +1,13 @@
 import itertools
+import json
+import os
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from problem_gen import random_link_problem, random_signed_problem
+from problem_gen import (as_dict, crf_problem, random_link_problem,
+                         random_signed_problem)
 
 from ctxseg.crf import (CrfProblem, UnaryModel, UnaryTrainConfig, beta_adaptive,
                         brute_force_oracle, build_pairwise, energy, infer,
@@ -121,7 +124,7 @@ class TestBetaAdaptive:
 class TestBuildPairwise:
     def test_zero_score_class_pairs_cost_zero(self):
         scores = scores_from_entries({(1, 2): [(0, 1, 1.0)]}, 2)
-        tables = build_pairwise(scores, 1.0, 1.0, num_classes=3)
+        tables = as_dict(build_pairwise(scores, 1.0, 1.0, num_classes=3))
         tbl = tables[(0, 1)]
         assert tbl[1, 2] != 0.0
         mask = np.ones((3, 3), dtype=bool)
@@ -131,13 +134,33 @@ class TestBuildPairwise:
     def test_exponent_minus_one_value(self):
         beta = 0.5  # S^2 = 2*beta at S = 1
         scores = scores_from_entries({(0, 1): [(0, 1, 1.0)]}, 2)
-        tables = build_pairwise(scores, beta, 2.0, num_classes=2)
+        tables = as_dict(build_pairwise(scores, beta, 2.0, num_classes=2))
         assert tables[(0, 1)][0, 1] == pytest.approx(2.0 * (np.exp(-1.0) - 1.0))
         assert tables[(0, 1)][0, 1] == pytest.approx(-0.63212 * 2.0, abs=1e-4)
 
+    def test_edge_arrays_sorted_and_read_in_ab_direction(self):
+        scores = scores_from_entries({(0, 1): [(2, 0, 1.0), (1, 3, 0.5), (3, 2, 1.0)],
+                                      (1, 0): [(0, 2, 2.0)]}, 4)
+        pw = build_pairwise(scores, 1.0, 1.0, num_classes=2)
+        assert len(pw) == 3
+        assert pw.edges.tolist() == [[0, 2], [1, 3], [2, 3]]
+        assert pw.tables.shape == (3, 2, 2)
+        want = np.zeros((3, 2, 2))
+        want[0, 1, 0] = np.exp(-2.0) - 1.0     # (1, 0) stores (0, 2)
+        want[1, 0, 1] = np.exp(-0.125) - 1.0   # (0, 1) stores (1, 3)
+        # (0, 1)'s scores at (2, 0) and (3, 2) run b -> a: the pairs are
+        # edges, but their tables do not read them
+        assert np.array_equal(pw.tables, want)
+
+    def test_no_scores_give_empty_terms(self):
+        pw = build_pairwise({}, 1.0, 1.0, num_classes=3)
+        assert len(pw) == 0
+        assert pw.edges.shape == (0, 2)
+        assert pw.tables.shape == (0, 3, 3)
+
     def test_diagonal_scores_ignored(self):
         scores = scores_from_entries({(0, 1): [(1, 1, 1.0)]}, 3)
-        assert build_pairwise(scores, 1.0, 1.0, 2) == {}
+        assert as_dict(build_pairwise(scores, 1.0, 1.0, 2)) == {}
 
     @pytest.mark.parametrize("seed", range(20))
     def test_shift_leaves_minimizers_unchanged(self, seed):
@@ -150,10 +173,10 @@ class TestBuildPairwise:
         scores = random_scores(rng, n, L)
         beta = beta_adaptive(scores)
         lam = float(rng.uniform(0.5, 2.0))
-        shifted = build_pairwise(scores, beta, lam, L)
+        shifted = as_dict(build_pairwise(scores, beta, lam, L))
         literal = {k: t + lam for k, t in shifted.items()}
-        p_shift = CrfProblem(unary, shifted)
-        p_lit = CrfProblem(unary, literal)
+        p_shift = crf_problem(unary, shifted)
+        p_lit = crf_problem(unary, literal)
 
         def minimizers(problem):
             energies = {z: energy(problem, np.array(z))
@@ -174,7 +197,7 @@ class TestBuildPairwise:
         bumped[(1, 2)] = pairwise[(1, 2)] + 7.5
 
         def minimizers(pw):
-            problem = CrfProblem(unary, pw)
+            problem = crf_problem(unary, pw)
             energies = {z: energy(problem, np.array(z))
                         for z in itertools.product(range(L), repeat=n)}
             lo = min(energies.values())
@@ -185,14 +208,14 @@ class TestBuildPairwise:
 
 class TestEnergy:
     def test_unary_only(self):
-        p = CrfProblem(np.array([[1.0, 2.0], [0.5, 3.0]]), {})
+        p = crf_problem(np.array([[1.0, 2.0], [0.5, 3.0]]), {})
         assert energy(p, np.array([0, 0])) == pytest.approx(1.5)
         assert energy(p, np.array([1, 1])) == pytest.approx(5.0)
 
     def test_hand_table_all_labelings(self):
         psi = np.array([[1.0, 2.0], [3.0, 0.5]])
         tbl = np.array([[0.0, -1.0], [0.25, 0.75]])
-        p = CrfProblem(psi, {(0, 1): tbl})
+        p = crf_problem(psi, {(0, 1): tbl})
         want = {
             (0, 0): 1.0 + 3.0 + 0.0,
             (0, 1): 1.0 + 0.5 - 1.0,
@@ -208,9 +231,9 @@ class TestEnergy:
         u2 = rng.uniform(0, 3, (2, 3))
         t1 = rng.normal(size=(3, 3))
         t2 = rng.normal(size=(3, 3))
-        p1 = CrfProblem(u1, {(0, 1): t1})
-        p2 = CrfProblem(u2, {(0, 1): t2})
-        joint = CrfProblem(np.vstack([u1, u2]), {(0, 1): t1, (3, 4): t2})
+        p1 = crf_problem(u1, {(0, 1): t1})
+        p2 = crf_problem(u2, {(0, 1): t2})
+        joint = crf_problem(np.vstack([u1, u2]), {(0, 1): t1, (3, 4): t2})
         x1 = np.array([2, 0, 1])
         x2 = np.array([1, 1])
         assert energy(joint, np.concatenate([x1, x2])) == pytest.approx(
@@ -242,7 +265,7 @@ class TestQpboFuse:
                     if gap < 0:
                         t[0, 1] += -gap + 0.05
                     pairwise[(a, b)] = t
-        p = CrfProblem(unary, pairwise)
+        p = crf_problem(unary, pairwise)
         current = np.zeros(p.n, dtype=int)
         proposal = np.ones(p.n, dtype=int)
         fused = qpbo_fuse(p, current, proposal)
@@ -262,8 +285,8 @@ class TestQpboFuse:
     def test_adversarial_nonsubmodular_triangle(self):
         # three regions, equal unaries, frustrated pairwise preferences
         anti = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        p = CrfProblem(np.zeros((3, 2)),
-                       {(0, 1): anti, (1, 2): anti, (0, 2): anti})
+        p = crf_problem(np.zeros((3, 2)),
+                        {(0, 1): anti, (1, 2): anti, (0, 2): anti})
         cur = np.array([0, 0, 0])
         fused = qpbo_fuse(p, cur, np.array([1, 1, 1]))
         assert energy(p, fused) <= energy(p, cur) + 1e-9
@@ -273,7 +296,7 @@ class TestInfer:
     def test_no_pairwise_gives_unary_argmin(self):
         rng = np.random.default_rng(6)
         unary = rng.uniform(0, 3, (10, 4))
-        result = infer(CrfProblem(unary, {}))
+        result = infer(crf_problem(unary, {}))
         assert np.array_equal(result.assignment, unary.argmin(axis=1))
         assert result.energy == pytest.approx(unary.min(axis=1).sum())
 
@@ -284,8 +307,7 @@ class TestInfer:
         scores = scores_from_entries({(1, 2): [(0, 1, 1.0)],
                                       (2, 1): [(1, 0, 1.0)]}, 2)
         beta = beta_adaptive(scores)
-        tables = build_pairwise(scores, beta, 1.0, 3)
-        p = CrfProblem(psi, tables, beta=beta)
+        p = CrfProblem(psi, build_pairwise(scores, beta, 1.0, 3))
         result = infer(p)
         assert tuple(result.assignment) == (1, 2)
         # 2-node brute force agrees
@@ -324,36 +346,58 @@ class TestInfer:
                     if gap < 0:
                         t[0, 1] += -gap + 0.05
                     pairwise[(a, b)] = t
-            p = CrfProblem(unary, pairwise)
+            p = crf_problem(unary, pairwise)
             assert infer(p).energy == pytest.approx(brute_force_oracle(p).energy,
                                                     abs=1e-9)
 
 
 class TestBruteForce:
     def test_single_region(self):
-        p = CrfProblem(np.array([[3.0, 1.0, 2.0]]), {})
+        p = crf_problem(np.array([[3.0, 1.0, 2.0]]), {})
         result = brute_force_oracle(p)
         assert result.assignment.tolist() == [1]
         assert result.energy == 1.0
 
     def test_decoupled_product_of_argmins(self):
         unary = np.array([[2.0, 1.0], [0.25, 4.0], [5.0, 0.5]])
-        result = brute_force_oracle(CrfProblem(unary, {}))
+        result = brute_force_oracle(crf_problem(unary, {}))
         assert result.assignment.tolist() == [1, 0, 1]
 
     def test_three_by_three_explicit_enumeration(self):
         rng = np.random.default_rng(8)
-        p = CrfProblem(rng.uniform(0, 2, (3, 3)),
-                       {(0, 1): rng.normal(size=(3, 3)),
-                        (1, 2): rng.normal(size=(3, 3))})
+        p = crf_problem(rng.uniform(0, 2, (3, 3)),
+                        {(0, 1): rng.normal(size=(3, 3)),
+                         (1, 2): rng.normal(size=(3, 3))})
         want = min(energy(p, np.array(z))
                    for z in itertools.product(range(3), repeat=3))
         assert brute_force_oracle(p).energy == pytest.approx(want)
 
     def test_lexicographic_tie_break(self):
-        p = CrfProblem(np.zeros((3, 2)), {})  # all 8 labelings tie at 0
+        p = crf_problem(np.zeros((3, 2)), {})  # all 8 labelings tie at 0
         assert brute_force_oracle(p).assignment.tolist() == [0, 0, 0]
 
     def test_size_guard(self):
         with pytest.raises(ValueError, match="too large"):
-            brute_force_oracle(CrfProblem(np.zeros((30, 4)), {}))
+            brute_force_oracle(crf_problem(np.zeros((30, 4)), {}))
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_crf.jsonl")
+
+
+def golden_cases():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+class TestGoldenInference:
+    """Assignments and energy traces (as ``float.hex``) recorded from the
+    dict-of-tables implementation that the edge arrays replaced; inference
+    must reproduce them bit for bit."""
+
+    @pytest.mark.parametrize("case", golden_cases(),
+                             ids=lambda c: f"{c['kind']}-{c['seed']}")
+    def test_matches_record(self, case):
+        make = {"link": random_link_problem, "signed": random_signed_problem}
+        result = infer(make[case["kind"]](np.random.default_rng(case["seed"])))
+        assert result.assignment.tolist() == case["assignment"]
+        assert [float(e).hex() for e in result.energy_trace] == case["energy_trace"]

@@ -1,0 +1,27 @@
+"""Each narrative demo runs to completion against the current library."""
+
+import glob
+import os
+import subprocess
+import sys
+
+import pytest
+
+import ctxseg
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 4
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_exits_zero(path, tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ctxseg.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, path], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from problem_gen import binary_terms
+
 from ctxseg.qpbo import UNLABELED, solve_binary_pairwise
 
 
@@ -43,7 +45,7 @@ def test_submodular_fully_labeled_and_exact(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 13))
     unary, pairwise = random_binary(rng, n, submodular=True)
-    z = solve_binary_pairwise(unary, pairwise)
+    z = solve_binary_pairwise(unary, *binary_terms(pairwise))
     assert np.all(z != UNLABELED)
     _, best_e = enumerate_minimum(unary, pairwise)
     assert binary_energy(unary, pairwise, z) == pytest.approx(best_e, abs=1e-9)
@@ -54,7 +56,7 @@ def test_weak_autarky_on_arbitrary_instances(seed):
     rng = np.random.default_rng(1000 + seed)
     n = int(rng.integers(2, 10))
     unary, pairwise = random_binary(rng, n, submodular=False)
-    z = solve_binary_pairwise(unary, pairwise)
+    z = solve_binary_pairwise(unary, *binary_terms(pairwise))
     labeled = z != UNLABELED
     for _ in range(10):
         y = rng.integers(0, 2, size=n)
@@ -66,12 +68,12 @@ def test_weak_autarky_on_arbitrary_instances(seed):
 
 def test_unary_only():
     unary = np.array([[0.0, 1.0], [3.0, -1.0]])
-    z = solve_binary_pairwise(unary, {})
+    z = solve_binary_pairwise(unary, *binary_terms({}))
     assert np.array_equal(z, [0, 1])
 
 
 def test_empty_problem():
-    assert solve_binary_pairwise(np.zeros((0, 2)), {}).size == 0
+    assert solve_binary_pairwise(np.zeros((0, 2)), *binary_terms({})).size == 0
 
 
 def test_nonsubmodular_labeled_part_matches_an_optimum():
@@ -79,7 +81,7 @@ def test_nonsubmodular_labeled_part_matches_an_optimum():
     unary = np.zeros((3, 2))
     anti = np.array([[1.0, 0.0], [0.0, 1.0]])
     pairwise = {(0, 1): anti, (1, 2): anti, (0, 2): anti}
-    z = solve_binary_pairwise(unary, pairwise)
+    z = solve_binary_pairwise(unary, *binary_terms(pairwise))
     best, best_e = enumerate_minimum(unary, pairwise)
     labeled = z != UNLABELED
     if labeled.any():
