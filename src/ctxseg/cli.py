@@ -19,7 +19,7 @@ from typing import Optional
 from . import context as ctx
 from . import evaluation, graph, pipeline, propagation, synthetic, tracking
 from .pipeline import PipelineConfig
-from .regions import (IngestConfig, load_ground_truth, load_labeling,
+from .regions import (IngestConfig, IngestError, load_ground_truth, load_labeling,
                       load_sequence, save_labeling, save_sequence)
 
 
@@ -111,7 +111,9 @@ def _cmd_propagate(args, cfg: PipelineConfig) -> int:
 
 def _cmd_infer(args, cfg: PipelineConfig) -> int:
     seq = _load_seq(args)
-    labels = load_labeling(args.labels)
+    labels = load_labeling(args.labels, seq)
+    if not labels:
+        raise IngestError(f"{args.labels}: no region labels")
     scores = propagation.load_scores(args.scores, seq.n) if args.scores else {}
     pred, labeling = pipeline.infer_stage(seq, labels, scores, cfg)
     summary = ({"energy": float(labeling.energy), "sweeps": labeling.sweeps}

@@ -38,6 +38,10 @@ log = logging.getLogger(__name__)
 
 P_FLOOR = 1e-6
 BRUTE_FORCE_LIMIT = 10 ** 7
+# train_unary's chunk of K steps: K starts at _CHUNK_MIN and grows up to
+# _CHUNK_CELLS / d (4096 steps, 512 KB per (K, d) float array, at d = 16)
+_CHUNK_MIN = 32
+_CHUNK_CELLS = 1 << 16
 
 
 @dataclass
@@ -75,6 +79,26 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
                 num_classes: Optional[int] = None) -> UnaryModel:
     """Train one-vs-rest hinge-loss linear classifiers by seeded SGD.
 
+    Per class c, each epoch visits the examples in ``rng.permutation`` order
+    (``rng = default_rng([seed, c])``) and step k, with
+    ``eta = lr / (1 + lr * lambda_reg * k)`` and ``decay = 1 - eta * lambda_reg``,
+    sets ``w = decay * w + eta * t * x`` and ``b += eta * t`` when the hinge is
+    violated (``t * (w @ x + b) < 1``), else only ``w = decay * w``.
+
+    Most steps do not update, so the steps run in chunks of K: one
+    ``np.multiply.accumulate`` over ``[w, decay_s, ..., decay_{s+K-2}]`` gives
+    the weights before every step of the chunk if none updates, rounded
+    exactly as step-by-step decays are; all K margins follow at once, and only
+    the first violating step is replayed with the per-step expression before
+    the next chunk starts after it. K doubles after a chunk without a
+    violation and halves after an early one. The batched margins add their
+    products in another order than ``w @ x``; where a margin lies within
+    ``2 (d + 2) eps (sum |w_j x_j| + |b|)`` of the hinge, which bounds both
+    orders' rounding error, the decision is taken again with ``w @ x``. So
+    every branch, and every bit of the weights, is what the step-by-step loop
+    gives. Extra memory is O(N + K d): one epoch's order and step sizes and
+    one chunk's trajectory.
+
     Every class in [0, num_classes) needs at least one example; missing
     classes raise ValueError. Identical seeds give bitwise-identical weights.
     """
@@ -92,7 +116,10 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
     if len(ids) > 1 and np.allclose(X, X[0]):
         log.warning("all training features are identical; unary model is degenerate")
 
-    d = X.shape[1]
+    N, d = X.shape
+    lr, lam = cfg.learning_rate, cfg.lambda_reg
+    guard = 2 * (d + 2) * np.finfo(float).eps
+    max_size = max(_CHUNK_MIN, _CHUNK_CELLS // max(d, 1))
     weights = np.zeros((L, d))
     biases = np.zeros(L)
     for c in range(L):
@@ -100,17 +127,42 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
         t = np.where(y == c, 1.0, -1.0)
         w = np.zeros(d)
         b = 0.0
-        step = 0
-        for _ in range(cfg.epochs):
-            for i in rng.permutation(len(ids)):
-                eta = cfg.learning_rate / (1.0 + cfg.learning_rate * cfg.lambda_reg * step)
-                step += 1
-                decay = 1.0 - eta * cfg.lambda_reg
-                if t[i] * (w @ X[i] + b) < 1.0:
-                    w = decay * w + eta * t[i] * X[i]
-                    b = b + eta * t[i]
-                else:
-                    w = decay * w
+        size = _CHUNK_MIN
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(N)
+            # the per-step formula's operation order: lr * lam first, then times k
+            eta = lr / (1.0 + lr * lam * np.arange(epoch * N, (epoch + 1) * N, dtype=float))
+            decay = 1.0 - eta * lam
+            s = 0
+            while s < N:
+                e = min(s + size, N)
+                rows = order[s:e]
+                traj = np.empty((e - s, d))
+                traj[0] = w
+                traj[1:] = decay[s:e - 1, None]
+                np.multiply.accumulate(traj, axis=0, out=traj)
+                prod = traj * X[rows]
+                gap = t[rows] * (prod.sum(axis=1) + b) - 1.0
+                tol = guard * (np.abs(prod).sum(axis=1) + abs(b))
+                hit = -1
+                # a step with gap < -tol violates the hinge in either summation
+                # order; one with |gap| <= tol is decided by the per-step w @ x
+                for j in np.flatnonzero(gap <= tol):
+                    i = rows[j]
+                    if gap[j] < -tol[j] or t[i] * (traj[j] @ X[i] + b) < 1.0:
+                        hit = j
+                        break
+                if hit < 0:
+                    w = decay[e - 1] * traj[-1]
+                    size = min(2 * size, max_size)
+                    s = e
+                    continue
+                i, k = rows[hit], s + hit
+                w = decay[k] * traj[hit] + eta[k] * t[i] * X[i]
+                b = b + eta[k] * t[i]
+                if 2 * hit < e - s:
+                    size = max(size // 2, _CHUNK_MIN)
+                s = k + 1
         weights[c] = w
         biases[c] = b
     return UnaryModel(weights, biases, cfg)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,7 +51,15 @@ class PipelineConfig:
     literal_alg1: bool = False
 
     def validate(self) -> None:
-        """Range-check every field against its owning module's contract."""
+        """Range-check every field against its owning module's contract.
+
+        A non-finite float passes most range checks (``inf > 0``) and then
+        turns the CRF energy into NaN or -inf, so every float must be finite.
+        """
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         checks = [
             (self.k >= 1, "k must be >= 1"),
             (0.0 < self.mu < 1.0, "mu must lie in (0, 1)"),

@@ -163,6 +163,11 @@ def normalize_feature(raw: np.ndarray) -> tuple[np.ndarray, bool]:
     return raw / nrm, False
 
 
+# what converting a record's fields can raise: a missing key, a wrong type,
+# a bad literal, or int() of an Infinity
+FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
 def _iter_records(path):
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -193,7 +198,7 @@ def iter_class_pair_records(path, key: str, n: int, width: int):
             entries = np.array(rec[key], dtype=float)
             if entries.size and entries.shape[1:] != (width,):
                 raise ValueError(f"{key} rows must hold {width} numbers")
-        except (KeyError, TypeError, ValueError) as exc:
+        except FIELD_ERRORS as exc:
             raise IngestError(f"{where}: missing or invalid field ({exc})") from None
         entries = entries.reshape(-1, width)
         if not np.isfinite(entries).all():
@@ -233,11 +238,12 @@ def load_sequence(regions_path, detections_path=None,
         try:
             rid = int(rec["id"])
             frame = int(rec["frame"])
-            feat_raw = rec["feature"]
+            feat = np.asarray(rec["feature"], dtype=np.float64)
             area = int(rec["area"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except FIELD_ERRORS as exc:
             raise IngestError(f"{where}: missing or invalid field ({exc})") from None
-        feat = np.asarray(feat_raw, dtype=np.float64)
+        if rid < 0 or frame < 0:
+            raise IngestError(f"{where}: negative region id or frame index")
         if feat.ndim != 1 or feat.size == 0:
             raise IngestError(f"{where}: feature must be a non-empty flat list")
         if not np.isfinite(feat).all():
@@ -251,6 +257,8 @@ def load_sequence(regions_path, detections_path=None,
         bbox = _parse_box(rec["bbox"], where) if rec.get("bbox") is not None else None
         feature, degenerate = normalize_feature(feat)
         regions.append(Region(rid, frame, feature, area, bbox, degenerate))
+    if not regions:
+        raise IngestError(f"{regions_path}: no region records")
 
     detections: list[Detection] = []
     if detections_path is not None:
@@ -264,7 +272,7 @@ def load_sequence(regions_path, detections_path=None,
                     class_id=int(rec["class"]),
                     confidence=float(rec["confidence"]),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except FIELD_ERRORS as exc:
                 raise IngestError(f"{where}: missing or invalid field ({exc})") from None
             if not math.isfinite(det.confidence):
                 raise IngestError(f"{where}: confidence is not finite")
@@ -307,7 +315,7 @@ def load_ground_truth(path, seq: VideoSequence) -> dict[int, int]:
         try:
             rid = int(rec["id"])
             cls = int(rec["class"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except FIELD_ERRORS as exc:
             raise IngestError(f"{where}: missing or invalid field ({exc})") from None
         if rid not in seq._index:
             raise IngestError(f"{where}: unknown region id {rid}")
@@ -318,16 +326,25 @@ def load_ground_truth(path, seq: VideoSequence) -> dict[int, int]:
     return out
 
 
-def load_labeling(path) -> dict[int, int]:
-    """Load a labeling file, skipping summary records that carry no id."""
+def load_labeling(path, seq: Optional[VideoSequence] = None) -> dict[int, int]:
+    """Load a labeling file, skipping summary records (no id and no class).
+
+    Classes must be >= 0; given ``seq``, every id must name one of its regions.
+    """
     out: dict[int, int] = {}
     for lineno, rec in _iter_records(path):
-        if "id" not in rec:
+        if "id" not in rec and "class" not in rec:
             continue
+        where = f"{path}:{lineno}"
         try:
-            out[int(rec["id"])] = int(rec["class"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IngestError(f"{path}:{lineno}: missing or invalid field ({exc})") from None
+            rid, cls = int(rec["id"]), int(rec["class"])
+        except FIELD_ERRORS as exc:
+            raise IngestError(f"{where}: missing or invalid field ({exc})") from None
+        if cls < 0:
+            raise IngestError(f"{where}: negative class {cls}")
+        if seq is not None and rid not in seq._index:
+            raise IngestError(f"{where}: unknown region id {rid}")
+        out[rid] = cls
     return out
 
 

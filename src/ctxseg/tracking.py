@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
-from .regions import (Box, Detection, IngestError, VideoSequence, _iter_records,
-                      _parse_box)
+from .regions import (FIELD_ERRORS, Box, Detection, IngestError, VideoSequence,
+                      _iter_records, _parse_box)
 
 log = logging.getLogger(__name__)
 
@@ -259,10 +259,12 @@ def load_hypotheses(path) -> list[TrajectoryHypothesis]:
             class_id = int(rec["class"])
             seed_confidence = float(rec.get("seed_confidence", 0.0))
             raw = [(int(e["frame"]), e["bbox"], str(e["source"])) for e in rec["entries"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except FIELD_ERRORS as exc:
             raise IngestError(f"{where}: missing or invalid field ({exc})") from None
         if not math.isfinite(seed_confidence):
             raise IngestError(f"{where}: seed_confidence is not finite")
+        if class_id < 0 or any(frame < 0 for frame, _, _ in raw):
+            raise IngestError(f"{where}: negative class or frame index")
         entries = [TrajectoryEntry(frame, _parse_box(box, where), source)
                    for frame, box, source in raw]
         out.append(TrajectoryHypothesis(class_id, entries, seed_confidence))

@@ -8,6 +8,9 @@ arbitrary mixed-sign tables for robustness checks.
 Tests write small tables as dicts ``{(a, b): table}``; ``crf_problem`` and
 ``binary_terms`` turn such a dict into the array form the library takes,
 and ``as_dict`` turns built terms back into a dict for reading.
+
+``loop_train_unary`` is the per-example SGD loop that ``crf.train_unary``
+replays in chunks; tests hold the library to its bits.
 """
 
 import numpy as np
@@ -15,6 +18,7 @@ from scipy import sparse
 
 from ctxseg.crf import CrfProblem, PairwiseTerms, beta_adaptive, build_pairwise
 from ctxseg.propagation import LinkScoreMatrix
+from ctxseg.regions import Region, VideoSequence
 
 
 def crf_problem(unary, pairwise):
@@ -78,3 +82,46 @@ def random_signed_problem(rng, max_n=8, max_classes=4, density=0.5):
             if rng.random() < density:
                 pairwise[(a, b)] = rng.normal(scale=1.0, size=(L, L))
     return crf_problem(unary, pairwise)
+
+
+def unary_sequence(X):
+    """``VideoSequence`` whose region i (frame 0) has feature row i of X."""
+    return VideoSequence([Region(i, 0, np.array(row, dtype=float), 1)
+                          for i, row in enumerate(X)], [], frame_count=1)
+
+
+def random_unary_data(rng, n, d, num_classes, spread=1.0):
+    """Features around one random mean per class; every class occurs."""
+    y = rng.permutation(np.arange(n) % num_classes)
+    means = rng.standard_normal((num_classes, d))
+    return means[y] + spread * rng.standard_normal((n, d)), y
+
+
+def loop_train_unary(X, y, num_classes, cfg):
+    """Reference one-vs-rest hinge SGD, one Python step per example visit.
+
+    Same draws and arithmetic as ``crf.train_unary`` on regions whose sorted
+    ids give rows of X in order; returns (weights, biases).
+    """
+    N, d = X.shape
+    weights = np.zeros((num_classes, d))
+    biases = np.zeros(num_classes)
+    for c in range(num_classes):
+        rng = np.random.default_rng([cfg.seed, c])
+        t = np.where(y == c, 1.0, -1.0)
+        w = np.zeros(d)
+        b = 0.0
+        step = 0
+        for _ in range(cfg.epochs):
+            for i in rng.permutation(N):
+                eta = cfg.learning_rate / (1.0 + cfg.learning_rate * cfg.lambda_reg * step)
+                step += 1
+                decay = 1.0 - eta * cfg.lambda_reg
+                if t[i] * (w @ X[i] + b) < 1.0:
+                    w = decay * w + eta * t[i] * X[i]
+                    b = b + eta * t[i]
+                else:
+                    w = decay * w
+        weights[c] = w
+        biases[c] = b
+    return weights, biases

@@ -272,6 +272,16 @@ def test_invalid_config_value_rejected(dataset, tmp_path, capsys):
     assert "mu" in capsys.readouterr().err
 
 
+def test_non_finite_config_flag_rejected(tmp_path, capsys):
+    code = run(["pipeline", "--regions", str(tmp_path / "r.jsonl"),
+                "--detections", str(tmp_path / "d.jsonl"), "--out", str(tmp_path / "o"),
+                "--learning-rate", "inf"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "ctxseg pipeline: error: learning_rate must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_infer_without_scores_is_unary_only(dataset, tmp_path):
     d = tmp_path
     regions = str(dataset / "regions.jsonl")

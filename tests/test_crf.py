@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from problem_gen import (as_dict, crf_problem, random_link_problem,
-                         random_signed_problem)
+from problem_gen import (as_dict, crf_problem, loop_train_unary,
+                         random_link_problem, random_signed_problem,
+                         random_unary_data, unary_sequence)
 
 from ctxseg.crf import (CrfProblem, UnaryModel, UnaryTrainConfig, beta_adaptive,
                         brute_force_oracle, build_pairwise, energy, infer,
                         qpbo_fuse, train_unary, unary_potentials)
 from ctxseg.propagation import LinkScoreMatrix
 from ctxseg.regions import Region, VideoSequence
+
+GOLDEN_UNARY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_unary.jsonl")
 
 
 def seq_with_features(F, frames=None):
@@ -82,6 +85,82 @@ class TestTrainUnary:
         probs = model.probabilities(seq.feature_matrix())
         assert np.all(probs > 0)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+
+
+def golden_unary_cases():
+    with open(GOLDEN_UNARY, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+def unary_fit(X, y, num_classes, cfg):
+    model = train_unary(dict(enumerate(np.asarray(y).tolist())), unary_sequence(X), cfg,
+                        num_classes=num_classes)
+    return model.weights, model.biases
+
+
+def oracle_dataset(seed):
+    """Random training set; by seed mod 4, also features spanning 1e-6..1e6,
+    near-duplicate rows (last-bit changes), or features on a grid of thirds
+    without decay, whose margins often land on the hinge up to rounding, where
+    the summation order decides a step unless the replay falls back to ``@``."""
+    rng = np.random.default_rng(1000 + seed)
+    n, d, L = int(rng.integers(5, 300)), int(rng.integers(1, 24)), int(rng.integers(2, 6))
+    X, y = random_unary_data(rng, n, d, L, spread=float(rng.uniform(0.05, 2.0)))
+    lambda_reg = float(rng.choice([0.0, 1e-4, 1e-2]))
+    if seed % 4 == 1:
+        X *= 10.0 ** rng.uniform(-6.0, 6.0, size=X.shape)
+    elif seed % 4 == 2:
+        src, dst = rng.integers(0, n, size=(2, n // 2))
+        X[dst] = np.nextafter(X[src], np.where(rng.random((n // 2, d)) < 0.5, -np.inf, np.inf))
+    elif seed % 4 == 3:
+        X = rng.integers(-2, 3, size=X.shape) / 3.0
+        lambda_reg = 0.0
+    cfg = UnaryTrainConfig(epochs=int(rng.integers(1, 25)),
+                           learning_rate=float(rng.choice([0.1, 0.3, 0.5, 2.0])),
+                           lambda_reg=lambda_reg, seed=seed)
+    return X, y, L, cfg
+
+
+class TestGoldenUnary:
+    """Weights and biases (as ``float.hex``) recorded from the per-example SGD
+    loop that the chunked replay replaced; training must reproduce them."""
+
+    @pytest.mark.parametrize("case", golden_unary_cases(), ids=lambda c: f"seed{c['seed']}")
+    def test_matches_record(self, case):
+        X, y = random_unary_data(np.random.default_rng(case["seed"]), case["n"], case["d"],
+                                 case["num_classes"], case["spread"])
+        cfg = UnaryTrainConfig(epochs=case["epochs"], learning_rate=case["learning_rate"],
+                               lambda_reg=case["lambda_reg"], seed=case["seed"])
+        weights, biases = unary_fit(X, y, case["num_classes"], cfg)
+        assert [[float(v).hex() for v in row] for row in weights] == case["weights"]
+        assert [float(v).hex() for v in biases] == case["biases"]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_per_example_loop(self, seed):
+        X, y, L, cfg = oracle_dataset(seed)
+        weights, biases = unary_fit(X, y, L, cfg)
+        ref_w, ref_b = loop_train_unary(X, y, L, cfg)
+        assert weights.tobytes() == ref_w.tobytes()
+        assert biases.tobytes() == ref_b.tobytes()
+
+    def test_exact_hinge_tie_does_not_update(self):
+        """Unit features, eta = 0.5, no decay: sums are exact. Epoch one updates
+        at every step (w = t / 2; b = 1/2 for class 0, -1/2 for class 1). With
+        seed 3 epoch two visits example 0 first for class 0 and example 1
+        first for class 1, where t (w x + b) = 1/2 + 1/2 = 1 exactly: the
+        hinge holds with equality, so the step must not update. The two later
+        steps of epoch two update as worked out below."""
+        X = np.eye(3)
+        y = [0, 0, 1]
+        cfg = UnaryTrainConfig(epochs=2, learning_rate=0.5, lambda_reg=0.0, seed=3)
+        weights, biases = unary_fit(X, y, 2, cfg)
+        # class 0, epoch two order (0, 2, 1): tie; margin 0 -> w2 = -1, b = 0;
+        # margin 1/2 -> w1 = 1, b = 1/2.  class 1, order (1, 2, 0): tie;
+        # margin 0 -> w2 = 1, b = 0; margin 1/2 -> w0 = -1, b = -1/2.
+        assert weights.tolist() == [[0.5, 1.0, -1.0], [-1.0, -0.5, 1.0]]
+        assert biases.tolist() == [0.5, -0.5]
+        ref_w, ref_b = loop_train_unary(X, np.array(y), 2, cfg)
+        assert weights.tobytes() == ref_w.tobytes() and biases.tobytes() == ref_b.tobytes()
 
 
 class TestUnaryPotentials:

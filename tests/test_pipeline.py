@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -22,6 +23,17 @@ def test_config_validation_messages():
         cfg = PipelineConfig(**{field: value})
         with pytest.raises(ValueError, match=field):
             cfg.validate()
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(PipelineConfig)
+                if isinstance(f.default, float)]
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_config_rejects_non_finite_floats(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        PipelineConfig(**{field: bad}).validate()
 
 
 def test_stage_seeds_differ_by_stage_and_seed():
