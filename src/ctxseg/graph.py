@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .regions import VideoSequence
+from .regions import FIELD_ERRORS, IngestError, VideoSequence
 
 log = logging.getLogger(__name__)
 
@@ -117,7 +117,42 @@ def dump_graph(graph: SimilarityGraph, path) -> None:
 
 
 def load_graph(path) -> SimilarityGraph:
+    """Read a ``dump_graph`` file.
+
+    Malformed JSON, a missing ``n`` or ``edges``, an edge that is not
+    ``[i, j, w]`` with integers ``0 <= i < j < n``, a negative or non-finite
+    weight and a repeated pair raise :class:`IngestError` naming the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    edges = [(int(i), int(j), float(w)) for i, j, w in doc["edges"]]
-    return _assemble(int(doc["n"]), int(doc.get("k", 0)), edges)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise IngestError(f"{path}: malformed JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise IngestError(f"{path}: graph is not a JSON object")
+    try:
+        n, k = doc["n"], int(doc.get("k", 0))
+        edges = np.array(doc["edges"], dtype=float)
+        if edges.size and edges.shape[1:] != (3,):
+            raise ValueError("edges must be [i, j, w] rows")
+    except FIELD_ERRORS as exc:
+        raise IngestError(f"{path}: missing or invalid field ({exc})") from None
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise IngestError(f"{path}: n must be a nonnegative integer, got {n!r}")
+    edges = edges.reshape(-1, 3)
+    ends, w = edges[:, :2], edges[:, 2]
+
+    def refuse(bad, what):
+        if bad.any():
+            p = int(np.flatnonzero(bad)[0])
+            raise IngestError(f"{path}: edge {p} {edges[p].tolist()}: {what}")
+
+    refuse((ends != np.floor(ends)).any(axis=1), "is not [i, j, w] with integer i, j")
+    refuse(~(np.isfinite(w) & (w >= 0.0)), "weight is negative or not finite")
+    refuse(((ends < 0) | (ends >= n)).any(axis=1), f"index out of range [0, {n})")
+    i, j = ends.astype(np.int64).T
+    refuse(i >= j, "needs i < j")
+    repeat = np.ones(len(i), dtype=bool)
+    repeat[np.unique(np.stack([i, j], axis=1), axis=0, return_index=True)[1]] = False
+    refuse(repeat, "repeats an earlier pair")
+    return _assemble(n, k, list(zip(i.tolist(), j.tolist(), w.tolist())))

@@ -69,7 +69,7 @@ def solve_binary_pairwise(unary: np.ndarray, edges: np.ndarray,
     g = MaxFlowGraph(2 * n + 2, np.concatenate(tails, axis=None),
                      np.concatenate(heads, axis=None), np.concatenate(caps))
     g.max_flow(source, sink)
-    reach = np.array(g.source_side(source))
+    reach = g.source_side(source)
 
     u, v = reach[0::2][:n], reach[1::2][:n]
     return np.where(u & ~v, 0, np.where(v & ~u, 1, UNLABELED))

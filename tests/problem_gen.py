@@ -10,13 +10,18 @@ Tests write small tables as dicts ``{(a, b): table}``; ``crf_problem`` and
 and ``as_dict`` turns built terms back into a dict for reading.
 
 ``loop_train_unary`` is the per-example SGD loop that ``crf.train_unary``
-replays in chunks; tests hold the library to its bits.
+replays in chunks, and ``list_dinic`` is the max-flow that
+``maxflow.MaxFlowGraph`` runs over arrays; tests hold the library to their
+bits.
 """
+
+from collections import deque
 
 import numpy as np
 from scipy import sparse
 
 from ctxseg.crf import CrfProblem, PairwiseTerms, beta_adaptive, build_pairwise
+from ctxseg.maxflow import EPS
 from ctxseg.propagation import LinkScoreMatrix
 from ctxseg.regions import Region, VideoSequence
 
@@ -125,3 +130,92 @@ def loop_train_unary(X, y, num_classes, cfg):
         weights[c] = w
         biases[c] = b
     return weights, biases
+
+
+class ListDinic:
+    """Dinic over Python lists: every BFS and DFS step scans a vertex's arcs."""
+
+    def __init__(self, n, tails, heads, caps):
+        self.n = n
+        tails, heads = np.asarray(tails, dtype=int), np.asarray(heads, dtype=int)
+        self.to = np.stack([heads, tails], axis=1).ravel().tolist()
+        self.cap = np.stack(
+            [np.asarray(caps, dtype=float), np.zeros(len(tails))], axis=1).ravel().tolist()
+        start = np.stack([tails, heads], axis=1).ravel()
+        order = np.argsort(start, kind="stable").tolist()
+        bounds = np.cumsum(np.bincount(start, minlength=n)).tolist()
+        self.adj = [order[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
+
+    def _bfs_levels(self, s, t):
+        self.level = [-1] * self.n
+        self.level[s] = 0
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            for eid in self.adj[u]:
+                v = self.to[eid]
+                if self.cap[eid] > EPS and self.level[v] < 0:
+                    self.level[v] = self.level[u] + 1
+                    q.append(v)
+        return self.level[t] >= 0
+
+    def _blocking_flow(self, s, t):
+        total = 0.0
+        it = [0] * self.n
+        path = []
+        u = s
+        while True:
+            if u == t:
+                bottleneck = min(self.cap[eid] for eid in path)
+                for eid in path:
+                    self.cap[eid] -= bottleneck
+                    self.cap[eid ^ 1] += bottleneck
+                total += bottleneck
+                cut = next(i for i, e in enumerate(path) if self.cap[e] <= EPS)
+                del path[cut:]
+                u = s if not path else self.to[path[-1]]
+                continue
+            advanced = False
+            while it[u] < len(self.adj[u]):
+                eid = self.adj[u][it[u]]
+                v = self.to[eid]
+                if self.cap[eid] > EPS and self.level[v] == self.level[u] + 1:
+                    path.append(eid)
+                    u = v
+                    advanced = True
+                    break
+                it[u] += 1
+            if advanced:
+                continue
+            if u == s:
+                return total
+            self.level[u] = -1
+            eid = path.pop()
+            u = self.to[eid ^ 1]
+            it[u] += 1
+
+    def max_flow(self, s, t):
+        flow = 0.0
+        while self._bfs_levels(s, t):
+            flow += self._blocking_flow(s, t)
+        return flow
+
+    def source_side(self, s):
+        seen = [False] * self.n
+        seen[s] = True
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            for eid in self.adj[u]:
+                v = self.to[eid]
+                if self.cap[eid] > EPS and not seen[v]:
+                    seen[v] = True
+                    q.append(v)
+        return seen
+
+
+def list_dinic(n, tails, heads, caps, s, t):
+    """Reference max-flow: (flow, residual caps by arc id, source side), as lists."""
+    g = ListDinic(n, tails, heads, caps)
+    flow = g.max_flow(s, t)
+    return flow, g.cap, g.source_side(s)

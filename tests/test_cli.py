@@ -175,6 +175,66 @@ def test_negative_scores_load(tmp_path):
     assert scores[(1, 2)].scores[0, 1] == -1e-17
 
 
+def _set_edge(edge):
+    """Damage: replace the second edge (a function of the document's n)."""
+    return lambda doc: dict(doc, edges=[doc["edges"][0], edge(doc), *doc["edges"][2:]])
+
+
+def _drop(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+# (damage to a good graph.json document, message after "<file>: ")
+MALFORMED_GRAPHS = [
+    pytest.param("truncated", "malformed JSON", id="truncated"),
+    pytest.param(lambda doc: [doc], "graph is not a JSON object", id="not-an-object"),
+    pytest.param(_drop("n"), "missing or invalid field", id="missing-n"),
+    pytest.param(_drop("edges"), "missing or invalid field", id="missing-edges"),
+    pytest.param(lambda doc: dict(doc, n=2.5), "n must be a nonnegative integer",
+                 id="fractional-n"),
+    pytest.param(_set_edge(lambda doc: [0, 1]), "missing or invalid field", id="short-edge"),
+    pytest.param(_set_edge(lambda doc: [0, "x", 0.5]), "missing or invalid field",
+                 id="string-index"),
+    pytest.param(_set_edge(lambda doc: [0.5, 1, 0.5]), "is not [i, j, w] with integer i, j",
+                 id="fractional-index"),
+    pytest.param(_set_edge(lambda doc: [0, 1, float("nan")]),
+                 "weight is negative or not finite", id="nan-weight"),
+    pytest.param(_set_edge(lambda doc: [0, 1, float("inf")]),
+                 "weight is negative or not finite", id="infinite-weight"),
+    pytest.param(_set_edge(lambda doc: [0, 1, -0.5]), "weight is negative or not finite",
+                 id="negative-weight"),
+    pytest.param(_set_edge(lambda doc: [-1, 1, 0.5]), "index out of range",
+                 id="negative-index"),
+    pytest.param(_set_edge(lambda doc: [0, doc["n"], 0.5]), "index out of range",
+                 id="index-n"),
+    pytest.param(_set_edge(lambda doc: [1, 0, 0.5]), "needs i < j", id="descending-pair"),
+    pytest.param(_set_edge(lambda doc: [1, 1, 0.5]), "needs i < j", id="self-loop"),
+    pytest.param(_set_edge(lambda doc: doc["edges"][0]), "repeats an earlier pair",
+                 id="duplicate-pair"),
+]
+
+
+@pytest.mark.parametrize("damage, message", MALFORMED_GRAPHS)
+def test_malformed_graph_exits_with_file_name(dataset, tmp_path, capsys, damage, message):
+    path = tmp_path / "graph.json"
+    assert run(["graph", "--regions", str(dataset / "regions.jsonl"),
+                "--out", str(path)]) == 0
+    text = path.read_text()
+    if damage == "truncated":
+        path.write_text(text[:len(text) // 2])
+    else:
+        path.write_text(json.dumps(damage(json.loads(text))))
+    links = tmp_path / "links.jsonl"
+    links.write_text(json.dumps({"m": 1, "n": 2, "links": [[0, 1]]}) + "\n")
+    capsys.readouterr()
+    assert run(["propagate", "--links", str(links), "--graph", str(path),
+                "--out", str(tmp_path / "s.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert f"ctxseg propagate: error: {path}: " in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "s.jsonl").exists()
+
+
 def test_chained_stages_reproduce_pipeline_byte_for_byte(dataset, tmp_path):
     pipe = tmp_path / "pipe"
     assert run(["pipeline", "--regions", str(dataset / "regions.jsonl"),

@@ -152,3 +152,5 @@ def test_dump_and_reload_roundtrip(tmp_path):
     assert g2.n == g1.n
     assert (g1.affinity != g2.affinity).nnz == 0
     assert (g1.operator != g2.operator).nnz == 0
+    dump_graph(g2, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
