@@ -12,7 +12,7 @@ from .crf import (CrfProblem, Labeling, PairwiseTerms, UnaryModel, UnaryTrainCon
                   beta_adaptive, brute_force_oracle, build_pairwise, energy,
                   infer, qpbo_fuse, train_unary, unary_potentials)
 from .evaluation import EvalReport, iou_per_class
-from .graph import SimilarityGraph, build_knn_graph, normalized_operator
+from .graph import SimilarityGraph, build_knn_graph
 from .pipeline import PipelineConfig, PipelineResult, run_pipeline
 from .propagation import (LinkScoreMatrix, PropagationConfig, dense_two_pass_limit,
                           predict_all_links, propagate_column_pass,

@@ -93,11 +93,13 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
     the next chunk starts after it. K doubles after a chunk without a
     violation and halves after an early one. The batched margins add their
     products in another order than ``w @ x``; where a margin lies within
-    ``2 (d + 2) eps (sum |w_j x_j| + |b|)`` of the hinge, which bounds both
-    orders' rounding error, the decision is taken again with ``w @ x``. So
-    every branch, and every bit of the weights, is what the step-by-step loop
-    gives. Extra memory is O(N + K d): one epoch's order and step sizes and
-    one chunk's trajectory.
+    ``2 (d + 2) eps (max |w_j| max_i ||x_i||_1 + |b|)`` of the hinge (w over
+    the chunk's trajectory, x over all examples), the decision is taken again
+    with ``w @ x``. That scalar bounds every step's ``sum |w_j x_j| + |b|``, so
+    it bounds both orders' rounding error. So every branch, and every bit of
+    the weights, is what the step-by-step loop gives. Extra memory is
+    O(N d + K d): one epoch's shuffled examples and step sizes and one
+    trajectory buffer.
 
     Every class in [0, num_classes) needs at least one example; missing
     classes raise ValueError. Identical seeds give bitwise-identical weights.
@@ -120,6 +122,8 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
     lr, lam = cfg.learning_rate, cfg.lambda_reg
     guard = 2 * (d + 2) * np.finfo(float).eps
     max_size = max(_CHUNK_MIN, _CHUNK_CELLS // max(d, 1))
+    x1 = np.abs(X).sum(axis=1).max()  # max_i ||x_i||_1
+    buf = np.empty((max_size, d))
     weights = np.zeros((L, d))
     biases = np.zeros(L)
     for c in range(L):
@@ -130,26 +134,24 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
         size = _CHUNK_MIN
         for epoch in range(cfg.epochs):
             order = rng.permutation(N)
+            Xo, to = X[order], t[order]
             # the per-step formula's operation order: lr * lam first, then times k
             eta = lr / (1.0 + lr * lam * np.arange(epoch * N, (epoch + 1) * N, dtype=float))
             decay = 1.0 - eta * lam
             s = 0
             while s < N:
                 e = min(s + size, N)
-                rows = order[s:e]
-                traj = np.empty((e - s, d))
+                traj = buf[:e - s]
                 traj[0] = w
                 traj[1:] = decay[s:e - 1, None]
                 np.multiply.accumulate(traj, axis=0, out=traj)
-                prod = traj * X[rows]
-                gap = t[rows] * (prod.sum(axis=1) + b) - 1.0
-                tol = guard * (np.abs(prod).sum(axis=1) + abs(b))
+                gap = to[s:e] * ((traj * Xo[s:e]).sum(axis=1) + b) - 1.0
+                tol = guard * (np.abs(traj).max() * x1 + abs(b))
                 hit = -1
                 # a step with gap < -tol violates the hinge in either summation
                 # order; one with |gap| <= tol is decided by the per-step w @ x
-                for j in np.flatnonzero(gap <= tol):
-                    i = rows[j]
-                    if gap[j] < -tol[j] or t[i] * (traj[j] @ X[i] + b) < 1.0:
+                for j in (gap <= tol).nonzero()[0]:
+                    if gap[j] < -tol or to[s + j] * (traj[j] @ Xo[s + j] + b) < 1.0:
                         hit = j
                         break
                 if hit < 0:
@@ -157,9 +159,9 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
                     size = min(2 * size, max_size)
                     s = e
                     continue
-                i, k = rows[hit], s + hit
-                w = decay[k] * traj[hit] + eta[k] * t[i] * X[i]
-                b = b + eta[k] * t[i]
+                k = s + hit
+                w = decay[k] * traj[hit] + eta[k] * to[k] * Xo[k]
+                b = b + eta[k] * to[k]
                 if 2 * hit < e - s:
                     size = max(size // 2, _CHUNK_MIN)
                 s = k + 1

@@ -18,6 +18,9 @@ from .regions import FIELD_ERRORS, IngestError, VideoSequence
 
 log = logging.getLogger(__name__)
 
+SELECT_ROWS = 64     # rows per block of the top-k selection
+DUMP_EDGES = 4096    # edges per block written by dump_graph
+
 
 @dataclass
 class SimilarityGraph:
@@ -28,32 +31,24 @@ class SimilarityGraph:
     operator: sparse.csr_matrix      # D^{-1/2} W D^{-1/2}
 
 
-def _assemble(n: int, k: int, edges: list[tuple[int, int, float]]) -> SimilarityGraph:
-    """Build W and its normalized operator from undirected edges (i < j).
+def _assemble(n: int, k: int, i: np.ndarray, j: np.ndarray,
+              w: np.ndarray) -> SimilarityGraph:
+    """Build W and its normalized operator from undirected edges i < j.
 
-    Both matrix entries of an edge are written from the same scalar, so W and
-    the operator are exactly symmetric.
+    The edges are taken in (i, j) order. Both matrix entries of an edge are
+    written from the same scalar, so W and the operator are exactly symmetric.
     """
-    edges = sorted(edges)
-    if edges:
-        ii = np.array([e[0] for e in edges], dtype=np.int64)
-        jj = np.array([e[1] for e in edges], dtype=np.int64)
-        ww = np.array([e[2] for e in edges], dtype=np.float64)
-        rows = np.concatenate([ii, jj])
-        cols = np.concatenate([jj, ii])
-        data = np.concatenate([ww, ww])
-        W = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-    else:
-        W = sparse.csr_matrix((n, n))
+    order = np.lexsort((j, i))
+    ii, jj, ww = i[order], j[order], w[order]
+    rows = np.concatenate([ii, jj])
+    cols = np.concatenate([jj, ii])
+    W = sparse.csr_matrix((np.concatenate([ww, ww]), (rows, cols)), shape=(n, n))
     degrees = np.asarray(W.sum(axis=1)).ravel()
     with np.errstate(divide="ignore"):
         dinv = 1.0 / np.sqrt(degrees)
     dinv[~np.isfinite(dinv)] = 0.0
-    if edges:
-        lv = ww * dinv[ii] * dinv[jj]
-        L = sparse.csr_matrix((np.concatenate([lv, lv]), (rows, cols)), shape=(n, n))
-    else:
-        L = sparse.csr_matrix((n, n))
+    lv = ww * dinv[ii] * dinv[jj]
+    L = sparse.csr_matrix((np.concatenate([lv, lv]), (rows, cols)), shape=(n, n))
     return SimilarityGraph(n=n, k=k, affinity=W, degrees=degrees, operator=L)
 
 
@@ -65,6 +60,10 @@ def build_knn_graph(seq: VideoSequence, k: int) -> SimilarityGraph:
     union of the directed proposals. Negative inner products are clamped to
     zero and zero-weight edges are dropped, so degenerate (all-zero) features
     end up isolated.
+
+    The Gram matrix is one ``F @ F.T`` (row blocks of it round differently
+    from NumPy's symmetric product); the top k are selected over blocks of
+    ``SELECT_ROWS`` rows, so the selection's temporaries are O(SELECT_ROWS n).
     """
     n = seq.n
     if n < 2:
@@ -80,40 +79,39 @@ def build_knn_graph(seq: VideoSequence, k: int) -> SimilarityGraph:
     np.clip(G, 0.0, 1.0, out=G)  # unit features: products in [-1, 1] up to rounding
     np.fill_diagonal(G, -1.0)  # exclude self from the top-k search
 
-    chosen: set[tuple[int, int]] = set()
-    idx = np.arange(n)
-    for i in range(n):
-        row = G[i]
-        order = np.lexsort((idx, -row))  # value desc, then smaller index
-        for j in order[:k]:
-            if row[j] <= 0.0:
-                continue
-            chosen.add((min(i, int(j)), max(i, int(j))))
-
-    edges = [(a, b, float(max(G[a, b], G[b, a]))) for a, b in chosen]
-    return _assemble(n, k, edges)
-
-
-def normalized_operator(W: sparse.spmatrix) -> sparse.csr_matrix:
-    """D^{-1/2} W D^{-1/2} for a symmetric nonnegative W with zero diagonal.
-
-    Rows and columns of isolated vertices (zero degree) stay all zero.
-    """
-    W = W.tocsr()
-    n = W.shape[0]
-    coo = sparse.triu(W, k=1).tocoo()
-    edges = [(int(i), int(j), float(v)) for i, j, v in zip(coo.row, coo.col, coo.data)]
-    return _assemble(n, 0, edges).operator
+    keys = []
+    for r in range(0, n, SELECT_ROWS):
+        block = G[r:r + SELECT_ROWS]
+        kth = np.partition(block, n - k, axis=1)[:, n - k, None]  # k-th largest
+        above = block > kth
+        tied = block == kth
+        # of the values equal to the k-th, keep the ones with smaller indices
+        room = k - above.sum(axis=1, keepdims=True)
+        keep = (above | (tied & (np.cumsum(tied, axis=1) <= room))) & (block > 0.0)
+        a, b = np.nonzero(keep)
+        a += r
+        keys.append(np.minimum(a, b) * n + np.maximum(a, b))
+    a, b = np.divmod(np.unique(np.concatenate(keys)), n)
+    return _assemble(n, k, a, b, np.maximum(G[a, b], G[b, a]))
 
 
 def dump_graph(graph: SimilarityGraph, path) -> None:
-    """Write ``{"n":, "k":, "edges": [[i, j, w]...]}`` sorted by (i, j)."""
+    """Write ``{"n":, "k":, "edges": [[i, j, w]...]}`` sorted by (i, j).
+
+    The bytes are those of ``json.dump`` of the whole document. Blocks of
+    ``DUMP_EDGES`` edges go through ``json.dumps``, which uses the C encoder
+    (``json.dump`` runs the pure-Python one), and no list of all edges is built.
+    """
     coo = sparse.triu(graph.affinity, k=1).tocoo()
-    edges = sorted(
-        [int(i), int(j), float(v)] for i, j, v in zip(coo.row, coo.col, coo.data))
+    order = np.lexsort((coo.col, coo.row))
+    head = json.dumps({"n": graph.n, "k": graph.k, "edges": []})[:-2]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"n": graph.n, "k": graph.k, "edges": edges}, fh)
-        fh.write("\n")
+        fh.write(head)
+        for s in range(0, len(order), DUMP_EDGES):
+            at = order[s:s + DUMP_EDGES]
+            block = zip(coo.row[at].tolist(), coo.col[at].tolist(), coo.data[at].tolist())
+            fh.write((", " if s else "") + json.dumps(list(block))[1:-1])
+        fh.write("]}\n")
 
 
 def load_graph(path) -> SimilarityGraph:
@@ -155,4 +153,4 @@ def load_graph(path) -> SimilarityGraph:
     repeat = np.ones(len(i), dtype=bool)
     repeat[np.unique(np.stack([i, j], axis=1), axis=0, return_index=True)[1]] = False
     refuse(repeat, "repeats an earlier pair")
-    return _assemble(n, k, list(zip(i.tolist(), j.tolist(), w.tolist())))
+    return _assemble(n, k, i, j, w)

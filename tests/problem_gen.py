@@ -10,9 +10,11 @@ Tests write small tables as dicts ``{(a, b): table}``; ``crf_problem`` and
 and ``as_dict`` turns built terms back into a dict for reading.
 
 ``loop_train_unary`` is the per-example SGD loop that ``crf.train_unary``
-replays in chunks, and ``list_dinic`` is the max-flow that
-``maxflow.MaxFlowGraph`` runs over arrays; tests hold the library to their
-bits.
+replays in chunks, ``list_dinic`` is the max-flow that
+``maxflow.MaxFlowGraph`` runs over arrays, and ``loop_knn_edges`` is the
+per-row k-NN selection that ``graph.build_knn_graph`` runs over row blocks;
+tests hold the library to their bits. ``normalized_operator`` builds the
+graph operator of a given affinity matrix.
 """
 
 from collections import deque
@@ -21,6 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from ctxseg.crf import CrfProblem, PairwiseTerms, beta_adaptive, build_pairwise
+from ctxseg.graph import _assemble
 from ctxseg.maxflow import EPS
 from ctxseg.propagation import LinkScoreMatrix
 from ctxseg.regions import Region, VideoSequence
@@ -130,6 +133,38 @@ def loop_train_unary(X, y, num_classes, cfg):
         weights[c] = w
         biases[c] = b
     return weights, biases
+
+
+def loop_knn_edges(F, k):
+    """Reference k-NN edge set ``{(a, b): w}``, a < b, one ``np.lexsort`` per row.
+
+    Same Gram matrix, clamping, tie rule (smaller index first) and weights
+    ``max(G[a, b], G[b, a])`` as ``graph.build_knn_graph``.
+    """
+    F = np.asarray(F, dtype=float)
+    n = len(F)
+    k = min(k, n - 1)
+    G = F @ F.T
+    np.clip(G, 0.0, 1.0, out=G)
+    np.fill_diagonal(G, -1.0)
+    chosen = set()
+    idx = np.arange(n)
+    for i in range(n):
+        row = G[i]
+        for j in np.lexsort((idx, -row))[:k]:  # value desc, then smaller index
+            if row[j] > 0.0:
+                chosen.add((min(i, int(j)), max(i, int(j))))
+    return {(a, b): float(max(G[a, b], G[b, a])) for a, b in sorted(chosen)}
+
+
+def normalized_operator(W):
+    """D^{-1/2} W D^{-1/2} of a symmetric nonnegative W with zero diagonal.
+
+    Rows and columns of isolated vertices (zero degree) stay all zero.
+    """
+    coo = sparse.triu(sparse.csr_matrix(W), k=1).tocoo()
+    return _assemble(W.shape[0], 0, coo.row.astype(np.int64), coo.col.astype(np.int64),
+                     coo.data).operator
 
 
 class ListDinic:

@@ -1,9 +1,14 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from ctxseg.graph import build_knn_graph, dump_graph, load_graph, normalized_operator
+from ctxseg import graph
+from ctxseg.graph import build_knn_graph, dump_graph, load_graph
 from ctxseg.regions import Region, VideoSequence
+from problem_gen import loop_knn_edges, normalized_operator
 
 
 def seq_from_features(F):
@@ -12,17 +17,11 @@ def seq_from_features(F):
 
 
 def dense_reference(F, k):
-    """Brute-force W and normalized operator over all pairwise inner products."""
-    F = np.asarray(F, dtype=float)
+    """Dense W of the reference edge set and its brute-force normalized operator."""
     n = len(F)
-    G = np.clip(F @ F.T, 0, None)
-    np.fill_diagonal(G, -1)
     W = np.zeros((n, n))
-    for i in range(n):
-        order = np.lexsort((np.arange(n), -G[i]))
-        for j in order[:k]:
-            if G[i, j] > 0:
-                W[i, j] = W[j, i] = G[i, j]
+    for (i, j), w in loop_knn_edges(F, k).items():
+        W[i, j] = W[j, i] = w
     d = W.sum(axis=1)
     L = np.zeros((n, n))
     for i in range(n):
@@ -154,3 +153,104 @@ def test_dump_and_reload_roundtrip(tmp_path):
     assert (g1.operator != g2.operator).nnz == 0
     dump_graph(g2, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def edge_dict(g):
+    """``{(a, b): w}``, a < b, of a graph's affinity."""
+    coo = sparse.triu(g.affinity, k=1).tocoo()
+    return {(int(a), int(b)): float(w) for a, b, w in zip(coo.row, coo.col, coo.data)}
+
+
+def assert_matches_oracle(F, k):
+    got = edge_dict(build_knn_graph(seq_from_features(F), k))
+    want = loop_knn_edges(F, k)
+    assert sorted(got) == sorted(want)
+    assert all(got[e].hex() == want[e].hex() for e in want)
+
+
+def unit_rows(rng, n, d):
+    F = rng.standard_normal((n, d))
+    return F / np.linalg.norm(F, axis=1, keepdims=True)
+
+
+B = graph.SELECT_ROWS
+
+
+@pytest.mark.parametrize("n", [2, 3, B - 1, B, B + 1, 2 * B, 2 * B + 5])
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_selection_matches_oracle_across_block_edges(n, k):
+    rng = np.random.default_rng(1000 * n + k)
+    assert_matches_oracle(unit_rows(rng, n, 4), k)
+
+
+@pytest.mark.parametrize("n", [2, 5, B + 1])
+@pytest.mark.parametrize("extra", [-1, 0, 1, 50])
+def test_selection_matches_oracle_for_k_near_and_above_n(n, extra):
+    rng = np.random.default_rng(n)
+    assert_matches_oracle(unit_rows(rng, n, 3), max(1, n - 1 + extra))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_selection_matches_oracle_with_ties_at_the_cutoff(seed):
+    # a few distinct directions, each repeated many times: most rows hold more
+    # equal values at the cutoff than the k slots left
+    rng = np.random.default_rng(seed)
+    n = 2 * B + 7
+    F = unit_rows(rng, 5, 3)[rng.integers(0, 5, n)]
+    for k in (1, 4, 20, n - 1):
+        assert_matches_oracle(F, k)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_selection_matches_oracle_with_negative_and_clipped_products(seed):
+    # unnormalized features: many products clip to 1.0 (ties) or 0.0 (dropped)
+    rng = np.random.default_rng(10 + seed)
+    F = 3.0 * rng.standard_normal((B + 9, 2))
+    for k in (1, 5, 30):
+        assert_matches_oracle(F, k)
+
+
+def test_selection_all_zero_and_partly_zero_features():
+    assert_matches_oracle(np.zeros((B + 3, 4)), 5)
+    assert edge_dict(build_knn_graph(seq_from_features(np.zeros((B + 3, 4))), 5)) == {}
+    F = unit_rows(np.random.default_rng(3), B + 3, 4)
+    F[::3] = 0.0
+    assert_matches_oracle(F, 5)
+
+
+def test_selection_temporaries_scale_with_the_block():
+    """Beyond the 8 n^2 Gram matrix, the selection holds at most 32 bytes per
+    cell of one row block, and the edge arrays at most 64 bytes per proposal."""
+    n, k = 1500, 20
+    seq = seq_from_features(unit_rows(np.random.default_rng(0), n, 16))
+    tracemalloc.start()
+    try:
+        build_knn_graph(seq, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * n * n <= 32 * B * n + 64 * n * k
+
+
+def graph_with_edges(m, n=200):
+    """A graph on n vertices with m distinct random edges."""
+    rng = np.random.default_rng(m)
+    i, j = np.triu_indices(n, 1)
+    pick = rng.choice(len(i), size=m, replace=False)
+    return graph._assemble(n, 7, i[pick], j[pick], rng.uniform(0.0, 1.0, m))
+
+
+@pytest.mark.parametrize("m", [0, 1, graph.DUMP_EDGES - 1, graph.DUMP_EDGES,
+                               graph.DUMP_EDGES + 1])
+def test_dump_writes_the_bytes_of_json_dump(tmp_path, m):
+    g = graph_with_edges(m)
+    dump_graph(g, tmp_path / "graph.json")
+    coo = sparse.triu(g.affinity, k=1).tocoo()
+    edges = sorted([int(a), int(b), float(w)] for a, b, w in zip(coo.row, coo.col, coo.data))
+    assert len(edges) == m
+    with open(tmp_path / "want.json", "w", encoding="utf-8") as fh:
+        json.dump({"n": g.n, "k": g.k, "edges": edges}, fh)
+        fh.write("\n")
+    assert (tmp_path / "graph.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+    dump_graph(load_graph(tmp_path / "graph.json"), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "want.json").read_bytes()
