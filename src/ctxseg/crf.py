@@ -39,7 +39,7 @@ log = logging.getLogger(__name__)
 P_FLOOR = 1e-6
 BRUTE_FORCE_LIMIT = 10 ** 7
 # train_unary's chunk of K steps: K starts at _CHUNK_MIN and grows up to
-# _CHUNK_CELLS / d (4096 steps, 512 KB per (K, d) float array, at d = 16)
+# _CHUNK_CELLS / (d + 1) (3855 steps at d = 16, 512 KB of the buffer rows)
 _CHUNK_MIN = 32
 _CHUNK_CELLS = 1 << 16
 
@@ -85,26 +85,27 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
     sets ``w = decay * w + eta * t * x`` and ``b += eta * t`` when the hinge is
     violated (``t * (w @ x + b) < 1``), else only ``w = decay * w``.
 
-    Most steps do not update, so the steps run in chunks of K: one
-    ``np.multiply.accumulate`` over ``[w, decay_s, ..., decay_{s+K-2}]`` gives
-    the weights before every step of the chunk if none updates, rounded
-    exactly as step-by-step decays are; all K margins follow at once, and only
-    the first violating step is replayed with the per-step expression before
-    the next chunk starts after it. K doubles after a chunk without a
-    violation and halves after an early one. The batched margins add their
-    products in another order than ``w @ x``; where a margin lies within
-    ``2 (d + 2) eps (max |w_j| max_i ||x_i||_1 + |b|)`` of the hinge (w over
-    the chunk's trajectory, x over all examples), the decision is taken again
-    with ``w @ x``. That scalar bounds every step's ``sum |w_j x_j| + |b|``, so
-    it bounds both orders' rounding error. So every branch, and every bit of
-    the weights, is what the step-by-step loop gives. Extra memory is
-    O(N d + K d): one epoch's shuffled examples and step sizes and one
-    trajectory buffer.
+    The bias is weight column d (multiplier and input 1.0, so exact). Row 0 of
+    an epoch's (N+1, d+1) buffer A holds the weights, row k+1 step k's decay.
+    In chunks of K steps, ``np.multiply.accumulate`` of A's rows into T gives
+    the weights before each step, rounded as step-by-step decays are, and one
+    ``np.vecdot`` with the rows ``t [x, 1]`` all K margins. At the first
+    violation k, ``A[k+1] = T[k+1] + eta t [x, 1]`` and the next chunk starts
+    there; K doubles after a chunk without one and halves after an early one.
+    ``2 (d + 2) eps M max_i ||[x_i, 1]||_1``, M >= max(|w_j|, |b|) over the
+    chunk, bounds both summation orders' rounding error: a margin that close
+    to 1 is decided again by ``w @ x + b``. M grows only at a violation, by
+    ``max_j |eta t [x, 1]_j|`` (times 1 + 4 eps), as decays after step 0 (at
+    w = 0) lie in [0, 1]. So every bit is the loop's. Extra memory is O(N d).
 
-    Every class in [0, num_classes) needs at least one example; missing
-    classes raise ValueError. Identical seeds give bitwise-identical weights.
+    ValueError: a class in [0, num_classes) without examples, epochs < 0, lr
+    not in (0, inf), lambda_reg not in [0, inf). Equal seeds give equal bits.
     """
     cfg = cfg or UnaryTrainConfig()
+    if not (cfg.epochs >= 0 and 0.0 < cfg.learning_rate < np.inf
+            and 0.0 <= cfg.lambda_reg < np.inf):
+        raise ValueError("need epochs >= 0, learning_rate in (0, inf) and "
+                         f"lambda_reg in [0, inf); got {cfg}")
     ids = sorted(labeled)
     if not ids:
         raise ValueError("no labeled regions to train on")
@@ -120,54 +121,55 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
 
     N, d = X.shape
     lr, lam = cfg.learning_rate, cfg.lambda_reg
-    guard = 2 * (d + 2) * np.finfo(float).eps
-    max_size = max(_CHUNK_MIN, _CHUNK_CELLS // max(d, 1))
-    x1 = np.abs(X).sum(axis=1).max()  # max_i ||x_i||_1
-    buf = np.empty((max_size, d))
-    weights = np.zeros((L, d))
-    biases = np.zeros(L)
+    eps = np.finfo(float).eps
+    guard = 2 * (d + 2) * eps
+    max_size = max(_CHUNK_MIN, _CHUNK_CELLS // (d + 1))
+    Xa = np.hstack([X, np.ones((N, 1))])
+    x1 = float(np.abs(Xa).sum(axis=1).max())  # max_i ||[x_i, 1]||_1
+    xmax = np.abs(Xa).max(axis=1)  # max_j |[x_i, 1]_j|
+    A, T = np.empty((2, N + 1, d + 1))  # multipliers, trajectory
+    out = np.zeros((L, d + 1))
     for c in range(L):
         rng = np.random.default_rng([cfg.seed, c])
         t = np.where(y == c, 1.0, -1.0)
-        w = np.zeros(d)
-        b = 0.0
+        signed = t[:, None] * Xa
+        A[N] = 0.0
         size = _CHUNK_MIN
         for epoch in range(cfg.epochs):
             order = rng.permutation(N)
-            Xo, to = X[order], t[order]
+            V = signed[order]
             # the per-step formula's operation order: lr * lam first, then times k
             eta = lr / (1.0 + lr * lam * np.arange(epoch * N, (epoch + 1) * N, dtype=float))
             decay = 1.0 - eta * lam
+            U = eta[:, None] * V  # eta * (t x) is (eta t) x: t is +-1
+            A[0] = A[N]
+            A[1:, :d] = decay[:, None]
+            A[1:, d] = 1.0
+            bound = float(np.abs(A[0]).max())
             s = 0
             while s < N:
                 e = min(s + size, N)
-                traj = buf[:e - s]
-                traj[0] = w
-                traj[1:] = decay[s:e - 1, None]
-                np.multiply.accumulate(traj, axis=0, out=traj)
-                gap = to[s:e] * ((traj * Xo[s:e]).sum(axis=1) + b) - 1.0
-                tol = guard * (np.abs(traj).max() * x1 + abs(b))
-                hit = -1
-                # a step with gap < -tol violates the hinge in either summation
-                # order; one with |gap| <= tol is decided by the per-step w @ x
-                for j in (gap <= tol).nonzero()[0]:
-                    if gap[j] < -tol or to[s + j] * (traj[j] @ Xo[s + j] + b) < 1.0:
-                        hit = j
+                traj = np.multiply.accumulate(A[s:e + 1], axis=0, out=T[s:e + 1])
+                margin = np.vecdot(traj[:-1], V[s:e])
+                tol = guard * x1 * bound
+                # below 1 - tol both orders violate; within tol of 1, w @ x + b decides
+                for j in (margin <= 1.0 + tol).nonzero()[0].tolist():
+                    i = order[s + j]
+                    if margin[j] < 1.0 - tol or t[i] * (traj[j, :d] @ X[i] + traj[j, d]) < 1.0:
                         break
-                if hit < 0:
-                    w = decay[e - 1] * traj[-1]
+                else:  # no violation in the chunk
+                    A[e] = T[e]
                     size = min(2 * size, max_size)
                     s = e
                     continue
-                k = s + hit
-                w = decay[k] * traj[hit] + eta[k] * to[k] * Xo[k]
-                b = b + eta[k] * to[k]
-                if 2 * hit < e - s:
+                k = s + j
+                np.add(T[k + 1], U[k], out=A[k + 1])
+                bound = (bound + float(eta[k] * xmax[i])) * (1.0 + 4 * eps)
+                if 2 * j < e - s:
                     size = max(size // 2, _CHUNK_MIN)
                 s = k + 1
-        weights[c] = w
-        biases[c] = b
-    return UnaryModel(weights, biases, cfg)
+        out[c] = A[N]
+    return UnaryModel(out[:, :d].copy(), out[:, d].copy(), cfg)
 
 
 def unary_potentials(model: UnaryModel, seq: VideoSequence,

@@ -105,11 +105,12 @@ def random_unary_data(rng, n, d, num_classes, spread=1.0):
     return means[y] + spread * rng.standard_normal((n, d)), y
 
 
-def loop_train_unary(X, y, num_classes, cfg):
+def loop_train_unary(X, y, num_classes, cfg, steps=None):
     """Reference one-vs-rest hinge SGD, one Python step per example visit.
 
     Same draws and arithmetic as ``crf.train_unary`` on regions whose sorted
-    ids give rows of X in order; returns (weights, biases).
+    ids give rows of X in order; returns (weights, biases). If ``steps`` is a
+    list, each step appends ``([w, b], t [x, 1], t (w @ x + b))`` before it.
     """
     N, d = X.shape
     weights = np.zeros((num_classes, d))
@@ -122,6 +123,9 @@ def loop_train_unary(X, y, num_classes, cfg):
         step = 0
         for _ in range(cfg.epochs):
             for i in rng.permutation(N):
+                if steps is not None:
+                    steps.append((np.append(w, b), t[i] * np.append(X[i], 1.0),
+                                  t[i] * (w @ X[i] + b)))
                 eta = cfg.learning_rate / (1.0 + cfg.learning_rate * cfg.lambda_reg * step)
                 step += 1
                 decay = 1.0 - eta * cfg.lambda_reg

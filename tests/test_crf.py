@@ -98,6 +98,13 @@ def unary_fit(X, y, num_classes, cfg):
     return model.weights, model.biases
 
 
+def assert_matches_loop(X, y, num_classes, cfg):
+    weights, biases = unary_fit(X, y, num_classes, cfg)
+    ref_w, ref_b = loop_train_unary(X, y, num_classes, cfg)
+    assert weights.tobytes() == ref_w.tobytes()
+    assert biases.tobytes() == ref_b.tobytes()
+
+
 def oracle_dataset(seed):
     """Random training set; by seed mod 4, also features spanning 1e-6..1e6,
     near-duplicate rows (last-bit changes), or features on a grid of thirds
@@ -142,6 +149,71 @@ class TestGoldenUnary:
         ref_w, ref_b = loop_train_unary(X, y, L, cfg)
         assert weights.tobytes() == ref_w.tobytes()
         assert biases.tobytes() == ref_b.tobytes()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_first_decay_below_minus_one_matches_loop(self, seed):
+        """learning_rate * lambda_reg > 2 (PipelineConfig allows it) makes the
+        first decay 1 - lr lam < -1; the weights are zero at that step, so the
+        bound on the weights still only grows at violations."""
+        X, y, L, cfg = oracle_dataset(seed)
+        rng = np.random.default_rng(3000 + seed)
+        cfg.learning_rate = float(rng.choice([30.0, 50.0, 4.0]))
+        cfg.lambda_reg = float(rng.choice([0.1, 1.0]))
+        assert_matches_loop(X, y, L, cfg)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_edge_shapes_match_loop(self, seed):
+        """N = 1 (every step ends an epoch; the first one violates, so the
+        update is carried into the next epoch), d = 1, N around the smallest
+        chunk, one epoch, and a class with a single positive example. In 25
+        of the seeds N > 1 and some epoch but the last ends on a violation."""
+        rng = np.random.default_rng(4000 + seed)
+        n = int(rng.choice([1, 2, 3, 5, 31, 32, 33, 65]))
+        d = int(rng.choice([1, 2, 15, 16, 17]))
+        L = min(n, int(rng.integers(1, 4)))
+        y = np.zeros(n, dtype=int)
+        if L > 1:  # class L - 1 has exactly one example
+            y = rng.permutation(np.append(np.arange(n - 1) % (L - 1), L - 1))
+        X = rng.standard_normal((n, d)) * float(rng.choice([0.1, 1.0, 10.0]))
+        cfg = UnaryTrainConfig(epochs=int(rng.choice([1, 1, 2, 3, 8])),
+                               learning_rate=float(rng.choice([0.1, 0.5, 2.0, 30.0])),
+                               lambda_reg=float(rng.choice([0.0, 1e-4, 1e-2, 0.1])), seed=seed)
+        assert_matches_loop(X, y, L, cfg)
+
+    @pytest.mark.parametrize("seed,scale", [(0, 1e3), (80, 1e3), (0, 1e-8), (4, 1e-8)])
+    def test_near_tie_tolerance_size(self, seed, scale):
+        """Features on a grid of thirds times ``scale``, no decay, d = 15: many
+        margins are exactly 1 in real arithmetic and off by rounding, and at
+        d = 15 OpenBLAS's ddot adds the batched margins (16 terms, one block)
+        in another order than ``w @ x + b`` (15 terms, then b). At scale 1e3
+        (||x||_1 >> 1) the orders disagree by more than the tolerance without
+        its ``max ||x||_1`` factor; at 1e-8 (||x||_1 << 1) by more than the
+        tolerance without the bias term. Either cut changes the weights. Where
+        the two orders round alike at every step (another BLAS), the test
+        cannot see either cut and is skipped after the loop comparison."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 40))
+        X = rng.integers(-2, 3, size=(n, 15)) / 3.0 * scale
+        y = rng.permutation(np.arange(n) % 2)
+        cfg = UnaryTrainConfig(epochs=int(rng.integers(1, 12)), learning_rate=0.5,
+                               lambda_reg=0.0, seed=seed)
+        assert_matches_loop(X, y, 2, cfg)
+        steps = []
+        loop_train_unary(X, y, 2, cfg, steps)
+        wb, v, per_step = (np.array(a) for a in zip(*steps))
+        if np.array_equal(np.vecdot(wb, v), per_step):
+            pytest.skip("batched margins round as w @ x + b at every step on this BLAS")
+
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", -1), ("learning_rate", 0.0), ("learning_rate", -0.5),
+        ("learning_rate", float("inf")), ("learning_rate", float("nan")),
+        ("lambda_reg", -0.01), ("lambda_reg", float("inf")), ("lambda_reg", float("nan"))])
+    def test_invalid_config_rejected(self, field, value):
+        X = np.eye(3)
+        cfg = UnaryTrainConfig(epochs=3, learning_rate=50.0, lambda_reg=0.1)
+        setattr(cfg, field, value)
+        with pytest.raises(ValueError, match=f"{field}.*got .*{field}={value}"):
+            unary_fit(X, [0, 1, 1], 2, cfg)
 
     def test_exact_hinge_tie_does_not_update(self):
         """Unit features, eta = 0.5, no decay: sums are exact. Epoch one updates
