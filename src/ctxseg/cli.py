@@ -20,7 +20,7 @@ from . import context as ctx
 from . import evaluation, graph, pipeline, propagation, synthetic, tracking
 from .pipeline import PipelineConfig
 from .regions import (IngestConfig, IngestError, load_ground_truth, load_labeling,
-                      load_sequence, save_labeling, save_sequence)
+                      load_sequence, save_labeling, save_sequence, write_records)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -51,11 +51,9 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
-def _load_seq(args, need_detections=False):
-    det = getattr(args, "detections", None)
-    if need_detections and det is None:
-        raise ValueError("--detections is required for this stage")
-    return load_sequence(args.regions, det, IngestConfig())
+def _load_seq(args):
+    # argparse requires --detections where a stage reads them
+    return load_sequence(args.regions, getattr(args, "detections", None))
 
 
 def _cmd_synth(args, cfg: PipelineConfig) -> int:
@@ -73,7 +71,7 @@ def _cmd_synth(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_tracks(args, cfg: PipelineConfig) -> int:
-    seq = _load_seq(args, need_detections=True)
+    seq = _load_seq(args)
     hyps = pipeline.tracks_stage(seq, cfg)
     tracking.dump_hypotheses(hyps, args.out)
     print(f"wrote {len(hyps)} trajectory hypotheses to {args.out}")
@@ -103,7 +101,7 @@ def _cmd_context(args, cfg: PipelineConfig) -> int:
 def _cmd_propagate(args, cfg: PipelineConfig) -> int:
     g = graph.load_graph(args.graph)
     links = ctx.load_links(args.links, g.n)
-    scores = propagation.predict_all_links(links, g.operator, cfg.propagation_config())
+    scores = pipeline.propagate_stage(links, g, cfg)
     propagation.dump_scores(scores, args.out)
     print(f"wrote scores for {len(scores)} class pairs to {args.out}")
     return 0
@@ -134,13 +132,12 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
     report = evaluation.iou_per_class(pred, gt, seq)
     print(report.format_table())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+        write_records(args.out, [report.to_record()])
     return 0
 
 
 def _cmd_pipeline(args, cfg: PipelineConfig) -> int:
-    seq = _load_seq(args, need_detections=True)
+    seq = _load_seq(args)
     gt = load_ground_truth(args.gt, seq) if args.gt else None
     result = pipeline.run_pipeline(seq, cfg, gt=gt)
     os.makedirs(args.out, exist_ok=True)
@@ -152,8 +149,7 @@ def _cmd_pipeline(args, cfg: PipelineConfig) -> int:
         propagation.dump_scores(result.scores, os.path.join(args.out, "scores.jsonl"))
     save_labeling(result.prediction, os.path.join(args.out, "labeling.jsonl"))
     if result.report is not None:
-        with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
-            fh.write(result.report.to_json() + "\n")
+        write_records(os.path.join(args.out, "report.json"), [result.report.to_record()])
         print(result.report.format_table())
     print(f"pipeline outputs in {args.out} "
           f"(energy {result.labeling.energy:.6f}, {result.labeling.sweeps} sweeps)")

@@ -7,14 +7,12 @@ pair (m, n) into sparse binary N x N matrices, indexed by vertex position.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import AbstractSet, Mapping
 
-import numpy as np
 from scipy import sparse
 
-from .regions import VideoSequence, iter_class_pair_records
+from .regions import VideoSequence, dump_class_pairs, load_class_pairs
 
 BACKGROUND = 0
 
@@ -89,14 +87,8 @@ def build_observed_links(ex: ContextExemplarSet, n: int,
 
 def dump_links(links: Mapping[tuple[int, int], sparse.spmatrix], path) -> None:
     """One JSON line per class pair: ``{"m":, "n":, "links": [[i, j]...]}``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for (m, n_cls) in sorted(links):
-            coo = links[(m, n_cls)].tocoo()
-            ij = sorted([int(i), int(j)] for i, j in zip(coo.row, coo.col))
-            fh.write(json.dumps({"m": m, "n": n_cls, "links": ij}) + "\n")
+    dump_class_pairs(links, path, "links", 2)
 
 
 def load_links(path, n: int) -> dict[tuple[int, int], sparse.csr_matrix]:
-    out = {pair: sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-           for pair, rows, cols, _ in iter_class_pair_records(path, "links", n, 2)}
-    return dict(sorted(out.items()))
+    return load_class_pairs(path, "links", n, 2)

@@ -7,7 +7,6 @@ union the total area labeled c by either. Background never enters the mean.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -23,11 +22,10 @@ class EvalReport:
     gt_regions: dict[int, int]
     pred_regions: dict[int, int]
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "per_class": {str(c): v for c, v in sorted(self.per_class_iou.items())},
-            "mean": self.mean_iou,
-        })
+    def to_record(self) -> dict:
+        """The ``report.json`` record."""
+        return {"per_class": {str(c): v for c, v in sorted(self.per_class_iou.items())},
+                "mean": self.mean_iou}
 
     def format_table(self) -> str:
         lines = [f"{'class':>8} {'iou':>10} {'gt_regions':>12} {'pred_regions':>13}"]

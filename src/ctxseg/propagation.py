@@ -23,14 +23,13 @@ for comparison; its limit is (1-mu)^2 (I - mu L)^{-2} O = R R O.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
 
-from .regions import iter_class_pair_records
+from .regions import dump_class_pairs, load_class_pairs
 
 
 @dataclass
@@ -146,17 +145,9 @@ def dense_two_pass_limit(O: np.ndarray, op: np.ndarray, mu: float,
 
 def dump_scores(scores: dict[tuple[int, int], LinkScoreMatrix], path) -> None:
     """One JSON line per class pair: ``{"m":, "n":, "scores": [[i, j, s]...]}``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for (m, n) in sorted(scores):
-            coo = scores[(m, n)].scores.tocoo()
-            entries = sorted([int(i), int(j), float(v)]
-                             for i, j, v in zip(coo.row, coo.col, coo.data))
-            fh.write(json.dumps({"m": m, "n": n, "scores": entries}) + "\n")
+    dump_class_pairs({pair: s.scores for pair, s in scores.items()}, path, "scores", 3)
 
 
 def load_scores(path, n: int) -> dict[tuple[int, int], LinkScoreMatrix]:
-    out = {pair: LinkScoreMatrix(
-               pair, sparse.csr_matrix((values[:, 0], (rows, cols)), shape=(n, n)),
-               converged=True, row_iterations=0, col_iterations=0)
-           for pair, rows, cols, values in iter_class_pair_records(path, "scores", n, 3)}
-    return dict(sorted(out.items()))
+    return {pair: LinkScoreMatrix(pair, S, True, 0, 0)
+            for pair, S in load_class_pairs(path, "scores", n, 3).items()}

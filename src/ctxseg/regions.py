@@ -1,12 +1,17 @@
-"""Per-video input handling: regions with features, detections, ground truth.
+"""Per-video input handling, and the JSON-lines format of every stage file.
 
-File formats are JSON lines. One record per line:
+Every stage file holds one JSON object per line, written by :func:`write_records`:
 
 * regions:    ``{"id": int, "frame": int, "feature": [float...], "area": int,
   "bbox": [x, y, w, h]}`` (bbox optional)
 * detections: ``{"frame": int, "bbox": [x, y, w, h], "class": int,
   "confidence": float}``
-* ground truth / labelings: ``{"id": int, "class": int}``
+* ground truth / labelings: ``{"id": int, "class": int}``; ``infer
+  --summary`` appends one ``{"energy": float, "sweeps": int}`` record
+* hypotheses: ``{"class": int, "seed_confidence": float, "entries":
+  [{"frame": int, "bbox": [x, y, w, h], "source": "det" | "trk"}...]}``
+* links / scores, one per class pair (:func:`dump_class_pairs`):
+  ``{"m": int, "n": int, "links": [[i, j]...]}`` / ``"scores": [[i, j, s]...]``
 
 Floats are written with Python's shortest round-trip repr (>= 9 significant
 digits), so a load -> save -> load cycle reproduces features bitwise.
@@ -15,18 +20,14 @@ digits), so a load -> save -> load cycle reproduces features bitwise.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-
-log = logging.getLogger(__name__)
+from scipy import sparse
 
 Box = tuple[float, float, float, float]
-
-NORM_TOL = 1e-6
 
 
 class IngestError(ValueError):
@@ -169,30 +170,52 @@ FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def _iter_records(path):
+    """Yield ``("file:line", record)`` for each non-blank line of a stage file."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise IngestError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
+                raise IngestError(f"{where}: malformed JSON ({exc.msg})") from None
             if not isinstance(rec, dict):
-                raise IngestError(f"{path}:{lineno}: record is not an object")
-            yield lineno, rec
+                raise IngestError(f"{where}: record is not an object")
+            yield where, rec
 
 
-def iter_class_pair_records(path, key: str, n: int, width: int):
-    """Records ``{"m":, "n":, key: [[i, j, ...]...]}`` of a stage file.
+def write_records(path, records) -> None:
+    """Write a stage file: one ``json.dumps`` line per record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec) + "\n")
 
-    Yields ``((m, n), rows, cols, values)`` per record: the region indices
-    i, j as int arrays and the remaining ``width - 2`` columns as a float
-    array. A missing field, a non-finite value or an index outside [0, n)
-    raises :class:`IngestError` naming the file and line.
+
+def dump_class_pairs(matrices: Mapping[tuple[int, int], sparse.spmatrix], path,
+                     key: str, width: int) -> None:
+    """One record ``{"m":, "n":, key: [[i, j(, v)]...]}`` per class pair.
+
+    Pairs and entries are sorted; a ``width`` of 3 also writes the values.
     """
-    for lineno, rec in _iter_records(path):
-        where = f"{path}:{lineno}"
+    def records():
+        for (m, n) in sorted(matrices):
+            coo = matrices[(m, n)].tocoo()
+            columns = [c.tolist() for c in (coo.row, coo.col, coo.data)[:width]]
+            yield {"m": m, "n": n, key: sorted(zip(*columns))}
+    write_records(path, records())
+
+
+def load_class_pairs(path, key: str, n: int, width: int
+                     ) -> dict[tuple[int, int], sparse.csr_matrix]:
+    """Read :func:`dump_class_pairs` records back as sorted ``{(m, n): csr}``.
+
+    Entries of ``width`` 2 read as 1.0. A missing field, a non-finite value
+    or an index outside [0, n) raises :class:`IngestError` at its file:line.
+    """
+    out = {}
+    for where, rec in _iter_records(path):
         try:
             pair = (int(rec["m"]), int(rec["n"]))
             entries = np.array(rec[key], dtype=float)
@@ -207,7 +230,9 @@ def iter_class_pair_records(path, key: str, n: int, width: int):
         bad = index[(index < 0) | (index >= n)]
         if bad.size:
             raise IngestError(f"{where}: region index {bad[0]} out of range [0, {n})")
-        yield pair, index[:, 0], index[:, 1], entries[:, 2:]
+        values = entries[:, 2] if width > 2 else np.ones(len(index))
+        out[pair] = sparse.csr_matrix((values, (index[:, 0], index[:, 1])), shape=(n, n))
+    return dict(sorted(out.items()))
 
 
 def _parse_box(raw, where: str) -> Box:
@@ -233,8 +258,7 @@ def load_sequence(regions_path, detections_path=None,
     config = config or IngestConfig()
     regions: list[Region] = []
     dim: Optional[int] = None
-    for lineno, rec in _iter_records(regions_path):
-        where = f"{regions_path}:{lineno}"
+    for where, rec in _iter_records(regions_path):
         try:
             rid = int(rec["id"])
             frame = int(rec["frame"])
@@ -262,8 +286,7 @@ def load_sequence(regions_path, detections_path=None,
 
     detections: list[Detection] = []
     if detections_path is not None:
-        for lineno, rec in _iter_records(detections_path):
-            where = f"{detections_path}:{lineno}"
+        for where, rec in _iter_records(detections_path):
             bbox = _parse_box(rec.get("bbox"), where)
             try:
                 det = Detection(
@@ -285,19 +308,19 @@ def load_sequence(regions_path, detections_path=None,
 
 def save_sequence(seq: VideoSequence, regions_path, detections_path=None) -> None:
     """Write a sequence back to the JSON-lines formats accepted by load."""
-    with open(regions_path, "w", encoding="utf-8") as fh:
+    def region_records():
         for r in seq.regions:
             rec = {"id": r.region_id, "frame": r.frame,
                    "feature": [float(x) for x in r.feature], "area": r.area}
             if r.bbox is not None:
                 rec["bbox"] = [float(v) for v in r.bbox]
-            fh.write(json.dumps(rec) + "\n")
+            yield rec
+    write_records(regions_path, region_records())
     if detections_path is not None:
-        with open(detections_path, "w", encoding="utf-8") as fh:
-            for d in seq.detections:
-                fh.write(json.dumps({
-                    "frame": d.frame, "bbox": [float(v) for v in d.bbox],
-                    "class": d.class_id, "confidence": float(d.confidence)}) + "\n")
+        write_records(detections_path, (
+            {"frame": d.frame, "bbox": [float(v) for v in d.bbox],
+             "class": d.class_id, "confidence": float(d.confidence)}
+            for d in seq.detections))
 
 
 def filter_detections(seq: VideoSequence, det_threshold: float) -> list[Detection]:
@@ -310,8 +333,7 @@ def filter_detections(seq: VideoSequence, det_threshold: float) -> list[Detectio
 def load_ground_truth(path, seq: VideoSequence) -> dict[int, int]:
     """Load a region_id -> class map, validating ids and class range."""
     out: dict[int, int] = {}
-    for lineno, rec in _iter_records(path):
-        where = f"{path}:{lineno}"
+    for where, rec in _iter_records(path):
         try:
             rid = int(rec["id"])
             cls = int(rec["class"])
@@ -332,10 +354,9 @@ def load_labeling(path, seq: Optional[VideoSequence] = None) -> dict[int, int]:
     Classes must be >= 0; given ``seq``, every id must name one of its regions.
     """
     out: dict[int, int] = {}
-    for lineno, rec in _iter_records(path):
+    for where, rec in _iter_records(path):
         if "id" not in rec and "class" not in rec:
             continue
-        where = f"{path}:{lineno}"
         try:
             rid, cls = int(rec["id"]), int(rec["class"])
         except FIELD_ERRORS as exc:
@@ -350,8 +371,5 @@ def load_labeling(path, seq: Optional[VideoSequence] = None) -> dict[int, int]:
 
 def save_labeling(labels: Mapping[int, int], path, summary: Optional[dict] = None) -> None:
     """Write region labels as JSON lines, optionally followed by a summary record."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rid in sorted(labels):
-            fh.write(json.dumps({"id": int(rid), "class": int(labels[rid])}) + "\n")
-        if summary is not None:
-            fh.write(json.dumps(summary) + "\n")
+    records = [{"id": int(rid), "class": int(labels[rid])} for rid in sorted(labels)]
+    write_records(path, records if summary is None else records + [summary])

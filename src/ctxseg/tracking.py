@@ -9,14 +9,13 @@ stay consumed, which guarantees the loop terminates.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
 from .regions import (FIELD_ERRORS, Box, Detection, IngestError, VideoSequence,
-                      _iter_records, _parse_box)
+                      _iter_records, _parse_box, write_records)
 
 log = logging.getLogger(__name__)
 
@@ -24,23 +23,17 @@ SOURCE_DETECTION = "det"
 SOURCE_TRACKER = "trk"
 
 
-def iou_box(a: Box, b: Box) -> float:
-    """Intersection-over-union of two (x, y, w, h) boxes; 0 when disjoint."""
-    ix = max(a[0], b[0])
-    iy = max(a[1], b[1])
-    ix2 = min(a[0] + a[2], b[0] + b[2])
-    iy2 = min(a[1] + a[3], b[1] + b[3])
-    iw = max(0.0, ix2 - ix)
-    ih = max(0.0, iy2 - iy)
-    inter = iw * ih
-    union = a[2] * a[3] + b[2] * b[3] - inter
-    return inter / union if union > 0 else 0.0
-
-
 def _intersection_area(a: Box, b: Box) -> float:
     iw = max(0.0, min(a[0] + a[2], b[0] + b[2]) - max(a[0], b[0]))
     ih = max(0.0, min(a[1] + a[3], b[1] + b[3]) - max(a[1], b[1]))
     return iw * ih
+
+
+def iou_box(a: Box, b: Box) -> float:
+    """Intersection-over-union of two (x, y, w, h) boxes; 0 when disjoint."""
+    inter = _intersection_area(a, b)
+    union = a[2] * a[3] + b[2] * b[3] - inter
+    return inter / union if union > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -241,20 +234,17 @@ def dump_hypotheses(hyps: list[TrajectoryHypothesis], path) -> None:
     Seed confidence is carried so that labelings rebuilt from the dump break
     ties exactly as the in-memory pipeline does.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for h in hyps:
-            fh.write(json.dumps({
-                "class": h.class_id,
-                "seed_confidence": float(h.seed_confidence),
-                "entries": [{"frame": e.frame, "bbox": [float(v) for v in e.bbox],
-                             "source": e.source} for e in h.entries],
-            }) + "\n")
+    write_records(path, ({
+        "class": h.class_id,
+        "seed_confidence": float(h.seed_confidence),
+        "entries": [{"frame": e.frame, "bbox": [float(v) for v in e.bbox],
+                     "source": e.source} for e in h.entries],
+    } for h in hyps))
 
 
 def load_hypotheses(path) -> list[TrajectoryHypothesis]:
     out: list[TrajectoryHypothesis] = []
-    for lineno, rec in _iter_records(path):
-        where = f"{path}:{lineno}"
+    for where, rec in _iter_records(path):
         try:
             class_id = int(rec["class"])
             seed_confidence = float(rec.get("seed_confidence", 0.0))

@@ -3,8 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from ctxseg.cli import main
+from ctxseg.context import dump_links, load_links
+from ctxseg.propagation import dump_scores, load_scores
 from ctxseg.regions import (IngestConfig, IngestError, filter_detections,
-                            load_ground_truth, load_sequence, save_sequence)
+                            load_ground_truth, load_labeling, load_sequence,
+                            save_labeling, save_sequence)
+from ctxseg.tracking import dump_hypotheses, load_hypotheses
 
 
 def write_jsonl(path, records):
@@ -186,3 +191,73 @@ def test_features_unit_norm_after_load(tmp_path):
     for r in seq.regions:
         if not r.degenerate:
             assert abs(1.0 - np.linalg.norm(r.feature)) <= 1e-6
+
+
+@pytest.fixture(scope="module")
+def stage_files(tmp_path_factory):
+    """Every JSON-lines stage file the CLI writes for one synthetic video.
+
+    ``bare_regions.jsonl`` drops the bbox of every other region, and
+    ``summary.jsonl`` is an ``infer --summary`` labeling.
+    """
+    root = tmp_path_factory.mktemp("stage")
+    data, run = root / "data", root / "run"
+    assert main(["synth", "--seed", "7", "--out", str(data)]) == 0
+    assert main(["pipeline", "--regions", str(data / "regions.jsonl"),
+                 "--detections", str(data / "detections.jsonl"),
+                 "--gt", str(data / "gt.jsonl"), "--seed", "7", "--out", str(run)]) == 0
+    assert main(["infer", "--regions", str(data / "regions.jsonl"),
+                 "--scores", str(run / "scores.jsonl"), "--labels", str(run / "labels.jsonl"),
+                 "--summary", "--seed", "7", "--out", str(root / "summary.jsonl")]) == 0
+    with open(data / "regions.jsonl", encoding="utf-8") as fh:
+        recs = [json.loads(line) for line in fh]
+    for rec in recs[::2]:
+        del rec["bbox"]
+    write_jsonl(root / "bare_regions.jsonl", recs)
+    assert "energy" in last_record(root / "summary.jsonl")
+    return root
+
+
+def last_record(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.loads(fh.readlines()[-1])
+
+
+def region_count(root):
+    return load_sequence(root / "data" / "regions.jsonl").n
+
+
+# (file under the stage_files root, load -> dump into dst)
+ROUND_TRIPS = {
+    "regions": ("data/regions.jsonl",
+                lambda root, src, dst: save_sequence(load_sequence(src), dst)),
+    "regions-without-bbox": ("bare_regions.jsonl",
+                             lambda root, src, dst: save_sequence(load_sequence(src), dst)),
+    "detections": ("data/detections.jsonl", lambda root, src, dst: save_sequence(
+        load_sequence(root / "data" / "regions.jsonl", src), dst.with_name("r.jsonl"), dst)),
+    "ground-truth": ("data/gt.jsonl",
+                     lambda root, src, dst: save_labeling(load_labeling(src), dst)),
+    "labels": ("run/labels.jsonl",
+               lambda root, src, dst: save_labeling(load_labeling(src), dst)),
+    "labeling": ("run/labeling.jsonl",
+                 lambda root, src, dst: save_labeling(load_labeling(src), dst)),
+    "labeling-with-summary": ("summary.jsonl", lambda root, src, dst: save_labeling(
+        load_labeling(src), dst, summary=last_record(src))),
+    "hypotheses": ("run/hypotheses.jsonl",
+                   lambda root, src, dst: dump_hypotheses(load_hypotheses(src), dst)),
+    "links": ("run/links.jsonl", lambda root, src, dst: dump_links(
+        load_links(src, region_count(root)), dst)),
+    "scores": ("run/scores.jsonl", lambda root, src, dst: dump_scores(
+        load_scores(src, region_count(root)), dst)),
+}
+
+
+@pytest.mark.parametrize("kind", ROUND_TRIPS)
+def test_stage_file_load_dump_reproduces_bytes(stage_files, tmp_path, kind):
+    rel, roundtrip = ROUND_TRIPS[kind]
+    src, dst = stage_files / rel, tmp_path / "out.jsonl"
+    roundtrip(stage_files, src, dst)
+    assert dst.read_bytes() == src.read_bytes()
+    # and the file is plain json.dumps lines, whatever wrote it
+    lines = src.read_text(encoding="utf-8").splitlines()
+    assert lines and all(json.dumps(json.loads(line)) == line for line in lines)
