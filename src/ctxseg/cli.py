@@ -19,7 +19,7 @@ from typing import Optional
 from . import context as ctx
 from . import evaluation, graph, pipeline, propagation, synthetic, tracking
 from .pipeline import PipelineConfig
-from .regions import (IngestConfig, IngestError, load_ground_truth, load_labeling,
+from .regions import (IngestError, load_ground_truth, load_labeling,
                       load_sequence, save_labeling, save_sequence, write_records)
 
 
@@ -124,11 +124,10 @@ def _cmd_infer(args, cfg: PipelineConfig) -> int:
 
 def _cmd_eval(args, cfg: PipelineConfig) -> int:
     pred = load_labeling(args.labeling)
-    # no detections here: the label space is whatever the two maps mention
-    num_classes = max([*pred.values(), *load_labeling(args.gt).values()],
-                      default=0) + 1
-    seq = load_sequence(args.regions, None, IngestConfig(class_count=num_classes))
-    gt = load_ground_truth(args.gt, seq)
+    # no detections here, so no class range to check: the label space is
+    # whatever the two maps mention
+    seq = load_sequence(args.regions)
+    gt = load_labeling(args.gt, seq)
     report = evaluation.iou_per_class(pred, gt, seq)
     print(report.format_table())
     if args.out:

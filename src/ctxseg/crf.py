@@ -13,8 +13,13 @@ cost, and pairs without any link score can be omitted entirely.
 
 The pairwise terms have one form throughout, ``PairwiseTerms``: an (E, 2)
 array of region pairs and an (E, L, L) array of their cost tables, so memory
-is O(E L^2) for the E region pairs that carry a stored score. Energy is one
-gather, and a fusion step gathers the 2 x 2 restriction of every table.
+is O(E L^2) for the E region pairs that carry a stored score. ``CrfProblem``
+checks these shapes against the (n, L) unary, and ``energy`` and
+``qpbo_fuse`` reject labelings that are not n labels in [0, L). Both read the
+tables flat: entry [k, l_a, l_b] sits at (k L + l_a) L + l_b, one gather per
+term. Energy gathers one entry per edge. A fusion step gathers, per edge with
+a free end, the entries its options select: two for an edge with one free
+end, the 2 x 2 restriction for an edge with two.
 
 Inference sweeps expansion proposals (every region offered one class) and
 accepts each move through a QPBO fusion step, which never increases the
@@ -235,8 +240,32 @@ def build_pairwise(scores: Mapping[tuple[int, int], LinkScoreMatrix], beta: floa
 
 @dataclass
 class CrfProblem:
+    """Unary costs and pairwise terms over n regions and L classes.
+
+    ValueError: unary not (n, L) with L >= 1 or not finite, tables not
+    (E, L, L), edges not an (E, 2) int array with entries in [0, n).
+    """
+
     unary: np.ndarray         # (n, L) costs
     pairwise: PairwiseTerms
+
+    def __post_init__(self):
+        unary, edges, tables = map(np.asarray, (self.unary, self.pairwise.edges,
+                                                self.pairwise.tables))
+        if unary.ndim != 2 or unary.shape[1] < 1:
+            raise ValueError(f"unary must be (n, L) with L >= 1, got shape {unary.shape}")
+        if not np.isfinite(unary).all():
+            raise ValueError("unary costs must be finite")
+        n, L = unary.shape
+        E = len(edges)
+        if tables.shape != (E, L, L):
+            raise ValueError(f"pairwise tables must be (E, L, L) = ({E}, {L}, {L}), "
+                             f"got shape {tables.shape}")
+        if edges.shape != (E, 2) or not np.issubdtype(edges.dtype, np.integer):
+            raise ValueError(f"pairwise edges must be an (E, 2) int array, got shape "
+                             f"{edges.shape} of {edges.dtype}")
+        if E and not (edges.min() >= 0 and edges.max() < n):
+            raise ValueError(f"pairwise edge endpoint out of range [0, {n})")
 
     @property
     def n(self) -> int:
@@ -255,15 +284,30 @@ class Labeling:
     energy_trace: list[float] = field(default_factory=list)
 
 
+def _labels(problem: CrfProblem, x) -> np.ndarray:
+    """``x`` as an int array; ValueError unless it holds n labels in [0, L)."""
+    x = np.asarray(x)
+    if x.shape != (problem.n,) or not (x.size == 0 or np.issubdtype(x.dtype, np.integer)):
+        raise ValueError(f"labeling must be {problem.n} int labels, got shape "
+                         f"{x.shape} of {x.dtype}")
+    if x.size and not (x.min() >= 0 and x.max() < problem.num_classes):
+        raise ValueError(f"label out of range [0, {problem.num_classes})")
+    return x
+
+
 def energy(problem: CrfProblem, x: np.ndarray) -> float:
     """Total cost of a labeling; each stored pair counted once."""
-    x = np.asarray(x)
-    edges, tables = problem.pairwise.edges, problem.pairwise.tables
-    terms = tables[np.arange(len(edges)), x[edges[:, 0]], x[edges[:, 1]]]
-    unary = problem.unary[np.arange(problem.n), x].sum()
+    x = _labels(problem, x)
+    n, L = problem.unary.shape
+    edges = problem.pairwise.edges
+    # (k L + x_a) L + x_b indexes tables[k, x_a, x_b] in the flat tables
+    idx = (np.arange(0, len(edges) * L, L) + x[edges[:, 0]]) * L + x[edges[:, 1]]
+    terms = np.empty(len(edges) + 1)
+    terms[0] = problem.unary.reshape(-1)[np.arange(0, n * L, L) + x].sum()
+    np.take(problem.pairwise.tables, idx, out=terms[1:])
     # cumsum adds the terms one by one in edge order; np.sum would add them
     # pairwise, which changes the last bits of the energy
-    return float(np.cumsum(np.concatenate([[unary], terms]))[-1])
+    return float(np.cumsum(terms)[-1])
 
 
 def qpbo_fuse(problem: CrfProblem, current: np.ndarray,
@@ -275,31 +319,42 @@ def qpbo_fuse(problem: CrfProblem, current: np.ndarray,
     undecided keep their current label, so the fused labeling never has
     higher energy than ``current``.
     """
-    current = np.asarray(current)
-    proposal = np.asarray(proposal)
+    current = _labels(problem, current)
+    proposal = _labels(problem, proposal)
     free = np.flatnonzero(current != proposal)
     if free.size == 0:
         return current.copy()
-    pos = np.full(problem.n, -1)
+    n, L = problem.unary.shape
+    pos = np.full(n, -1)
     pos[free] = np.arange(free.size)
+    flat = problem.unary.reshape(-1)
+    unary = np.stack([flat[free * L + current[free]], flat[free * L + proposal[free]]])
 
-    unary = np.stack([problem.unary[free, current[free]],
-                      problem.unary[free, proposal[free]]], axis=1)
-    edges, tables = problem.pairwise.edges, problem.pairwise.tables
-    options = np.stack([current[edges], proposal[edges]], axis=2)  # (E, 2 ends, 2)
-    # t[k, za, zb]: cost of edge k when its ends take options za and zb
-    t = tables[np.arange(len(edges))[:, None, None],
-               options[:, 0, :, None], options[:, 1, None, :]]
-    pa, pb = pos[edges[:, 0]], pos[edges[:, 1]]
+    # tables[k, l_a, l_b] is entry (k L + l_a) L + l_b of the flat tables
+    tables = problem.pairwise.tables
+    a, b = problem.pairwise.edges[:, 0], problem.pairwise.edges[:, 1]
+    pa, pb = pos[a], pos[b]
     fa, fb = pa >= 0, pb >= 0
-    one = fa != fb  # one free end: the term joins that end's unary
-    var = np.where(fa, pa, pb)[one]
+    # one free end: the term joins that end's unary. The fixed end's two
+    # options coincide, so z = 0 reads (current_a, current_b) and z = 1 reads
+    # (proposal_a, proposal_b).
+    one = np.flatnonzero(fa != fb)
+    a1, b1, row = a[one], b[one], one * L
+    var = np.maximum(pa[one], pb[one])
     # np.add.at adds in edge order, so every unary sums its terms in that order
-    np.add.at(unary, (var, 0), t[one, 0, 0])
-    np.add.at(unary, (var, 1), np.where(fa, t[:, 1, 0], t[:, 0, 1])[one])
+    np.add.at(unary[0], var, np.take(tables, (row + current[a1]) * L + current[b1]))
+    np.add.at(unary[1], var, np.take(tables, (row + proposal[a1]) * L + proposal[b1]))
 
-    both = fa & fb
-    z = solve_binary_pairwise(unary, np.stack([pa, pb], axis=1)[both], t[both])
+    both = np.flatnonzero(fa & fb)
+    a2, b2, row = a[both], b[both], both * L
+    la = ((row + current[a2]) * L, (row + proposal[a2]) * L)
+    lb = (current[b2], proposal[b2])
+    idx = np.empty((both.size, 2, 2), dtype=np.int64)  # edge k at options z_a, z_b
+    for za in (0, 1):
+        for zb in (0, 1):
+            np.add(la[za], lb[zb], out=idx[:, za, zb])
+    z = solve_binary_pairwise(unary.T, np.stack([pa[both], pb[both]], axis=1),
+                              np.take(tables, idx))
     fused = current.copy()
     take = free[z == 1]
     fused[take] = proposal[take]

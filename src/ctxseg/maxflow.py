@@ -5,7 +5,9 @@ its reverse at 2k + 1; ``tail`` and ``to`` hold the ends of every arc and
 ``cap`` its residual capacity, which starts at zero on the reverse arcs.
 Residual capacities at or below ``EPS`` count as saturated. ``out_arcs`` is
 the stable sort of the arc ids by tail, so the arcs leaving vertex u sit in
-id order at ``out_arcs[out_start[u]:out_start[u + 1]]`` (CSR offsets).
+id order at ``out_arcs[out_start[u]:out_start[u + 1]]`` (CSR offsets). It is
+an LSD radix sort: one stable ``argsort`` per 16-bit digit of the tail, on
+``uint16`` keys, which NumPy sorts by radix; one pass for n <= 65536.
 
 Each phase first builds the BFS level graph by frontier expansion: the
 frontier's out-arcs are gathered from the CSR offsets, so one BFS reads each
@@ -13,20 +15,31 @@ arc at most once however deep the graph is. BFS levels are distances, so they
 do not depend on the visiting order. The blocking flow is an iterative DFS
 with current-arc pointers, so deep augmenting paths cannot hit the
 interpreter recursion limit. It runs over Python lists of the admissible
-arcs alone: residual capacity above ``EPS`` and head exactly one level above
-a reached tail, grouped by tail in id order, each with its reverse capacity
-alongside. When the phase ends their capacities are written back.
+arcs alone: residual capacity above ``EPS``, head exactly one level above a
+reached tail, and head either the sink or below the sink's level, grouped by
+tail in id order, each with its reverse capacity alongside. When the phase
+ends their capacities are written back.
 
 Why this gives, bit for bit, the flow of a DFS that scans every arc of a
-vertex: no arc outside the admissible set can become admissible during the
-phase. Augmenting raises only the residual of a reverse arc, which points one
-level down, and a dead end only sets its vertex's level to -1, which no arc
-from a reached vertex lies one level below. So the DFS tries the same arcs in
-the same order and subtracts and adds the same bottlenecks in the same
-sequence, which gives the same flow, residuals and cut.
+vertex and tests ``level[v] == level[u] + 1``: no arc outside the admissible
+set can become admissible during the phase. Augmenting raises only the
+residual of a reverse arc, which points one level down. Levels change only
+when a dead end is marked, and a vertex on the DFS path is never dead, so for
+an admissible arc the level test fails exactly when its head is dead: a flag
+per vertex replaces it. An arc into a vertex at or beyond the sink's level
+(other than the sink) leads only to vertices that cannot reach the sink:
+that DFS would step in, mark them dead without moving flow and step back.
+Only arcs into those vertices ever look at their flags and pointers, so
+leaving these arcs out changes no capacity or later choice. So the DFS tries
+the remaining arcs in the same order and subtracts and adds the same
+bottlenecks in the same sequence, which gives the same flow, residuals and
+cut. The bottleneck is the path's smallest capacity; the pass that subtracts
+it also finds the first saturated arc, where the path is cut back.
 
 The minimum cut, ``source_side``, is what a BFS from the source reaches in the
-residual network.
+residual network. The last BFS of ``max_flow``, the one that no longer
+reaches the sink, is exactly that BFS: ``source_side`` of the same source
+reads it instead of searching again.
 """
 
 from __future__ import annotations
@@ -45,18 +58,25 @@ class MaxFlowGraph:
                 and tails.size == heads.size == caps.size):
             raise ValueError(f"tails, heads and caps must be 1-D of one length, got shapes "
                              f"{tails.shape}, {heads.shape}, {caps.shape}")
-        ends = np.concatenate([tails, heads])
-        if ends.size and not (ends.min() >= 0 and ends.max() < n):
+        self.tail, self.to = np.empty((2, 2 * tails.size), dtype=np.int64)
+        self.tail[0::2], self.tail[1::2] = tails, heads
+        if self.tail.size and not (self.tail.min() >= 0 and self.tail.max() < n):
             raise ValueError(f"arc endpoint out of range [0, {n})")
         if not (np.isfinite(caps) & (caps >= 0.0)).all():
             raise ValueError("arc capacities must be finite and nonnegative")
         self.n = n
-        self.tail = np.stack([tails, heads], axis=1).ravel()
-        self.to = np.stack([heads, tails], axis=1).ravel()
-        self.cap = np.stack([caps, np.zeros_like(caps)], axis=1).ravel()
-        self.out_arcs = np.argsort(self.tail, kind="stable")
-        self.out_start = np.concatenate(
-            [[0], np.cumsum(np.bincount(self.tail, minlength=n))])
+        self.to[0::2], self.to[1::2] = heads, tails
+        self.cap = np.zeros(2 * caps.size)
+        self.cap[0::2] = caps
+        # LSD radix sort on 16-bit digits: the stable argsort of tail
+        order = np.argsort(self.tail.astype(np.uint16), kind="stable")
+        for shift in range(16, (n - 1).bit_length(), 16):
+            digit = (self.tail[order] >> shift).astype(np.uint16)
+            order = order[np.argsort(digit, kind="stable")]
+        self.out_arcs = order
+        self.out_start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.tail, minlength=n), out=self.out_start[1:])
+        self._cut: tuple[int, np.ndarray] | None = None  # (source, levels) of the last BFS
 
     def _gather(self, nodes: np.ndarray) -> np.ndarray:
         """Ids of the arcs leaving ``nodes``, node by node, each in id order."""
@@ -72,19 +92,25 @@ class MaxFlowGraph:
             raise ValueError(f"source {s} out of range [0, {self.n})")
         level = np.full(self.n, -1)
         level[s] = 0
+        slot = np.empty(self.n, dtype=np.int64)  # dedupes a frontier without sorting
         frontier = np.array([s])
         depth = 0
         while frontier.size:
             arcs = self._gather(frontier)
             heads = self.to[arcs[self.cap[arcs] > EPS]]
-            frontier = np.unique(heads[level[heads] < 0])
+            heads = heads[level[heads] < 0]
+            # one slot index survives per vertex: the next frontier, each vertex once
+            k = np.arange(heads.size)
+            slot[heads] = k
+            frontier = heads[slot[heads] == k]
             depth += 1
             level[frontier] = depth
         return level
 
     def _blocking_flow(self, s: int, t: int, level: np.ndarray) -> float:
-        lt = level[self.tail]
-        ok = (self.cap > EPS) & (lt >= 0) & (level[self.to] == lt + 1)
+        lt, lh = level[self.tail], level[self.to]
+        ok = ((self.cap > EPS) & (lt >= 0) & (lh == lt + 1)
+              & ((lh < level[t]) | (self.to == t)))  # only heads that can reach t
         adm = self.out_arcs[ok[self.out_arcs]]  # admissible ids, by tail in id order
         counts = np.bincount(self.tail[adm], minlength=self.n)
         end = np.cumsum(counts)
@@ -92,39 +118,39 @@ class MaxFlowGraph:
         end = end.tolist()
         to, tail = self.to[adm].tolist(), self.tail[adm].tolist()
         cap, rcap = self.cap[adm].tolist(), self.cap[adm ^ 1].tolist()
-        level = level.tolist()
+        dead = [False] * self.n
         total = 0.0
         path: list[int] = []  # admissible-list indices from s to the current node
         u = s
         while True:
-            if u == t:
-                bottleneck = min(cap[j] for j in path)
-                for j in path:
-                    cap[j] -= bottleneck
-                    rcap[j] += bottleneck
-                total += bottleneck
-                # truncate the path at its first saturated edge
-                cut = next(i for i, j in enumerate(path) if cap[j] <= EPS)
-                del path[cut:]
-                u = s if not path else to[path[-1]]
-                continue
-            advanced = False
-            while it[u] < end[u]:
-                j = it[u]
-                v = to[j]
-                if cap[j] > EPS and level[v] == level[u] + 1:
-                    path.append(j)
-                    u = v
-                    advanced = True
+            j, stop = it[u], end[u]
+            while j < stop and (cap[j] <= EPS or dead[to[j]]):
+                j += 1
+            it[u] = j
+            if j == stop:  # dead end
+                if u == s:
                     break
+                dead[u] = True
+                u = tail[path.pop()]
                 it[u] += 1
-            if advanced:
                 continue
-            if u == s:
-                break
-            level[u] = -1  # dead end
-            u = tail[path.pop()]
-            it[u] += 1
+            path.append(j)
+            u = to[j]
+            if u != t:
+                continue
+            bottleneck = cap[path[0]]
+            for j in path:
+                if cap[j] < bottleneck:
+                    bottleneck = cap[j]
+            cut = -1  # the path is truncated at its first saturated arc
+            for i, j in enumerate(path):
+                c = cap[j] = cap[j] - bottleneck
+                rcap[j] += bottleneck
+                if c <= EPS and cut < 0:
+                    cut = i
+            total += bottleneck
+            del path[cut:]
+            u = to[path[-1]] if path else s
         self.cap[adm] = cap
         self.cap[adm ^ 1] = rcap
         return total
@@ -139,8 +165,11 @@ class MaxFlowGraph:
         while level[t] >= 0:
             flow += self._blocking_flow(s, t, level)
             level = self._bfs_levels(s)
+        self._cut = (s, level)
         return flow
 
     def source_side(self, s: int) -> np.ndarray:
         """Vertices reachable from s in the residual graph (the minimal cut)."""
+        if self._cut is not None and self._cut[0] == s:
+            return self._cut[1] >= 0
         return self._bfs_levels(s) >= 0

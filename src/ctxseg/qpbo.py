@@ -46,8 +46,9 @@ def solve_binary_pairwise(unary: np.ndarray, edges: np.ndarray,
     # submodular:    A + (C-A) z_a + (D-C) z_b + gap [z_a=0][z_b=1]
     # nonsubmodular: B + (D-B) z_a + (D-C) z_b + (A+D-B-C) [z_a=0][z_b=0]  (+ const)
     lin = unary[:, 1] - unary[:, 0]  # accumulated cost of choosing z_i = 1
-    # contributions interleaved a, b per edge: each lin sums them in edge order
-    np.add.at(lin, np.stack([a, b], axis=1).ravel(),
+    # contributions interleaved a, b per edge (the rows of edges, raveled):
+    # each lin sums them in edge order
+    np.add.at(lin, edges.ravel(),
               np.stack([np.where(sub, C - A, D - B), D - C], axis=1).ravel())
     coupled = ~sub | (gap > 0.0)
     a, b, sub, half = a[coupled], b[coupled], sub[coupled], np.abs(gap[coupled]) / 2.0

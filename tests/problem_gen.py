@@ -9,12 +9,15 @@ Tests write small tables as dicts ``{(a, b): table}``; ``crf_problem`` and
 ``binary_terms`` turn such a dict into the array form the library takes,
 and ``as_dict`` turns built terms back into a dict for reading.
 
-``loop_train_unary`` is the per-example SGD loop that ``crf.train_unary``
-replays in chunks, ``list_dinic`` is the max-flow that
-``maxflow.MaxFlowGraph`` runs over arrays, and ``loop_knn_edges`` is the
-per-row k-NN selection that ``graph.build_knn_graph`` runs over row blocks;
-tests hold the library to their bits. ``normalized_operator`` builds the
-graph operator of a given affinity matrix.
+``broadcast_energy`` and ``broadcast_fusion_terms`` read the tables through
+three-array broadcast indexing, where ``crf.energy`` and ``crf.qpbo_fuse``
+gather from the flat tables. ``loop_train_unary`` is the per-example SGD
+loop that ``crf.train_unary`` replays in chunks, ``list_dinic`` is the
+max-flow that ``maxflow.MaxFlowGraph`` runs over arrays, and
+``loop_knn_edges`` is the per-row k-NN selection that
+``graph.build_knn_graph`` runs over row blocks; tests hold the library to
+their bits. ``normalized_operator`` builds the graph operator of a given
+affinity matrix.
 """
 
 from collections import deque
@@ -48,6 +51,41 @@ def binary_terms(pairwise):
 def as_dict(pairwise):
     """``PairwiseTerms`` as ``{(a, b): table}``."""
     return {(int(a), int(b)): t for (a, b), t in zip(pairwise.edges, pairwise.tables)}
+
+
+def broadcast_energy(problem, x):
+    """Reference ``crf.energy``: same terms, same summation order."""
+    edges, tables = problem.pairwise.edges, problem.pairwise.tables
+    terms = tables[np.arange(len(edges)), x[edges[:, 0]], x[edges[:, 1]]]
+    unary = problem.unary[np.arange(problem.n), x].sum()
+    return float(np.cumsum(np.concatenate([[unary], terms]))[-1])
+
+
+def broadcast_fusion_terms(problem, current, proposal):
+    """Reference for the binary problem ``crf.qpbo_fuse`` hands to QPBO.
+
+    Returns (unary (f, 2), edges (E', 2), tables (E', 2, 2)) over the free
+    variables, f of them, or None when no variable is free.
+    """
+    free = np.flatnonzero(current != proposal)
+    if free.size == 0:
+        return None
+    pos = np.full(problem.n, -1)
+    pos[free] = np.arange(free.size)
+    unary = np.stack([problem.unary[free, current[free]],
+                      problem.unary[free, proposal[free]]], axis=1)
+    edges, tables = problem.pairwise.edges, problem.pairwise.tables
+    options = np.stack([current[edges], proposal[edges]], axis=2)  # (E, 2 ends, 2)
+    t = tables[np.arange(len(edges))[:, None, None],
+               options[:, 0, :, None], options[:, 1, None, :]]
+    pa, pb = pos[edges[:, 0]], pos[edges[:, 1]]
+    fa, fb = pa >= 0, pb >= 0
+    one = fa != fb
+    var = np.where(fa, pa, pb)[one]
+    np.add.at(unary, (var, 0), t[one, 0, 0])
+    np.add.at(unary, (var, 1), np.where(fa, t[:, 1, 0], t[:, 0, 1])[one])
+    both = fa & fb
+    return unary, np.stack([pa, pb], axis=1)[both], t[both]
 
 
 def random_scores(rng, n, num_classes, max_pairs=None, max_links=5):

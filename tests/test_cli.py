@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import ctxseg
-from ctxseg import propagation
+from ctxseg import propagation, regions
 from ctxseg.cli import main
 
 
@@ -275,6 +275,38 @@ def test_eval_identity_prediction_scores_one(dataset, tmp_path, capsys):
     report = json.loads(read(out))
     assert report["mean"] == 1.0
     assert "mean" in capsys.readouterr().out
+
+
+def test_eval_reads_ground_truth_once(dataset, monkeypatch):
+    opened = []
+    iter_records = regions._iter_records
+
+    def counting(path):
+        opened.append(str(path))
+        return iter_records(path)
+
+    monkeypatch.setattr(regions, "_iter_records", counting)
+    gt = str(dataset / "gt.jsonl")
+    assert run(["eval", "--regions", str(dataset / "regions.jsonl"),
+                "--labeling", gt, "--gt", gt]) == 0
+    assert opened.count(gt) == 2  # once as the labeling, once as the ground truth
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"id": 10 ** 6, "class": 1}, "unknown region id 1000000"),
+    ({"id": 0, "class": -1}, "negative class -1"),
+    ({"id": 0}, "missing or invalid field"),
+], ids=["unknown-id", "negative-class", "missing-class"])
+def test_eval_bad_ground_truth_exits_with_file_and_line(dataset, tmp_path, capsys,
+                                                        bad, message):
+    gt = tmp_path / "gt.jsonl"
+    gt.write_text(json.dumps({"id": 0, "class": 0}) + "\n" + json.dumps(bad) + "\n")
+    capsys.readouterr()
+    assert run(["eval", "--regions", str(dataset / "regions.jsonl"),
+                "--labeling", str(dataset / "gt.jsonl"), "--gt", str(gt)]) == 1
+    err = capsys.readouterr().err
+    assert f"ctxseg eval: error: {gt}:2: {message}" in err
+    assert "Traceback" not in err
 
 
 def test_no_context_ablation_scores_lower(dataset, tmp_path):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from problem_gen import (as_dict, crf_problem, loop_train_unary,
-                         random_link_problem, random_signed_problem,
+from problem_gen import (as_dict, broadcast_energy, broadcast_fusion_terms, crf_problem,
+                         loop_train_unary, random_link_problem, random_signed_problem,
                          random_unary_data, unary_sequence)
 
-from ctxseg.crf import (CrfProblem, UnaryModel, UnaryTrainConfig, beta_adaptive,
+from ctxseg import crf
+from ctxseg.crf import (CrfProblem, PairwiseTerms, UnaryModel, UnaryTrainConfig, beta_adaptive,
                         brute_force_oracle, build_pairwise, energy, infer,
                         qpbo_fuse, train_unary, unary_potentials)
 from ctxseg.propagation import LinkScoreMatrix
@@ -441,6 +442,151 @@ class TestQpboFuse:
         cur = np.array([0, 0, 0])
         fused = qpbo_fuse(p, cur, np.array([1, 1, 1]))
         assert energy(p, fused) <= energy(p, cur) + 1e-9
+
+
+def bits(a):
+    """Float array as its bit patterns, so -0.0 and 0.0 differ."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def dense_problem(rng, n, L, density=0.5):
+    """Mixed-sign tables on a random subset of region pairs; E may be 0."""
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density]
+    return crf_problem(rng.uniform(0.0, 3.0, (n, L)),
+                       {e: rng.normal(size=(L, L)) for e in pairs})
+
+
+class TestFlatGathers:
+    """``energy`` and ``qpbo_fuse`` read the flat tables; the broadcast
+    gathers of ``problem_gen`` are the reference, bit for bit."""
+
+    @staticmethod
+    def fusion_terms(p, current, proposal, monkeypatch):
+        """What qpbo_fuse hands the binary solver, or None if it never calls it."""
+        seen = []
+        solve = crf.solve_binary_pairwise
+
+        def spy(unary, edges, tables):
+            seen.append((np.array(unary), np.array(edges), np.array(tables)))
+            return solve(unary, edges, tables)
+
+        monkeypatch.setattr(crf, "solve_binary_pairwise", spy)
+        fused = qpbo_fuse(p, current, proposal)
+        monkeypatch.undo()
+        assert fused.shape == current.shape
+        return seen[0] if seen else None
+
+    def assert_same_terms(self, p, current, proposal, monkeypatch):
+        got = self.fusion_terms(p, current, proposal, monkeypatch)
+        want = broadcast_fusion_terms(p, current, proposal)
+        if want is None:
+            assert got is None
+            return
+        assert got is not None
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+        assert np.array_equal(bits(got[0]), bits(want[0]))
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(bits(got[2]), bits(want[2]))
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 6])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_proposals(self, L, seed, monkeypatch):
+        rng = np.random.default_rng(900 + 10 * L + seed)
+        p = dense_problem(rng, int(rng.integers(2, 12)), L)
+        for _ in range(4):
+            current = rng.integers(0, L, p.n)
+            proposal = rng.integers(0, L, p.n)
+            assert energy(p, current).hex() == broadcast_energy(p, current).hex()
+            self.assert_same_terms(p, current, proposal, monkeypatch)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 6])
+    @pytest.mark.parametrize("free", ["none", "one", "all"])
+    def test_none_one_or_all_free(self, L, free, monkeypatch):
+        rng = np.random.default_rng(950 + L)
+        p = dense_problem(rng, 7, L, density=0.7)
+        current = rng.integers(0, L, p.n)
+        proposal = current.copy()
+        if free == "one":
+            proposal[3] = (current[3] + 1) % L
+        elif free == "all":
+            proposal = (current + 1 + rng.integers(0, max(L - 1, 1), p.n)) % L
+        self.assert_same_terms(p, current, proposal, monkeypatch)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 6])
+    def test_no_edges(self, L, monkeypatch):
+        rng = np.random.default_rng(970 + L)
+        p = crf_problem(rng.uniform(0.0, 3.0, (5, L)), {})
+        current, proposal = rng.integers(0, L, 5), rng.integers(0, L, 5)
+        assert energy(p, current).hex() == broadcast_energy(p, current).hex()
+        self.assert_same_terms(p, current, proposal, monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_link_problems_along_inference(self, seed, monkeypatch):
+        """Every fusion of an inference run, on production-shaped tables."""
+        p = random_link_problem(np.random.default_rng(980 + seed), max_n=12)
+        x = p.unary.argmin(axis=1)
+        for alpha in range(p.num_classes):
+            proposal = np.full(p.n, alpha)
+            self.assert_same_terms(p, x, proposal, monkeypatch)
+            x = qpbo_fuse(p, x, proposal)
+
+
+class TestLabelChecks:
+    @pytest.fixture
+    def problem(self):
+        rng = np.random.default_rng(12)
+        return crf_problem(rng.uniform(0, 3, (2, 3)), {(0, 1): rng.normal(size=(3, 3))})
+
+    @pytest.mark.parametrize("x", [[0, -1], [0, 3], [0], [0, 1, 2], [[0, 1]], [0.0, 1.0]],
+                             ids=["minus-one", "L", "short", "long", "2-d", "float"])
+    def test_bad_labeling_raises(self, problem, x):
+        with pytest.raises(ValueError):
+            energy(problem, np.array(x))
+        with pytest.raises(ValueError):
+            qpbo_fuse(problem, np.array(x), np.zeros(2, dtype=int))
+        with pytest.raises(ValueError):
+            qpbo_fuse(problem, np.zeros(2, dtype=int), np.array(x))
+
+
+BAD_PROBLEMS = [
+    pytest.param(lambda: (np.zeros(3), np.zeros((0, 2), dtype=int), np.zeros((0, 1, 1))),
+                 id="unary-1d"),
+    pytest.param(lambda: (np.zeros((3, 0)), np.zeros((0, 2), dtype=int), np.zeros((0, 0, 0))),
+                 id="unary-no-classes"),
+    pytest.param(lambda: (np.array([[0.0, np.nan]]), np.zeros((0, 2), dtype=int),
+                          np.zeros((0, 2, 2))), id="unary-nan"),
+    pytest.param(lambda: (np.array([[0.0, np.inf], [1.0, 1.0]]), np.zeros((0, 2), dtype=int),
+                          np.zeros((0, 2, 2))), id="unary-inf"),
+    pytest.param(lambda: (np.zeros((3, 2)), np.array([[0, 1]]), np.zeros((1, 3, 3))),
+                 id="tables-other-L"),
+    pytest.param(lambda: (np.zeros((3, 2)), np.array([[0, 1]]), np.zeros((2, 2, 2))),
+                 id="tables-other-E"),
+    pytest.param(lambda: (np.zeros((3, 2)), np.array([[0, 1]]), np.zeros((1, 4))),
+                 id="tables-2d"),
+    pytest.param(lambda: (np.zeros((3, 2)), np.array([0, 1]), np.zeros((2, 2, 2))),
+                 id="edges-1d"),
+    pytest.param(lambda: (np.zeros((3, 2)), np.array([[0, 1, 2]]), np.zeros((1, 2, 2))),
+                 id="edges-three-columns"),
+    pytest.param(lambda: (np.zeros((3, 2)), np.array([[0.0, 1.0]]), np.zeros((1, 2, 2))),
+                 id="edges-float"),
+    pytest.param(lambda: (np.zeros((3, 2)), np.array([[0, 3]]), np.zeros((1, 2, 2))),
+                 id="edge-end-n"),
+    pytest.param(lambda: (np.zeros((3, 2)), np.array([[-1, 2]]), np.zeros((1, 2, 2))),
+                 id="edge-end-negative"),
+]
+
+
+class TestProblemChecks:
+    @pytest.mark.parametrize("parts", BAD_PROBLEMS)
+    def test_bad_shapes_raise(self, parts):
+        unary, edges, tables = parts()
+        with pytest.raises(ValueError):
+            CrfProblem(unary, PairwiseTerms(edges, tables))
+
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_empty_scores_pass(self, n):
+        assert CrfProblem(np.zeros((n, 3)), build_pairwise({}, 1.0, 1.0, 3)).n == n
 
 
 class TestInfer:

@@ -5,7 +5,7 @@ from scipy.sparse.csgraph import maximum_flow
 
 from ctxseg import crf, qpbo
 from ctxseg.maxflow import EPS, MaxFlowGraph
-from problem_gen import list_dinic, random_signed_problem
+from problem_gen import ListDinic, list_dinic, random_signed_problem
 
 
 def random_graph(rng):
@@ -71,6 +71,51 @@ def test_no_arcs():
     g = MaxFlowGraph(2, [], [], [])
     assert g.max_flow(0, 1) == 0.0
     assert g.source_side(0).tolist() == [True, False]
+
+
+def skewed_tails(rng, n, m):
+    """m arc tails in [0, n) crowded at both ends and at the 16-bit boundaries."""
+    spots = np.array([0, 1, 65535, 65536, n - 2, n - 1]) % n
+    return np.where(rng.random(m) < 0.5, rng.choice(spots, m), rng.integers(0, n, m))
+
+
+@pytest.mark.parametrize("n", [65535, 65536, 65537, "random"])
+def test_arc_index_is_the_stable_argsort_of_tails(n):
+    rng = np.random.default_rng(17)
+    n = int(rng.integers(65538, 1 << 20)) if n == "random" else n
+    m = 3000
+    g = MaxFlowGraph(n, skewed_tails(rng, n, m), skewed_tails(rng, n, m), np.ones(m))
+    assert np.array_equal(g.out_arcs, np.argsort(g.tail, kind="stable"))
+    assert np.array_equal(g.out_start, np.concatenate(
+        [[0], np.cumsum(np.bincount(g.tail, minlength=n))]))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_source_side_before_and_after_max_flow(seed):
+    rng = np.random.default_rng(600 + seed)
+    n, tails, heads, caps = random_graph(rng)
+    s, other = 0, int(rng.integers(1, n))
+    _, residual, side = list_dinic(n, tails, heads, caps, s, n - 1)
+    g = MaxFlowGraph(n, tails, heads, caps)
+    before = [g.source_side(v).tolist() for v in range(n)]
+    fresh = ListDinic(n, tails, heads, caps)
+    assert before == [fresh.source_side(v) for v in range(n)]
+    g.max_flow(s, n - 1)
+    assert g.source_side(s).tolist() == side  # read off the last BFS
+    after = ListDinic(n, tails, heads, caps)
+    after.cap = residual
+    assert g.source_side(other).tolist() == after.source_side(other)
+    assert g.source_side(s).tolist() == side
+
+
+@pytest.mark.parametrize("s", [-1, 3])
+def test_source_side_out_of_range_raises(s):
+    g = MaxFlowGraph(3, [0, 1], [1, 2], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        g.source_side(s)
+    g.max_flow(0, 2)
+    with pytest.raises(ValueError):
+        g.source_side(s)
 
 
 def assert_same_as_list_dinic(n, tails, heads, caps, s, t):
@@ -177,8 +222,9 @@ def test_deep_path(shape):
     expect[:k + 1] = True  # the cut falls right after the bottleneck arc
     expect[n:n + k + 1] = shape is ladder
     assert (g.source_side(0) == expect).all()
-    # each BFS reads every arc at most once, however deep the levels run
-    assert g.bfs_calls == 3 and g.gathered <= g.bfs_calls * len(g.to)
+    # each BFS reads every arc at most once, however deep the levels run; the
+    # cut is read off the BFS that ended max_flow
+    assert g.bfs_calls == 2 and g.gathered <= g.bfs_calls * len(g.to)
 
 
 def test_deep_ladder_matches_list_dinic():
