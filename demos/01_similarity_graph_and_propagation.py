@@ -7,12 +7,11 @@ solve) is checked against the dense closed form.
 """
 
 import numpy as np
-from scipy import sparse
 
 from ctxseg.graph import build_knn_graph
 from ctxseg.propagation import (PropagationConfig, dense_two_pass_limit,
                                 propagate_column_pass, propagate_row_pass)
-from ctxseg.regions import Region, VideoSequence
+from ctxseg.regions import Region, SparseMatrix, VideoSequence
 
 print(__doc__)
 
@@ -38,7 +37,7 @@ observed = np.zeros((5, 5))
 observed[0, 1] = 1.0
 cfg = PropagationConfig(mu=0.9)
 
-rows = propagate_row_pass(sparse.csr_matrix(observed), graph.operator, cfg)
+rows = propagate_row_pass(SparseMatrix.from_dense(observed), graph.operator, cfg)
 cols = propagate_column_pass(rows.matrix, graph.operator, cfg)
 scores = cols.matrix.toarray()
 print("\npropagated (horse, person) link scores:")

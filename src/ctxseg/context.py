@@ -2,7 +2,7 @@
 
 An exemplar is an ordered pair of labeled regions asserting that the first
 region's class supports the second's. Exemplars are grouped by ordered class
-pair (m, n) into sparse binary N x N matrices, indexed by vertex position.
+pair (m, n) into binary N x N ``SparseMatrix`` links, indexed by vertex position.
 """
 
 from __future__ import annotations
@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, Mapping
 
-from scipy import sparse
+import numpy as np
 
-from .regions import VideoSequence, dump_class_pairs, load_class_pairs
+from .regions import SparseMatrix, VideoSequence, dump_class_pairs, load_class_pairs
 
 BACKGROUND = 0
 
@@ -59,8 +59,8 @@ def extract_exemplars(labels: Mapping[int, int], frames: AbstractSet[int],
 
 
 def build_observed_links(ex: ContextExemplarSet, n: int,
-                         num_classes: int) -> dict[tuple[int, int], sparse.csr_matrix]:
-    """One sparse binary matrix per ordered class pair that has exemplars.
+                         num_classes: int) -> dict[tuple[int, int], SparseMatrix]:
+    """One binary link matrix per ordered class pair that has exemplars.
 
     Entry (i, j) is 1 when the exemplar set contains (v_i, v_j, c_m, c_n);
     repeated exemplars collapse to a single entry. Class pairs without
@@ -76,19 +76,17 @@ def build_observed_links(ex: ContextExemplarSet, n: int,
             raise ValueError("exemplar must pair two distinct regions")
         cells.setdefault((m, n_cls), set()).add((i, j))
 
-    out: dict[tuple[int, int], sparse.csr_matrix] = {}
+    out: dict[tuple[int, int], SparseMatrix] = {}
     for pair in sorted(cells):
-        ij = sorted(cells[pair])
-        rows = [e[0] for e in ij]
-        cols = [e[1] for e in ij]
-        out[pair] = sparse.csr_matrix(([1.0] * len(ij), (rows, cols)), shape=(n, n))
+        rows, cols = np.array(sorted(cells[pair])).T
+        out[pair] = SparseMatrix(rows, cols, np.ones(len(rows)), (n, n))
     return out
 
 
-def dump_links(links: Mapping[tuple[int, int], sparse.spmatrix], path) -> None:
+def dump_links(links: Mapping[tuple[int, int], SparseMatrix], path) -> None:
     """One JSON line per class pair: ``{"m":, "n":, "links": [[i, j]...]}``."""
     dump_class_pairs(links, path, "links", 2)
 
 
-def load_links(path, n: int) -> dict[tuple[int, int], sparse.csr_matrix]:
+def load_links(path, n: int) -> dict[tuple[int, int], SparseMatrix]:
     return load_class_pairs(path, "links", n, 2)

@@ -222,10 +222,10 @@ def build_pairwise(scores: Mapping[tuple[int, int], LinkScoreMatrix], beta: floa
     empty = np.zeros(0, dtype=int)
     parts = [(empty,) * 5]  # i, j, score, m, n of every off-diagonal entry
     for (m, n), mat in scores.items():
-        coo = mat.scores.tocoo()
-        off = coo.row != coo.col
+        S = mat.scores
+        off = S.row != S.col
         k = int(off.sum())
-        parts.append((coo.row[off], coo.col[off], coo.data[off],
+        parts.append((S.row[off], S.col[off], S.data[off],
                       np.full(k, m), np.full(k, n)))
     i, j, s, m, n = (np.concatenate(col) for col in zip(*parts))
     size = max((mat.scores.shape[1] for mat in scores.values()), default=1)
@@ -266,6 +266,17 @@ class CrfProblem:
                              f"{edges.shape} of {edges.dtype}")
         if E and not (edges.min() >= 0 and edges.max() < n):
             raise ValueError(f"pairwise edge endpoint out of range [0, {n})")
+        # costs are stored with NumPy's own float64 dtype instance: on an equal
+        # copy of it (as unpickling makes) np.add.at runs per element
+        f64 = np.dtype(np.float64)
+        if unary.dtype is not f64:
+            self.unary = unary.astype(f64)
+        if tables.dtype is not f64:
+            self.pairwise = PairwiseTerms(self.pairwise.edges, tables.astype(f64))
+
+    def __reduce__(self):
+        # unpickle through __init__, so the checks and the dtype fix run again
+        return type(self), (self.unary, self.pairwise)
 
     @property
     def n(self) -> int:

@@ -12,9 +12,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .regions import FIELD_ERRORS, IngestError, VideoSequence
+from .regions import FIELD_ERRORS, IngestError, SparseMatrix, VideoSequence
 
 log = logging.getLogger(__name__)
 
@@ -26,29 +25,31 @@ DUMP_EDGES = 4096    # edges per block written by dump_graph
 class SimilarityGraph:
     n: int
     k: int
-    affinity: sparse.csr_matrix      # W, symmetric, zero diagonal
+    affinity: SparseMatrix           # W, symmetric, zero diagonal
     degrees: np.ndarray              # row sums of W
-    operator: sparse.csr_matrix      # D^{-1/2} W D^{-1/2}
+    operator: SparseMatrix           # D^{-1/2} W D^{-1/2}
 
 
 def _assemble(n: int, k: int, i: np.ndarray, j: np.ndarray,
               w: np.ndarray) -> SimilarityGraph:
     """Build W and its normalized operator from undirected edges i < j.
 
-    The edges are taken in (i, j) order. Both matrix entries of an edge are
-    written from the same scalar, so W and the operator are exactly symmetric.
+    The edges may come in any order, each pair once. Both matrix entries of
+    an edge are written from the same scalar, so W and the operator are
+    exactly symmetric.
     """
-    order = np.lexsort((j, i))
-    ii, jj, ww = i[order], j[order], w[order]
-    rows = np.concatenate([ii, jj])
-    cols = np.concatenate([jj, ii])
-    W = sparse.csr_matrix((np.concatenate([ww, ww]), (rows, cols)), shape=(n, n))
-    degrees = np.asarray(W.sum(axis=1)).ravel()
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    W = SparseMatrix(rows, cols, np.concatenate([w, w])[order], (n, n))
+    start = np.flatnonzero(np.diff(rows, prepend=-1))  # first entry of each row
+    degrees = np.zeros(n)
+    degrees[rows[start]] = np.add.reduceat(W.data, start)  # as scipy's csr.sum(axis=1)
     with np.errstate(divide="ignore"):
         dinv = 1.0 / np.sqrt(degrees)
     dinv[~np.isfinite(dinv)] = 0.0
-    lv = ww * dinv[ii] * dinv[jj]
-    L = sparse.csr_matrix((np.concatenate([lv, lv]), (rows, cols)), shape=(n, n))
+    lv = w * dinv[i] * dinv[j]
+    L = SparseMatrix(rows, cols, np.concatenate([lv, lv])[order], (n, n))
     return SimilarityGraph(n=n, k=k, affinity=W, degrees=degrees, operator=L)
 
 
@@ -102,14 +103,15 @@ def dump_graph(graph: SimilarityGraph, path) -> None:
     ``DUMP_EDGES`` edges go through ``json.dumps``, which uses the C encoder
     (``json.dump`` runs the pure-Python one), and no list of all edges is built.
     """
-    coo = sparse.triu(graph.affinity, k=1).tocoo()
-    order = np.lexsort((coo.col, coo.row))
+    W = graph.affinity
+    upper = W.row < W.col
+    i, j, w = W.row[upper], W.col[upper], W.data[upper]
     head = json.dumps({"n": graph.n, "k": graph.k, "edges": []})[:-2]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head)
-        for s in range(0, len(order), DUMP_EDGES):
-            at = order[s:s + DUMP_EDGES]
-            block = zip(coo.row[at].tolist(), coo.col[at].tolist(), coo.data[at].tolist())
+        for s in range(0, len(i), DUMP_EDGES):
+            at = slice(s, s + DUMP_EDGES)
+            block = zip(i[at].tolist(), j[at].tolist(), w[at].tolist())
             fh.write((", " if s else "") + json.dumps(list(block))[1:-1])
         fh.write("]}\n")
 

@@ -15,11 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy import sparse
-
 from . import context as ctx
 from . import crf, evaluation, graph, propagation, tracking
-from .regions import VideoSequence, filter_detections
+from .regions import SparseMatrix, VideoSequence, filter_detections
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -116,7 +114,7 @@ def labels_stage(seq: VideoSequence, hyps: list[tracking.TrajectoryHypothesis],
 
 
 def links_stage(seq: VideoSequence, frames: frozenset[int], labels: dict[int, int],
-                cfg: PipelineConfig) -> dict[tuple[int, int], sparse.csr_matrix]:
+                cfg: PipelineConfig) -> dict[tuple[int, int], SparseMatrix]:
     num_classes = max(labels.values(), default=0) + 1
     exemplars = ctx.extract_exemplars(
         labels, frames, seq, temporal_window=cfg.temporal_window,

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
 
-from .regions import dump_class_pairs, load_class_pairs
+from .regions import SparseMatrix, dump_class_pairs, load_class_pairs
 
 
 @dataclass
@@ -47,7 +46,7 @@ class PropagationConfig:
 class PassResult:
     """One pass's scores; a direct solve always reports one converged step."""
 
-    matrix: sparse.csr_matrix
+    matrix: SparseMatrix
     converged: bool = True
     iterations: int = 1
 
@@ -55,25 +54,41 @@ class PassResult:
 @dataclass
 class LinkScoreMatrix:
     pair: tuple[int, int]
-    scores: sparse.csr_matrix
+    scores: SparseMatrix
     converged: bool
     row_iterations: int
     col_iterations: int
 
 
-def resolvent(op: sparse.spmatrix, mu: float) -> np.ndarray:
+def resolvent(op: SparseMatrix, mu: float) -> np.ndarray:
     """Dense R = (1 - mu) (I - mu L)^{-1}, shared by every pass."""
     M = np.eye(op.shape[0]) - mu * op.toarray()
     return (1.0 - mu) * np.linalg.inv(M)
 
 
-def _left_product(R: np.ndarray, P: sparse.csr_matrix) -> sparse.csr_matrix:
+def _left_product(R: np.ndarray, P: SparseMatrix) -> SparseMatrix:
     """R @ P using only the nonzero rows of P; zero columns stay exactly zero."""
-    active = np.flatnonzero(np.diff(P.indptr))
-    return sparse.csr_matrix(R[:, active] @ P[active].toarray())
+    active, rank = np.unique(P.row, return_inverse=True)
+    rows = np.zeros((len(active), P.shape[1]))
+    rows[rank, P.col] += P.data
+    return SparseMatrix.from_dense(R[:, active] @ rows)
 
 
-def propagate_row_pass(O: sparse.spmatrix, op: sparse.spmatrix,
+def _right_product(O: SparseMatrix, R: np.ndarray) -> np.ndarray:
+    """Dense O @ R, each row adding its terms in stored order as SciPy does.
+
+    Round k adds the k-th entry of every row that has one, so the rounds are
+    as many as the longest row has entries.
+    """
+    out = np.zeros((O.shape[0], R.shape[1]))
+    rank = np.arange(O.nnz) - np.searchsorted(O.row, O.row)
+    order = np.argsort(rank, kind="stable")
+    for at in np.split(order, np.cumsum(np.bincount(rank))[:-1]):
+        out[O.row[at]] += O.data[at, None] * R[O.col[at]]
+    return out
+
+
+def propagate_row_pass(O: SparseMatrix, op: SparseMatrix,
                        cfg: PropagationConfig,
                        R: Optional[np.ndarray] = None) -> PassResult:
     """Diffuse each nonzero row of O over the graph: (1-mu) O (I - mu L)^{-1}.
@@ -81,18 +96,14 @@ def propagate_row_pass(O: sparse.spmatrix, op: sparse.spmatrix,
     Rows of O without any observed link stay exactly zero. ``R`` is the
     precomputed ``resolvent(op, cfg.mu)``, if the caller has it.
     """
-    O = O.tocsr()
     if R is None:
         R = resolvent(op, cfg.mu)
     if cfg.literal_update:
         return PassResult(_left_product(R, O))
-    active = np.flatnonzero(np.diff(O.indptr))
-    out = np.zeros(O.shape)
-    out[active] = O[active] @ R
-    return PassResult(sparse.csr_matrix(out))
+    return PassResult(SparseMatrix.from_dense(_right_product(O, R)))
 
 
-def propagate_column_pass(P_rows: sparse.spmatrix, op: sparse.spmatrix,
+def propagate_column_pass(P_rows: SparseMatrix, op: SparseMatrix,
                           cfg: PropagationConfig,
                           R: Optional[np.ndarray] = None) -> PassResult:
     """Diffuse each column of the row-pass result: (1-mu) (I - mu L)^{-1} P_rows.
@@ -101,25 +112,24 @@ def propagate_column_pass(P_rows: sparse.spmatrix, op: sparse.spmatrix,
     """
     if R is None:
         R = resolvent(op, cfg.mu)
-    return PassResult(_left_product(R, P_rows.tocsr()))
+    return PassResult(_left_product(R, P_rows))
 
 
-def _prune(M: sparse.csr_matrix, eps: float) -> sparse.csr_matrix:
-    M = M.tocsr().copy()
-    M.data[M.data < eps] = 0.0
-    M.eliminate_zeros()
-    return M
+def _prune(M: SparseMatrix, eps: float) -> SparseMatrix:
+    """M without its entries below eps or equal to zero."""
+    keep = ~(M.data < eps) & (M.data != 0.0)
+    return SparseMatrix(M.row[keep], M.col[keep], M.data[keep], M.shape)
 
 
-def predict_all_links(observed: dict[tuple[int, int], sparse.spmatrix],
-                      op: sparse.spmatrix, cfg: PropagationConfig
+def predict_all_links(observed: dict[tuple[int, int], SparseMatrix],
+                      op: SparseMatrix, cfg: PropagationConfig
                       ) -> dict[tuple[int, int], LinkScoreMatrix]:
     """Run both passes for every class pair with at least one observed link.
 
     The resolvent is computed once and shared by every pair and pass. Scores
     below ``cfg.prune_eps`` are dropped from storage after each pass.
     """
-    pairs = [(p, M.tocsr()) for p, M in sorted(observed.items()) if M.nnz > 0]
+    pairs = [(p, M) for p, M in sorted(observed.items()) if M.nnz > 0]
     if not pairs:
         return {}
     R = resolvent(op, cfg.mu)

@@ -13,6 +13,9 @@ Every stage file holds one JSON object per line, written by :func:`write_records
 * links / scores, one per class pair (:func:`dump_class_pairs`):
   ``{"m": int, "n": int, "links": [[i, j]...]}`` / ``"scores": [[i, j, s]...]``
 
+In memory a class pair's links or scores, and the graph's matrices, are a
+:class:`SparseMatrix`.
+
 Floats are written with Python's shortest round-trip repr (>= 9 significant
 digits), so a load -> save -> load cycle reproduces features bitwise.
 """
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 Box = tuple[float, float, float, float]
 
@@ -193,7 +195,57 @@ def write_records(path, records) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
-def dump_class_pairs(matrices: Mapping[tuple[int, int], sparse.spmatrix], path,
+@dataclass(eq=False)
+class SparseMatrix:
+    """A float matrix kept as its stored entries, sorted by (row, col).
+
+    Each position is stored at most once; a stored entry may hold 0.0. This
+    is the layout of SciPy's canonical CSR matrix, and every product or sum
+    over it elsewhere in the package rounds as the ``scipy.sparse`` one does.
+    """
+
+    row: np.ndarray     # (nnz,) int, nondecreasing
+    col: np.ndarray     # (nnz,) int, increasing within a row
+    data: np.ndarray    # (nnz,) float
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_entries(cls, row, col, data, shape) -> "SparseMatrix":
+        """Entries in any order; repeats of a position are summed in input order.
+
+        SciPy sums repeats in the same order on rows of up to 16 entries; on
+        longer rows its unstable sort may reorder them.
+        """
+        row, col = np.asarray(row, dtype=np.intp), np.asarray(col, dtype=np.intp)
+        data = np.asarray(data, dtype=float)
+        order = np.lexsort((col, row))
+        row, col, data = row[order], col[order], data[order]
+        first = np.ones(len(row), dtype=bool)
+        first[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+        if not first.all():
+            summed = data[first]
+            np.add.at(summed, np.cumsum(first)[~first] - 1, data[~first])
+            row, col, data = row[first], col[first], summed
+        return cls(row, col, data, (int(shape[0]), int(shape[1])))
+
+    @classmethod
+    def from_dense(cls, a) -> "SparseMatrix":
+        """The nonzero entries of a 2-D array."""
+        a = np.asarray(a, dtype=float)
+        row, col = np.nonzero(a)
+        return cls(row, col, a[row, col], a.shape)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.row, self.col] += self.data  # a stored -0.0 reads 0.0, as in SciPy
+        return out
+
+
+def dump_class_pairs(matrices: Mapping[tuple[int, int], SparseMatrix], path,
                      key: str, width: int) -> None:
     """One record ``{"m":, "n":, key: [[i, j(, v)]...]}`` per class pair.
 
@@ -201,18 +253,19 @@ def dump_class_pairs(matrices: Mapping[tuple[int, int], sparse.spmatrix], path,
     """
     def records():
         for (m, n) in sorted(matrices):
-            coo = matrices[(m, n)].tocoo()
-            columns = [c.tolist() for c in (coo.row, coo.col, coo.data)[:width]]
-            yield {"m": m, "n": n, key: sorted(zip(*columns))}
+            M = matrices[(m, n)]
+            columns = [c.tolist() for c in (M.row, M.col, M.data)[:width]]
+            yield {"m": m, "n": n, key: list(zip(*columns))}
     write_records(path, records())
 
 
 def load_class_pairs(path, key: str, n: int, width: int
-                     ) -> dict[tuple[int, int], sparse.csr_matrix]:
-    """Read :func:`dump_class_pairs` records back as sorted ``{(m, n): csr}``.
+                     ) -> dict[tuple[int, int], SparseMatrix]:
+    """Read :func:`dump_class_pairs` records back as sorted ``{(m, n): matrix}``.
 
-    Entries of ``width`` 2 read as 1.0. A missing field, a non-finite value
-    or an index outside [0, n) raises :class:`IngestError` at its file:line.
+    Entries of ``width`` 2 read as 1.0; repeated entries add up. A missing
+    field, a non-finite value or an index outside [0, n) raises
+    :class:`IngestError` at its file:line.
     """
     out = {}
     for where, rec in _iter_records(path):
@@ -231,7 +284,7 @@ def load_class_pairs(path, key: str, n: int, width: int
         if bad.size:
             raise IngestError(f"{where}: region index {bad[0]} out of range [0, {n})")
         values = entries[:, 2] if width > 2 else np.ones(len(index))
-        out[pair] = sparse.csr_matrix((values, (index[:, 0], index[:, 1])), shape=(n, n))
+        out[pair] = SparseMatrix.from_entries(index[:, 0], index[:, 1], values, (n, n))
     return dict(sorted(out.items()))
 
 
@@ -240,7 +293,7 @@ def _parse_box(raw, where: str) -> Box:
         raise IngestError(f"{where}: bbox must be [x, y, w, h]")
     try:
         box = (float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]))
-    except (TypeError, ValueError) as exc:
+    except FIELD_ERRORS as exc:
         raise IngestError(f"{where}: invalid bbox ({exc})") from None
     if not all(math.isfinite(v) for v in box):
         raise IngestError(f"{where}: bbox holds a non-finite value")

@@ -23,13 +23,12 @@ affinity matrix.
 from collections import deque
 
 import numpy as np
-from scipy import sparse
 
 from ctxseg.crf import CrfProblem, PairwiseTerms, beta_adaptive, build_pairwise
 from ctxseg.graph import _assemble
 from ctxseg.maxflow import EPS
 from ctxseg.propagation import LinkScoreMatrix
-from ctxseg.regions import Region, VideoSequence
+from ctxseg.regions import Region, SparseMatrix, VideoSequence
 
 
 def crf_problem(unary, pairwise):
@@ -102,7 +101,7 @@ def random_scores(rng, n, num_classes, max_pairs=None, max_links=5):
                 mat[i, j] = rng.uniform(0.1, 2.0)
         if not mat.any():
             continue
-        scores[(m, nn)] = LinkScoreMatrix((m, nn), sparse.csr_matrix(mat),
+        scores[(m, nn)] = LinkScoreMatrix((m, nn), SparseMatrix.from_dense(mat),
                                           True, 0, 0)
     return scores
 
@@ -204,9 +203,8 @@ def normalized_operator(W):
 
     Rows and columns of isolated vertices (zero degree) stay all zero.
     """
-    coo = sparse.triu(sparse.csr_matrix(W), k=1).tocoo()
-    return _assemble(W.shape[0], 0, coo.row.astype(np.int64), coo.col.astype(np.int64),
-                     coo.data).operator
+    i, j = np.nonzero(np.triu(W, k=1))
+    return _assemble(W.shape[0], 0, i, j, W[i, j]).operator
 
 
 class ListDinic:

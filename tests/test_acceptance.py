@@ -10,8 +10,6 @@ import json
 import time
 
 import numpy as np
-from scipy import sparse
-
 from problem_gen import (as_dict, binary_terms, crf_problem, random_link_problem,
                          random_scores)
 
@@ -22,7 +20,7 @@ from ctxseg.evaluation import iou_per_class
 from ctxseg.propagation import (PropagationConfig, propagate_column_pass,
                                 propagate_row_pass)
 from ctxseg.qpbo import UNLABELED, solve_binary_pairwise
-from ctxseg.regions import Detection, Region, VideoSequence
+from ctxseg.regions import Detection, Region, SparseMatrix, VideoSequence
 from ctxseg.synthetic import AMBIGUITY_MU
 from ctxseg.tracking import (SOURCE_DETECTION, TrajectoryParams,
                              associate_trajectories, default_tracker, iou_box)
@@ -56,8 +54,8 @@ def random_instance(rng):
 
 def two_pass(O, L, mu):
     cfg = PropagationConfig(mu=mu, prune_eps=0.0)
-    Ls = sparse.csr_matrix(L)
-    r = propagate_row_pass(sparse.csr_matrix(O), Ls, cfg)
+    Ls = SparseMatrix.from_dense(L)
+    r = propagate_row_pass(SparseMatrix.from_dense(O), Ls, cfg)
     c = propagate_column_pass(r.matrix, Ls, cfg)
     return c.matrix, r.converged and c.converged
 

@@ -102,8 +102,11 @@ def test_non_finite_input_exits_with_diagnostic(tmp_path, capsys):
 
 
 NAN = float("nan")
+HUGE = 10 ** 400  # an integer literal too large for a float
 GOOD_HYPOTHESIS = {"class": 1, "seed_confidence": 0.9,
                    "entries": [{"frame": 0, "bbox": [0, 0, 5, 5], "source": "det"}]}
+GOOD_REGION = {"id": 0, "frame": 0, "feature": [1.0, 0.0], "area": 10, "bbox": [0, 0, 5, 5]}
+GOOD_DETECTION = {"frame": 0, "bbox": [0, 0, 5, 5], "class": 1, "confidence": 0.9}
 # (stage file, its second record, message after "<file>:2: ")
 MALFORMED_STAGE_FILES = [
     pytest.param("links", {"m": 1, "n": 2}, "missing or invalid field",
@@ -131,6 +134,12 @@ MALFORMED_STAGE_FILES = [
                  "bbox holds a non-finite value", id="hypotheses-nan-bbox"),
     pytest.param("labels", {"id": 1}, "missing or invalid field",
                  id="labels-missing-class"),
+    pytest.param("regions", dict(GOOD_REGION, id=1, bbox=[HUGE, 0, 5, 5]),
+                 "invalid bbox (int too large to convert to float)",
+                 id="regions-huge-bbox"),
+    pytest.param("detections", dict(GOOD_DETECTION, bbox=[0, HUGE, 5, 5]),
+                 "invalid bbox (int too large to convert to float)",
+                 id="detections-huge-bbox"),
 ]
 
 
@@ -142,7 +151,9 @@ def test_malformed_stage_file_exits_with_file_and_line(dataset, tmp_path, capsys
     good = {"links": {"m": 1, "n": 2, "links": [[0, 1]]},
             "scores": {"m": 1, "n": 2, "scores": [[0, 1, 0.5]]},
             "hypotheses": GOOD_HYPOTHESIS,
-            "labels": {"id": 0, "class": 0}}[kind]
+            "labels": {"id": 0, "class": 0},
+            "regions": GOOD_REGION,
+            "detections": GOOD_DETECTION}[kind]
     path = tmp_path / f"{kind}.jsonl"
     path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
     labels = tmp_path / "good-labels.jsonl"
@@ -159,6 +170,9 @@ def test_malformed_stage_file_exits_with_file_and_line(dataset, tmp_path, capsys
                        "--labels-out", str(tmp_path / "lab.jsonl")],
         "labels": ["infer", "--regions", regions, "--labels", str(path),
                    "--out", str(tmp_path / "p.jsonl")],
+        "regions": ["graph", "--regions", str(path), "--out", str(tmp_path / "g2.json")],
+        "detections": ["tracks", "--regions", regions, "--detections", str(path),
+                       "--out", str(tmp_path / "h.jsonl")],
     }[kind]
     capsys.readouterr()
     assert run(argv) == 1
@@ -172,7 +186,7 @@ def test_negative_scores_load(tmp_path):
     path = tmp_path / "scores.jsonl"
     path.write_text(json.dumps({"m": 1, "n": 2, "scores": [[0, 1, -1e-17]]}) + "\n")
     scores = propagation.load_scores(str(path), 3)
-    assert scores[(1, 2)].scores[0, 1] == -1e-17
+    assert scores[(1, 2)].scores.toarray()[0, 1] == -1e-17
 
 
 def _set_edge(edge):

@@ -1,10 +1,10 @@
 import itertools
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from problem_gen import (as_dict, broadcast_energy, broadcast_fusion_terms, crf_problem,
                          loop_train_unary, random_link_problem, random_signed_problem,
@@ -15,7 +15,7 @@ from ctxseg.crf import (CrfProblem, PairwiseTerms, UnaryModel, UnaryTrainConfig,
                         brute_force_oracle, build_pairwise, energy, infer,
                         qpbo_fuse, train_unary, unary_potentials)
 from ctxseg.propagation import LinkScoreMatrix
-from ctxseg.regions import Region, VideoSequence
+from ctxseg.regions import Region, SparseMatrix, VideoSequence
 
 GOLDEN_UNARY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_unary.jsonl")
 
@@ -34,7 +34,7 @@ def scores_from_entries(entries, n, converged=True):
         mat = np.zeros((n, n))
         for i, j, s in items:
             mat[i, j] = s
-        out[pair] = LinkScoreMatrix(pair, sparse.csr_matrix(mat), converged, 0, 0)
+        out[pair] = LinkScoreMatrix(pair, SparseMatrix.from_dense(mat), converged, 0, 0)
     return out
 
 
@@ -587,6 +587,26 @@ class TestProblemChecks:
     @pytest.mark.parametrize("n", [0, 4])
     def test_empty_scores_pass(self, n):
         assert CrfProblem(np.zeros((n, 3)), build_pairwise({}, 1.0, 1.0, 3)).n == n
+
+    def test_costs_copied_only_off_the_canonical_dtype(self):
+        pw = build_pairwise({}, 1.0, 1.0, 3)
+        unary = np.zeros((4, 3))
+        assert CrfProblem(unary, pw).unary is unary
+        unpickled = pickle.loads(pickle.dumps(unary))
+        assert unpickled.dtype is not np.dtype(np.float64)  # equal, but another instance
+        p = CrfProblem(unpickled, pw)
+        assert p.unary.dtype is np.dtype(np.float64)
+        assert np.array_equal(p.unary, unary)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pickled_problem_is_canonical_and_infers_bit_for_bit(self, seed):
+        p = random_link_problem(np.random.default_rng(700 + seed), max_n=30, max_classes=5)
+        q = pickle.loads(pickle.dumps(p))
+        assert q.unary.dtype is np.dtype(np.float64)
+        assert q.pairwise.tables.dtype is np.dtype(np.float64)
+        a, b = infer(p), infer(q)
+        assert np.array_equal(a.assignment, b.assignment)
+        assert [float(e).hex() for e in a.energy_trace] == [float(e).hex() for e in b.energy_trace]
 
 
 class TestInfer:

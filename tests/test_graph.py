@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from ctxseg import graph
 from ctxseg.graph import build_knn_graph, dump_graph, load_graph
@@ -34,8 +33,8 @@ def dense_reference(F, k):
 def test_identical_unit_features_single_edge():
     g = build_knn_graph(seq_from_features([[1.0, 0.0], [1.0, 0.0]]), k=1)
     assert g.affinity.nnz == 2
-    assert g.affinity[0, 1] == pytest.approx(1.0, abs=1e-12)
-    assert g.operator[0, 1] == pytest.approx(1.0, abs=1e-12)
+    assert g.affinity.toarray()[0, 1] == pytest.approx(1.0, abs=1e-12)
+    assert g.operator.toarray()[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_orthogonal_features_isolated():
@@ -54,14 +53,15 @@ def test_three_angles_matches_dense_brute_force():
     assert np.allclose(g.affinity.toarray(), W_ref, atol=1e-12)
     assert np.allclose(g.operator.toarray(), L_ref, atol=1e-12)
     # the middle vertex bridges both ends at weight cos(45 deg)
-    assert g.affinity[0, 1] == pytest.approx(np.cos(np.pi / 4), abs=1e-12)
-    assert g.affinity[1, 2] == pytest.approx(np.cos(np.pi / 4), abs=1e-12)
-    assert g.affinity[0, 2] == 0.0
+    W = g.affinity.toarray()
+    assert W[0, 1] == pytest.approx(np.cos(np.pi / 4), abs=1e-12)
+    assert W[1, 2] == pytest.approx(np.cos(np.pi / 4), abs=1e-12)
+    assert W[0, 2] == 0.0
 
 
 def test_normalized_operator_single_edge_is_one():
-    W = sparse.csr_matrix(np.array([[0.0, 0.37], [0.37, 0.0]]))
-    L = normalized_operator(W)
+    W = np.array([[0.0, 0.37], [0.37, 0.0]])
+    L = normalized_operator(W).toarray()
     assert L[0, 1] == pytest.approx(1.0, abs=1e-12)
     assert L[1, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -70,13 +70,13 @@ def test_normalized_operator_four_cycle_all_half():
     W = np.zeros((4, 4))
     for i, j in [(0, 1), (1, 2), (2, 3), (3, 0)]:
         W[i, j] = W[j, i] = 1.0
-    L = normalized_operator(sparse.csr_matrix(W)).toarray()
+    L = normalized_operator(W).toarray()
     assert np.allclose(L[W > 0], 0.5, atol=1e-12)
     assert np.allclose(L[W == 0], 0.0)
 
 
 def test_normalized_operator_empty():
-    L = normalized_operator(sparse.csr_matrix((3, 3)))
+    L = normalized_operator(np.zeros((3, 3)))
     assert L.nnz == 0
 
 
@@ -111,19 +111,19 @@ def test_graph_invariants(seed):
     F = rng.standard_normal((n, 6))
     F /= np.linalg.norm(F, axis=1, keepdims=True)
     g = build_knn_graph(seq_from_features(F), k=k)
-    W = g.affinity
-    L = g.operator
+    W = g.affinity.toarray()
+    L = g.operator.toarray()
     # exact symmetry, zero diagonal, weights in [0, 1]
-    assert (W != W.T).nnz == 0
-    assert (L != L.T).nnz == 0
+    assert np.array_equal(W, W.T)
+    assert np.array_equal(L, L.T)
     assert np.all(W.diagonal() == 0)
-    assert W.data.min() >= 0 and W.data.max() <= 1.0
+    assert g.affinity.data.min() >= 0 and g.affinity.data.max() <= 1.0
     # sparsity: at most n*k undirected edges
-    assert W.nnz / 2 <= n * k
+    assert g.affinity.nnz / 2 <= n * k
     # degrees are row sums
-    assert np.allclose(g.degrees, np.asarray(W.sum(axis=1)).ravel())
+    assert np.allclose(g.degrees, W.sum(axis=1))
     # spectrum of the normalized operator within [-1, 1]
-    eig = np.linalg.eigvalsh(L.toarray())
+    eig = np.linalg.eigvalsh(L)
     assert np.abs(eig).max() <= 1.0 + 1e-9
 
 
@@ -149,16 +149,22 @@ def test_dump_and_reload_roundtrip(tmp_path):
     dump_graph(g1, path)
     g2 = load_graph(path)
     assert g2.n == g1.n
-    assert (g1.affinity != g2.affinity).nnz == 0
-    assert (g1.operator != g2.operator).nnz == 0
+    assert np.array_equal(g1.affinity.toarray(), g2.affinity.toarray())
+    assert np.array_equal(g1.operator.toarray(), g2.operator.toarray())
     dump_graph(g2, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
+def upper_entries(g):
+    """Rows, columns and weights of the affinity's entries above the diagonal."""
+    W = g.affinity
+    upper = W.row < W.col
+    return W.row[upper], W.col[upper], W.data[upper]
+
+
 def edge_dict(g):
     """``{(a, b): w}``, a < b, of a graph's affinity."""
-    coo = sparse.triu(g.affinity, k=1).tocoo()
-    return {(int(a), int(b)): float(w) for a, b, w in zip(coo.row, coo.col, coo.data)}
+    return {(int(a), int(b)): float(w) for a, b, w in zip(*upper_entries(g))}
 
 
 def assert_matches_oracle(F, k):
@@ -245,8 +251,7 @@ def graph_with_edges(m, n=200):
 def test_dump_writes_the_bytes_of_json_dump(tmp_path, m):
     g = graph_with_edges(m)
     dump_graph(g, tmp_path / "graph.json")
-    coo = sparse.triu(g.affinity, k=1).tocoo()
-    edges = sorted([int(a), int(b), float(w)] for a, b, w in zip(coo.row, coo.col, coo.data))
+    edges = sorted([int(a), int(b), float(w)] for a, b, w in zip(*upper_entries(g)))
     assert len(edges) == m
     with open(tmp_path / "want.json", "w", encoding="utf-8") as fh:
         json.dump({"n": g.n, "k": g.k, "edges": edges}, fh)

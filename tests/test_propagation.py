@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from scipy import sparse
-
 from ctxseg.propagation import (PropagationConfig, dense_two_pass_limit,
                                 dump_scores, load_scores, predict_all_links,
                                 propagate_column_pass, propagate_row_pass)
+from ctxseg.regions import SparseMatrix
+
+sp = SparseMatrix.from_dense
 
 TIGHT = PropagationConfig(mu=0.5, prune_eps=0.0)
 
@@ -36,14 +37,14 @@ def random_links(rng, n, count):
 
 class TestRowPass:
     def test_zero_source_stays_zero(self):
-        L = sparse.csr_matrix(np.array([[0, 0.5], [0.5, 0]]))
-        res = propagate_row_pass(sparse.csr_matrix((2, 2)), L, TIGHT)
+        L = sp(np.array([[0, 0.5], [0.5, 0]]))
+        res = propagate_row_pass(sp(np.zeros((2, 2))), L, TIGHT)
         assert res.matrix.nnz == 0
         assert res.converged
 
     def test_no_edges_single_step(self):
-        O = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        res = propagate_row_pass(O, sparse.csr_matrix((2, 2)), TIGHT)
+        O = sp(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        res = propagate_row_pass(O, sp(np.zeros((2, 2))), TIGHT)
         assert np.allclose(res.matrix.toarray(), 0.5 * O.toarray())
         assert res.converged
 
@@ -54,16 +55,16 @@ class TestRowPass:
         L = W / np.sqrt(np.outer(d, d))
         O = np.zeros((3, 3))
         O[0, 1] = 1.0
-        res = propagate_row_pass(sparse.csr_matrix(O), sparse.csr_matrix(L), TIGHT)
+        res = propagate_row_pass(sp(O), sp(L), TIGHT)
         want = 0.5 * O @ np.linalg.inv(np.eye(3) - 0.5 * L)
         assert np.abs(res.matrix.toarray() - want).max() < 1e-6
 
     def test_inactive_rows_exactly_zero(self):
         rng = np.random.default_rng(0)
-        L = sparse.csr_matrix(random_operator(rng, 12))
+        L = sp(random_operator(rng, 12))
         O = np.zeros((12, 12))
         O[3, 5] = 1.0
-        res = propagate_row_pass(sparse.csr_matrix(O), L, TIGHT)
+        res = propagate_row_pass(sp(O), L, TIGHT)
         out = res.matrix.toarray()
         assert np.all(out[[r for r in range(12) if r != 3]] == 0.0)
         assert out[3].any()
@@ -71,26 +72,26 @@ class TestRowPass:
 
 class TestColumnPass:
     def test_zero_input(self):
-        L = sparse.csr_matrix(np.array([[0, 0.5], [0.5, 0]]))
-        res = propagate_column_pass(sparse.csr_matrix((2, 2)), L, TIGHT)
+        L = sp(np.array([[0, 0.5], [0.5, 0]]))
+        res = propagate_column_pass(sp(np.zeros((2, 2))), L, TIGHT)
         assert res.matrix.nnz == 0
 
     def test_two_vertex_closed_form(self):
         L = np.array([[0.0, 1.0], [1.0, 0.0]])  # single unit edge, normalized
         O = np.array([[0.0, 1.0], [1.0, 0.0]])
-        r = propagate_row_pass(sparse.csr_matrix(O), sparse.csr_matrix(L), TIGHT)
-        c = propagate_column_pass(r.matrix, sparse.csr_matrix(L), TIGHT)
+        r = propagate_row_pass(sp(O), sp(L), TIGHT)
+        c = propagate_column_pass(r.matrix, sp(L), TIGHT)
         Minv = np.linalg.inv(np.eye(2) - 0.5 * L)
         want = 0.25 * Minv @ O @ Minv
         assert np.abs(c.matrix.toarray() - want).max() < 1e-9
 
     def test_symmetric_source_symmetric_result(self):
         rng = np.random.default_rng(3)
-        L = sparse.csr_matrix(random_operator(rng, 15))
+        L = sp(random_operator(rng, 15))
         O = random_links(rng, 15, 6)
         O = np.maximum(O, O.T)  # symmetric observed links
         cfg = PropagationConfig(mu=0.9, prune_eps=0.0)
-        r = propagate_row_pass(sparse.csr_matrix(O), L, cfg)
+        r = propagate_row_pass(sp(O), L, cfg)
         c = propagate_column_pass(r.matrix, L, cfg)
         out = c.matrix.toarray()
         assert np.abs(out - out.T).max() < 1e-9
@@ -98,16 +99,16 @@ class TestColumnPass:
 
 class TestPredictAllLinks:
     def test_empty_pairs_skipped(self):
-        L = sparse.csr_matrix(np.array([[0, 0.5], [0.5, 0]]))
-        observed = {(0, 1): sparse.csr_matrix((2, 2))}
+        L = sp(np.array([[0, 0.5], [0.5, 0]]))
+        observed = {(0, 1): sp(np.zeros((2, 2)))}
         assert predict_all_links(observed, L, TIGHT) == {}
 
     def test_transpose_duality_across_pairs(self):
         rng = np.random.default_rng(5)
-        L = sparse.csr_matrix(random_operator(rng, 20))
+        L = sp(random_operator(rng, 20))
         O = random_links(rng, 20, 8)
-        observed = {(1, 2): sparse.csr_matrix(O),
-                    (2, 1): sparse.csr_matrix(O.T)}
+        observed = {(1, 2): sp(O),
+                    (2, 1): sp(O.T)}
         cfg = PropagationConfig(mu=0.9, prune_eps=0.0)
         scores = predict_all_links(observed, L, cfg)
         a = scores[(1, 2)].scores.toarray()
@@ -116,8 +117,8 @@ class TestPredictAllLinks:
 
     def test_prune_drops_small_entries(self):
         rng = np.random.default_rng(6)
-        L = sparse.csr_matrix(random_operator(rng, 20))
-        O = sparse.csr_matrix(random_links(rng, 20, 3))
+        L = sp(random_operator(rng, 20))
+        O = sp(random_links(rng, 20, 3))
         cfg = PropagationConfig(mu=0.9, prune_eps=1e-4)
         out = predict_all_links({(0, 1): O}, L, cfg)[(0, 1)]
         assert out.scores.nnz == 0 or out.scores.data.min() >= 1e-4
@@ -142,8 +143,8 @@ class TestPredictAllLinks:
         O = np.zeros((5, 5))
         O[0, 1] = 1.0
         cfg = PropagationConfig(mu=0.9, prune_eps=0.0)
-        out = predict_all_links({(1, 2): sparse.csr_matrix(O)},
-                                sparse.csr_matrix(L), cfg)[(1, 2)]
+        out = predict_all_links({(1, 2): sp(O)},
+                                sp(L), cfg)[(1, 2)]
         S = out.scores.toarray()
         assert S[2, 3] > S[2, 4]
         assert S[2, 3] > S[4, 3]
@@ -152,11 +153,11 @@ class TestPredictAllLinks:
         rng = np.random.default_rng(8)
         for _ in range(10):
             n = int(rng.integers(5, 30))
-            L = sparse.csr_matrix(random_operator(rng, n))
+            L = sp(random_operator(rng, n))
             O = random_links(rng, n, int(rng.integers(1, 6)))
             mu = float(rng.choice([0.5, 0.9, 0.99]))
             cfg = PropagationConfig(mu=mu, prune_eps=0.0)
-            out = predict_all_links({(0, 1): sparse.csr_matrix(O)}, L, cfg)[(0, 1)]
+            out = predict_all_links({(0, 1): sp(O)}, L, cfg)[(0, 1)]
             if out.scores.nnz:
                 assert out.scores.data.min() >= 0.0
                 # contraction bound: scores never exceed the source maximum
@@ -172,8 +173,8 @@ class TestAgainstDenseOracle:
             Ld = random_operator(rng, n)
             O = random_links(rng, n, int(rng.integers(1, 6)))
             cfg = PropagationConfig(mu=mu, prune_eps=0.0)
-            r = propagate_row_pass(sparse.csr_matrix(O), sparse.csr_matrix(Ld), cfg)
-            c = propagate_column_pass(r.matrix, sparse.csr_matrix(Ld), cfg)
+            r = propagate_row_pass(sp(O), sp(Ld), cfg)
+            c = propagate_column_pass(r.matrix, sp(Ld), cfg)
             want = dense_two_pass_limit(O, Ld, mu)
             assert np.abs(c.matrix.toarray() - want).max() < 1e-5
 
@@ -186,11 +187,11 @@ class TestAgainstDenseOracle:
         O2[0, 1] = 1.0  # one extra link
         cfg = PropagationConfig(mu=0.9, prune_eps=0.0)
         p1 = propagate_column_pass(
-            propagate_row_pass(sparse.csr_matrix(O1), sparse.csr_matrix(Ld), cfg).matrix,
-            sparse.csr_matrix(Ld), cfg).matrix.toarray()
+            propagate_row_pass(sp(O1), sp(Ld), cfg).matrix,
+            sp(Ld), cfg).matrix.toarray()
         p2 = propagate_column_pass(
-            propagate_row_pass(sparse.csr_matrix(O2), sparse.csr_matrix(Ld), cfg).matrix,
-            sparse.csr_matrix(Ld), cfg).matrix.toarray()
+            propagate_row_pass(sp(O2), sp(Ld), cfg).matrix,
+            sp(Ld), cfg).matrix.toarray()
         assert np.all(p2 >= p1 - 1e-12)
 
     def test_mu_to_zero_degeneracy(self):
@@ -199,9 +200,9 @@ class TestAgainstDenseOracle:
         Ld = random_operator(rng, n)
         O = random_links(rng, n, 5)
         cfg = PropagationConfig(mu=1e-12, prune_eps=0.0)
-        r = propagate_row_pass(sparse.csr_matrix(O), sparse.csr_matrix(Ld), cfg)
+        r = propagate_row_pass(sp(O), sp(Ld), cfg)
         assert np.abs(r.matrix.toarray() - O).max() < 1e-9
-        c = propagate_column_pass(r.matrix, sparse.csr_matrix(Ld), cfg)
+        c = propagate_column_pass(r.matrix, sp(Ld), cfg)
         assert np.abs(c.matrix.toarray() - O).max() < 1e-9
 
     def test_literal_update_matches_its_closed_form(self):
@@ -211,8 +212,8 @@ class TestAgainstDenseOracle:
         O = random_links(rng, n, 4)
         cfg = PropagationConfig(mu=0.7, prune_eps=0.0,
                                 literal_update=True)
-        r = propagate_row_pass(sparse.csr_matrix(O), sparse.csr_matrix(Ld), cfg)
-        c = propagate_column_pass(r.matrix, sparse.csr_matrix(Ld), cfg)
+        r = propagate_row_pass(sp(O), sp(Ld), cfg)
+        c = propagate_column_pass(r.matrix, sp(Ld), cfg)
         want = dense_two_pass_limit(O, Ld, 0.7, literal_update=True)
         assert np.abs(c.matrix.toarray() - want).max() < 1e-8
 
@@ -234,14 +235,14 @@ class TestExactSolve:
             O = random_links(rng, n, int(rng.integers(1, 8)))
             O[isolated, :] = 0.0
             O[:, isolated] = 0.0
-            L, Os = sparse.csr_matrix(Ld), sparse.csr_matrix(O)
+            L, Os = sp(Ld), sp(O)
             got = predict_all_links({(0, 1): Os}, L, cfg)
             want = dense_two_pass_limit(O, Ld, mu, literal_update=literal)
             S = got[(0, 1)].scores.toarray() if got else np.zeros((n, n))
             assert np.abs(S - want).max() <= 1e-12
             assert not S[isolated].any() and not S[:, isolated].any()
             rows = propagate_row_pass(Os, L, cfg).matrix.toarray()
-            cols = propagate_column_pass(sparse.csr_matrix(rows), L, cfg).matrix.toarray()
+            cols = propagate_column_pass(sp(rows), L, cfg).matrix.toarray()
             if literal:
                 assert not rows[:, ~O.any(axis=0)].any()
             else:
@@ -250,8 +251,8 @@ class TestExactSolve:
 
     def test_direct_solve_reports_one_converged_step(self):
         rng = np.random.default_rng(11)
-        L = sparse.csr_matrix(random_operator(rng, 10))
-        O = sparse.csr_matrix(random_links(rng, 10, 3))
+        L = sp(random_operator(rng, 10))
+        O = sp(random_links(rng, 10, 3))
         res = propagate_row_pass(O, L, PropagationConfig(mu=0.99))
         assert res.converged and res.iterations == 1
         out = predict_all_links({(0, 1): O}, L, PropagationConfig(mu=0.99))[(0, 1)]
@@ -267,8 +268,8 @@ def test_config_validation():
 
 def test_scores_dump_roundtrip(tmp_path):
     rng = np.random.default_rng(31)
-    L = sparse.csr_matrix(random_operator(rng, 12))
-    observed = {(0, 1): sparse.csr_matrix(random_links(rng, 12, 4))}
+    L = sp(random_operator(rng, 12))
+    observed = {(0, 1): sp(random_links(rng, 12, 4))}
     cfg = PropagationConfig(mu=0.9, prune_eps=1e-9)
     scores = predict_all_links(observed, L, cfg)
     path = tmp_path / "scores.jsonl"
@@ -276,4 +277,4 @@ def test_scores_dump_roundtrip(tmp_path):
     loaded = load_scores(path, 12)
     assert set(loaded) == set(scores)
     for pair in scores:
-        assert (loaded[pair].scores != scores[pair].scores).nnz == 0
+        assert np.array_equal(loaded[pair].scores.toarray(), scores[pair].scores.toarray())
