@@ -9,8 +9,8 @@ solve) is checked against the dense closed form.
 import numpy as np
 
 from ctxseg.graph import build_knn_graph
-from ctxseg.propagation import (PropagationConfig, dense_two_pass_limit,
-                                propagate_column_pass, propagate_row_pass)
+from ctxseg.propagation import (dense_two_pass_limit, propagate_column_pass,
+                                propagate_row_pass, resolvent)
 from ctxseg.regions import Region, SparseMatrix, VideoSequence
 
 print(__doc__)
@@ -35,10 +35,10 @@ print(np.round(graph.operator.toarray(), 3))
 # one observed (horse, person) link between the labeled regions
 observed = np.zeros((5, 5))
 observed[0, 1] = 1.0
-cfg = PropagationConfig(mu=0.9)
+R = resolvent(graph.operator, mu=0.9)
 
-rows = propagate_row_pass(SparseMatrix.from_dense(observed), graph.operator, cfg)
-cols = propagate_column_pass(rows.matrix, graph.operator, cfg)
+rows = propagate_row_pass(SparseMatrix.from_dense(observed), R)
+cols = propagate_column_pass(rows.matrix, R)
 scores = cols.matrix.toarray()
 print("\npropagated (horse, person) link scores:")
 print(np.round(scores, 4))

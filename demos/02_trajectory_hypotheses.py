@@ -10,7 +10,7 @@ two-detection track.
 import numpy as np
 
 from ctxseg.tracking import (TrajectoryParams, annotated_frames,
-                             associate_trajectories, default_tracker)
+                             associate_trajectories)
 from ctxseg.regions import Detection, Region, VideoSequence
 
 print(__doc__)
@@ -33,7 +33,7 @@ detections.append(Detection(1, (150.0, 150.0, 20.0, 20.0), 2, 0.85))
 
 params = TrajectoryParams(frame_count=10, iou_threshold=0.5,
                           min_instances=3, max_miss=2)
-hypotheses = associate_trajectories(detections, default_tracker(), params)
+hypotheses = associate_trajectories(detections, params)
 
 print(f"{len(detections)} detections -> {len(hypotheses)} retained hypotheses\n")
 for i, h in enumerate(hypotheses):

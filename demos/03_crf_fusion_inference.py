@@ -21,8 +21,8 @@ unary = np.array([[5.0, 1.0, 1.0],
 
 link = np.zeros((2, 2))
 link[0, 1] = 1.0
-scores = {(1, 2): LinkScoreMatrix((1, 2), SparseMatrix.from_dense(link), True, 0, 0),
-          (2, 1): LinkScoreMatrix((2, 1), SparseMatrix.from_dense(link.T), True, 0, 0)}
+scores = {(1, 2): LinkScoreMatrix(SparseMatrix.from_dense(link)),
+          (2, 1): LinkScoreMatrix(SparseMatrix.from_dense(link.T))}
 beta = beta_adaptive(scores)
 pairwise = build_pairwise(scores, beta, lambda_pair=1.0, num_classes=3)
 problem = CrfProblem(unary, pairwise)

@@ -7,29 +7,19 @@ pair (m, n) into binary N x N ``SparseMatrix`` links, indexed by vertex position
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
 
 from .regions import SparseMatrix, VideoSequence, dump_class_pairs, load_class_pairs
 
 BACKGROUND = 0
-
-
-@dataclass
-class ContextExemplarSet:
-    """Ordered (vertex_i, vertex_j, class_m, class_n) tuples."""
-
-    exemplars: list[tuple[int, int, int, int]]
-
-    def __len__(self) -> int:
-        return len(self.exemplars)
+Exemplar = tuple[int, int, int, int]  # (vertex_i, vertex_j, class_m, class_n)
 
 
 def extract_exemplars(labels: Mapping[int, int], frames: AbstractSet[int],
                       seq: VideoSequence, temporal_window: int = 0,
-                      include_bg_pairs: bool = False) -> ContextExemplarSet:
+                      include_bg_pairs: bool = False) -> list[Exemplar]:
     """All ordered pairs of distinct labeled regions within the frame window.
 
     ``labels`` maps region ids (of regions in annotated frames) to classes.
@@ -42,7 +32,7 @@ def extract_exemplars(labels: Mapping[int, int], frames: AbstractSet[int],
             continue
         by_frame.setdefault(r.frame, []).append((seq.index_of(rid), labels[rid]))
 
-    out: list[tuple[int, int, int, int]] = []
+    out: list[Exemplar] = []
     frame_list = sorted(by_frame)
     for fa in frame_list:
         for fb in frame_list:
@@ -55,10 +45,10 @@ def extract_exemplars(labels: Mapping[int, int], frames: AbstractSet[int],
                     if ci == BACKGROUND and cj == BACKGROUND and not include_bg_pairs:
                         continue
                     out.append((i, j, ci, cj))
-    return ContextExemplarSet(out)
+    return out
 
 
-def build_observed_links(ex: ContextExemplarSet, n: int,
+def build_observed_links(ex: Sequence[Exemplar], n: int,
                          num_classes: int) -> dict[tuple[int, int], SparseMatrix]:
     """One binary link matrix per ordered class pair that has exemplars.
 
@@ -67,7 +57,7 @@ def build_observed_links(ex: ContextExemplarSet, n: int,
     exemplars are absent (implicit zero matrices).
     """
     cells: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for i, j, m, n_cls in ex.exemplars:
+    for i, j, m, n_cls in ex:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"exemplar vertex ({i}, {j}) out of range for n={n}")
         if not (0 <= m < num_classes and 0 <= n_cls < num_classes):

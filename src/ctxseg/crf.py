@@ -63,7 +63,6 @@ class UnaryModel:
 
     weights: np.ndarray  # (L, d)
     biases: np.ndarray   # (L,)
-    config: UnaryTrainConfig
 
     @property
     def num_classes(self) -> int:
@@ -174,7 +173,7 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
                     size = max(size // 2, _CHUNK_MIN)
                 s = k + 1
         out[c] = A[N]
-    return UnaryModel(out[:, :d].copy(), out[:, d].copy(), cfg)
+    return UnaryModel(out[:, :d].copy(), out[:, d].copy())
 
 
 def unary_potentials(model: UnaryModel, seq: VideoSequence,

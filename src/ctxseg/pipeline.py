@@ -46,7 +46,6 @@ class PipelineConfig:
     max_sweeps: int = 10
     seed: int = 0
     no_context: bool = False
-    literal_alg1: bool = False
 
     def validate(self) -> None:
         """Range-check every field against its owning module's contract.
@@ -90,10 +89,6 @@ class PipelineConfig:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**data)
 
-    def propagation_config(self) -> propagation.PropagationConfig:
-        return propagation.PropagationConfig(
-            mu=self.mu, prune_eps=self.prune_eps, literal_update=self.literal_alg1)
-
     def unary_config(self) -> crf.UnaryTrainConfig:
         return crf.UnaryTrainConfig(
             epochs=self.epochs, learning_rate=self.learning_rate,
@@ -105,7 +100,7 @@ def tracks_stage(seq: VideoSequence, cfg: PipelineConfig) -> list[tracking.Traje
     params = tracking.TrajectoryParams(
         frame_count=seq.frame_count, iou_threshold=cfg.iou_threshold,
         min_instances=cfg.min_instances, max_miss=cfg.max_miss)
-    return tracking.associate_trajectories(dets, tracking.default_tracker(), params)
+    return tracking.associate_trajectories(dets, params)
 
 
 def labels_stage(seq: VideoSequence, hyps: list[tracking.TrajectoryHypothesis],
@@ -128,7 +123,7 @@ def graph_stage(seq: VideoSequence, cfg: PipelineConfig) -> graph.SimilarityGrap
 
 def propagate_stage(links, g: graph.SimilarityGraph,
                     cfg: PipelineConfig) -> dict[tuple[int, int], propagation.LinkScoreMatrix]:
-    return propagation.predict_all_links(links, g.operator, cfg.propagation_config())
+    return propagation.predict_all_links(links, g.operator, cfg.mu, cfg.prune_eps)
 
 
 def crf_label_space(labels: dict[int, int], scores) -> int:

@@ -14,32 +14,19 @@ so the two passes together give the separable closed form
     (1 - mu)^2 (I - mu L)^{-1} O (I - mu L)^{-1} = R O R.
 
 ``R`` depends only on the graph and ``mu``, so ``predict_all_links`` inverts
-the dense ``I - mu L`` once and shares it across every class pair and both
-passes; it holds n^2 doubles. ``dense_two_pass_limit`` evaluates the closed
-form by separate dense solves as a small-instance oracle. The
-``literal_update`` option applies the left product in both passes instead,
-for comparison; its limit is (1-mu)^2 (I - mu L)^{-2} O = R R O.
+the dense ``I - mu L`` once (``resolvent``) and hands it to both pass
+functions for every class pair; it holds n^2 doubles. ``dense_two_pass_limit``
+evaluates the closed form by separate dense solves as a small-instance
+oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .regions import SparseMatrix, dump_class_pairs, load_class_pairs
-
-
-@dataclass
-class PropagationConfig:
-    mu: float = 0.99
-    prune_eps: float = 1e-8
-    literal_update: bool = False
-
-    def __post_init__(self):
-        if not (0.0 < self.mu < 1.0):
-            raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
 
 
 @dataclass
@@ -53,15 +40,14 @@ class PassResult:
 
 @dataclass
 class LinkScoreMatrix:
-    pair: tuple[int, int]
     scores: SparseMatrix
-    converged: bool
-    row_iterations: int
-    col_iterations: int
+    converged: bool = True
 
 
 def resolvent(op: SparseMatrix, mu: float) -> np.ndarray:
     """Dense R = (1 - mu) (I - mu L)^{-1}, shared by every pass."""
+    if not (0.0 < mu < 1.0):
+        raise ValueError(f"mu must lie in (0, 1), got {mu}")
     M = np.eye(op.shape[0]) - mu * op.toarray()
     return (1.0 - mu) * np.linalg.inv(M)
 
@@ -88,30 +74,20 @@ def _right_product(O: SparseMatrix, R: np.ndarray) -> np.ndarray:
     return out
 
 
-def propagate_row_pass(O: SparseMatrix, op: SparseMatrix,
-                       cfg: PropagationConfig,
-                       R: Optional[np.ndarray] = None) -> PassResult:
-    """Diffuse each nonzero row of O over the graph: (1-mu) O (I - mu L)^{-1}.
+def propagate_row_pass(O: SparseMatrix, R: np.ndarray) -> PassResult:
+    """Diffuse each nonzero row of O over the graph: O R = (1-mu) O (I - mu L)^{-1}.
 
-    Rows of O without any observed link stay exactly zero. ``R`` is the
-    precomputed ``resolvent(op, cfg.mu)``, if the caller has it.
+    ``R`` is ``resolvent(op, mu)``. Rows of O without any observed link stay
+    exactly zero.
     """
-    if R is None:
-        R = resolvent(op, cfg.mu)
-    if cfg.literal_update:
-        return PassResult(_left_product(R, O))
     return PassResult(SparseMatrix.from_dense(_right_product(O, R)))
 
 
-def propagate_column_pass(P_rows: SparseMatrix, op: SparseMatrix,
-                          cfg: PropagationConfig,
-                          R: Optional[np.ndarray] = None) -> PassResult:
-    """Diffuse each column of the row-pass result: (1-mu) (I - mu L)^{-1} P_rows.
+def propagate_column_pass(P_rows: SparseMatrix, R: np.ndarray) -> PassResult:
+    """Diffuse each column of the row-pass result: R P_rows.
 
     Zero columns stay exactly zero. ``R`` is as for the row pass.
     """
-    if R is None:
-        R = resolvent(op, cfg.mu)
     return PassResult(_left_product(R, P_rows))
 
 
@@ -122,33 +98,29 @@ def _prune(M: SparseMatrix, eps: float) -> SparseMatrix:
 
 
 def predict_all_links(observed: dict[tuple[int, int], SparseMatrix],
-                      op: SparseMatrix, cfg: PropagationConfig
+                      op: SparseMatrix, mu: float, prune_eps: float
                       ) -> dict[tuple[int, int], LinkScoreMatrix]:
     """Run both passes for every class pair with at least one observed link.
 
     The resolvent is computed once and shared by every pair and pass. Scores
-    below ``cfg.prune_eps`` are dropped from storage after each pass.
+    below ``prune_eps`` are dropped from storage after each pass.
     """
     pairs = [(p, M) for p, M in sorted(observed.items()) if M.nnz > 0]
     if not pairs:
         return {}
-    R = resolvent(op, cfg.mu)
+    R = resolvent(op, mu)
     out = {}
     for pair, O in pairs:
-        rows = propagate_row_pass(O, op, cfg, R)
-        cols = propagate_column_pass(_prune(rows.matrix, cfg.prune_eps), op, cfg, R)
-        out[pair] = LinkScoreMatrix(pair, _prune(cols.matrix, cfg.prune_eps), True,
-                                    rows.iterations, cols.iterations)
+        rows = propagate_row_pass(O, R)
+        cols = propagate_column_pass(_prune(rows.matrix, prune_eps), R)
+        out[pair] = LinkScoreMatrix(_prune(cols.matrix, prune_eps))
     return out
 
 
-def dense_two_pass_limit(O: np.ndarray, op: np.ndarray, mu: float,
-                         literal_update: bool = False) -> np.ndarray:
+def dense_two_pass_limit(O: np.ndarray, op: np.ndarray, mu: float) -> np.ndarray:
     """Exact limit of the two-pass scheme by dense solves (test oracle)."""
     O = np.asarray(O, dtype=float)
     M = np.eye(O.shape[0]) - mu * np.asarray(op, dtype=float)
-    if literal_update:
-        return (1.0 - mu) ** 2 * np.linalg.solve(M, np.linalg.solve(M, O))
     rows = (1.0 - mu) * np.linalg.solve(M.T, O.T).T
     return (1.0 - mu) * np.linalg.solve(M, rows)
 
@@ -159,5 +131,5 @@ def dump_scores(scores: dict[tuple[int, int], LinkScoreMatrix], path) -> None:
 
 
 def load_scores(path, n: int) -> dict[tuple[int, int], LinkScoreMatrix]:
-    return {pair: LinkScoreMatrix(pair, S, True, 0, 0)
+    return {pair: LinkScoreMatrix(S)
             for pair, S in load_class_pairs(path, "scores", n, 3).items()}

@@ -56,18 +56,6 @@ class Detection:
     confidence: float
 
 
-@dataclass
-class IngestConfig:
-    """Optional overrides applied while loading a sequence.
-
-    When ``frame_count`` / ``class_count`` are None they are inferred from the
-    data (max frame + 1, max detection class + 1).
-    """
-
-    frame_count: Optional[int] = None
-    class_count: Optional[int] = None
-
-
 class VideoSequence:
     """Immutable, validated container for one video's regions and detections.
 
@@ -171,6 +159,26 @@ def normalize_feature(raw: np.ndarray) -> tuple[np.ndarray, bool]:
 FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
 
+def _ints(where: str, rec, *keys: str) -> list[int]:
+    """The fields ``keys`` of the record at ``where``, each a nonnegative integer.
+
+    An integral float reads as its int. A missing field, a fraction, a
+    non-finite or negative number, a boolean or a string raises IngestError.
+    """
+    out = []
+    for key in keys:
+        value = rec.get(key)
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise IngestError(f"{where}: missing or invalid field "
+                              f"({key} must be an integer, got {value!r})")
+        if value < 0:
+            raise IngestError(f"{where}: negative {key} {value}")
+        out.append(value)
+    return out
+
+
 def _iter_records(path):
     """Yield ``("file:line", record)`` for each non-blank line of a stage file."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -264,13 +272,14 @@ def load_class_pairs(path, key: str, n: int, width: int
     """Read :func:`dump_class_pairs` records back as sorted ``{(m, n): matrix}``.
 
     Entries of ``width`` 2 read as 1.0; repeated entries add up. A missing
-    field, a non-finite value or an index outside [0, n) raises
-    :class:`IngestError` at its file:line.
+    field, a class that is not a nonnegative integer, a class pair read
+    before, a non-finite value, or an index that is not an integer in [0, n)
+    raises :class:`IngestError` at its file:line.
     """
     out = {}
     for where, rec in _iter_records(path):
+        pair = tuple(_ints(where, rec, "m", "n"))
         try:
-            pair = (int(rec["m"]), int(rec["n"]))
             entries = np.array(rec[key], dtype=float)
             if entries.size and entries.shape[1:] != (width,):
                 raise ValueError(f"{key} rows must hold {width} numbers")
@@ -279,10 +288,15 @@ def load_class_pairs(path, key: str, n: int, width: int
         entries = entries.reshape(-1, width)
         if not np.isfinite(entries).all():
             raise IngestError(f"{where}: {key} hold a non-finite value")
-        index = entries[:, :2].astype(int)
+        index = entries[:, :2]
+        bad = index[index != np.floor(index)]
+        if bad.size:
+            raise IngestError(f"{where}: region index {bad[0]} is not an integer")
         bad = index[(index < 0) | (index >= n)]
         if bad.size:
-            raise IngestError(f"{where}: region index {bad[0]} out of range [0, {n})")
+            raise IngestError(f"{where}: region index {int(bad[0])} out of range [0, {n})")
+        if pair in out:
+            raise IngestError(f"{where}: class pair {pair} repeats an earlier record")
         values = entries[:, 2] if width > 2 else np.ones(len(index))
         out[pair] = SparseMatrix.from_entries(index[:, 0], index[:, 1], values, (n, n))
     return dict(sorted(out.items()))
@@ -300,27 +314,21 @@ def _parse_box(raw, where: str) -> Box:
     return box
 
 
-def load_sequence(regions_path, detections_path=None,
-                  config: Optional[IngestConfig] = None) -> VideoSequence:
+def load_sequence(regions_path, detections_path=None) -> VideoSequence:
     """Load and validate a sequence from JSON-lines files.
 
     Features are L2-normalized in place; all-zero features are admitted but
     flagged degenerate. Raises :class:`IngestError` with the offending file
     and line number on malformed input.
     """
-    config = config or IngestConfig()
     regions: list[Region] = []
     dim: Optional[int] = None
     for where, rec in _iter_records(regions_path):
+        rid, frame, area = _ints(where, rec, "id", "frame", "area")
         try:
-            rid = int(rec["id"])
-            frame = int(rec["frame"])
             feat = np.asarray(rec["feature"], dtype=np.float64)
-            area = int(rec["area"])
         except FIELD_ERRORS as exc:
             raise IngestError(f"{where}: missing or invalid field ({exc})") from None
-        if rid < 0 or frame < 0:
-            raise IngestError(f"{where}: negative region id or frame index")
         if feat.ndim != 1 or feat.size == 0:
             raise IngestError(f"{where}: feature must be a non-empty flat list")
         if not np.isfinite(feat).all():
@@ -341,22 +349,16 @@ def load_sequence(regions_path, detections_path=None,
     if detections_path is not None:
         for where, rec in _iter_records(detections_path):
             bbox = _parse_box(rec.get("bbox"), where)
+            frame, class_id = _ints(where, rec, "frame", "class")
             try:
-                det = Detection(
-                    frame=int(rec["frame"]),
-                    bbox=bbox,
-                    class_id=int(rec["class"]),
-                    confidence=float(rec["confidence"]),
-                )
+                det = Detection(frame, bbox, class_id, float(rec["confidence"]))
             except FIELD_ERRORS as exc:
                 raise IngestError(f"{where}: missing or invalid field ({exc})") from None
             if not math.isfinite(det.confidence):
                 raise IngestError(f"{where}: confidence is not finite")
             detections.append(det)
 
-    return VideoSequence(regions, detections,
-                         frame_count=config.frame_count,
-                         class_count=config.class_count)
+    return VideoSequence(regions, detections)
 
 
 def save_sequence(seq: VideoSequence, regions_path, detections_path=None) -> None:
@@ -387,14 +389,10 @@ def load_ground_truth(path, seq: VideoSequence) -> dict[int, int]:
     """Load a region_id -> class map, validating ids and class range."""
     out: dict[int, int] = {}
     for where, rec in _iter_records(path):
-        try:
-            rid = int(rec["id"])
-            cls = int(rec["class"])
-        except FIELD_ERRORS as exc:
-            raise IngestError(f"{where}: missing or invalid field ({exc})") from None
+        rid, cls = _ints(where, rec, "id", "class")
         if rid not in seq._index:
             raise IngestError(f"{where}: unknown region id {rid}")
-        if not (0 <= cls < seq.class_count):
+        if cls >= seq.class_count:
             raise IngestError(
                 f"{where}: class {cls} out of range [0, {seq.class_count})")
         out[rid] = cls
@@ -410,12 +408,7 @@ def load_labeling(path, seq: Optional[VideoSequence] = None) -> dict[int, int]:
     for where, rec in _iter_records(path):
         if "id" not in rec and "class" not in rec:
             continue
-        try:
-            rid, cls = int(rec["id"]), int(rec["class"])
-        except FIELD_ERRORS as exc:
-            raise IngestError(f"{where}: missing or invalid field ({exc})") from None
-        if cls < 0:
-            raise IngestError(f"{where}: negative class {cls}")
+        rid, cls = _ints(where, rec, "id", "class")
         if seq is not None and rid not in seq._index:
             raise IngestError(f"{where}: unknown region id {rid}")
         out[rid] = cls

@@ -1,10 +1,11 @@
 """Greedy association of detections into class-tagged trajectory hypotheses.
 
 Detections are consumed highest-confidence first: the top detection seeds a
-tracker that runs toward both ends of the video, absorbing same-class
-detections that overlap the predicted box. Hypotheses keeping fewer than
-``min_instances`` detections are discarded, but the detections they consumed
-stay consumed, which guarantees the loop terminates.
+constant-velocity box tracker (a stand-in for a learned one) that runs toward
+both ends of the video, absorbing same-class detections that overlap the
+predicted box. Hypotheses keeping fewer than ``min_instances`` detections are
+discarded, but the detections they consumed stay consumed, which guarantees
+the loop terminates.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Optional
 
 from .regions import (FIELD_ERRORS, Box, Detection, IngestError, VideoSequence,
-                      _iter_records, _parse_box, write_records)
+                      _ints, _iter_records, _parse_box, write_records)
 
 log = logging.getLogger(__name__)
 
@@ -58,34 +59,20 @@ class TrajectoryHypothesis:
         return [e.frame for e in self.entries]
 
 
-class TrackerContract(Protocol):
-    """Single-target tracker seam.
-
-    ``begin`` resets all state at a seed box; ``predict`` returns the box the
-    tracker expects at a frame; ``accept`` re-seeds at a matched detection.
-    """
-
-    def begin(self, frame: int, box: Box, direction: int) -> None: ...
-
-    def predict(self, frame: int) -> Box: ...
-
-    def accept(self, frame: int, box: Box) -> None: ...
-
-
 class ConstantVelocityTracker:
     """Box predictor with velocity from the last two accepted boxes.
 
-    Box size is held at the last accepted size. With a single accepted box
-    the velocity is zero. Predictions are clipped to ``bounds`` (image width,
-    height) when given, preserving a minimum 1x1 extent.
+    ``begin`` resets all state at a seed box; ``accept`` re-seeds at a matched
+    detection; ``predict`` returns the box expected at a frame. Box size is
+    held at the last accepted size. With a single accepted box the velocity
+    is zero.
     """
 
-    def __init__(self, bounds: Optional[tuple[float, float]] = None):
-        self.bounds = bounds
+    def __init__(self):
         self._prev: Optional[tuple[int, Box]] = None
         self._last: Optional[tuple[int, Box]] = None
 
-    def begin(self, frame: int, box: Box, direction: int) -> None:
+    def begin(self, frame: int, box: Box) -> None:
         self._prev = None
         self._last = (frame, box)
 
@@ -104,23 +91,7 @@ class ConstantVelocityTracker:
         else:
             vx = vy = 0.0
         dt = frame - f1
-        box = (b1[0] + vx * dt, b1[1] + vy * dt, b1[2], b1[3])
-        return self._clip(box)
-
-    def _clip(self, box: Box) -> Box:
-        if self.bounds is None:
-            return box
-        W, H = self.bounds
-        w = max(1.0, min(box[2], W))
-        h = max(1.0, min(box[3], H))
-        x = min(max(box[0], 0.0), W - w)
-        y = min(max(box[1], 0.0), H - h)
-        return (x, y, w, h)
-
-
-def default_tracker(bounds: Optional[tuple[float, float]] = None) -> ConstantVelocityTracker:
-    """Constant-velocity stand-in for a learned tracker."""
-    return ConstantVelocityTracker(bounds)
+        return (b1[0] + vx * dt, b1[1] + vy * dt, b1[2], b1[3])
 
 
 @dataclass
@@ -136,7 +107,7 @@ def _rank_key(d: Detection):
     return (-d.confidence, d.frame, d.bbox[0], d.bbox[1], d.class_id)
 
 
-def associate_trajectories(dets: list[Detection], tracker: TrackerContract,
+def associate_trajectories(dets: list[Detection],
                            params: TrajectoryParams) -> list[TrajectoryHypothesis]:
     """Greedy confidence-ranked association of thresholded detections.
 
@@ -150,13 +121,14 @@ def associate_trajectories(dets: list[Detection], tracker: TrackerContract,
     are retained; either way the consumed detections never return.
     """
     pool = sorted(dets, key=_rank_key)
+    tracker = ConstantVelocityTracker()
     retained: list[TrajectoryHypothesis] = []
     while len(pool) >= params.min_instances:
         seed = pool.pop(0)
         entries = {seed.frame: TrajectoryEntry(seed.frame, seed.bbox, SOURCE_DETECTION)}
         count = 1
         for direction in (1, -1):
-            tracker.begin(seed.frame, seed.bbox, direction)
+            tracker.begin(seed.frame, seed.bbox)
             misses = 0
             f = seed.frame + direction
             while 0 <= f < params.frame_count and misses < params.max_miss:
@@ -245,17 +217,15 @@ def dump_hypotheses(hyps: list[TrajectoryHypothesis], path) -> None:
 def load_hypotheses(path) -> list[TrajectoryHypothesis]:
     out: list[TrajectoryHypothesis] = []
     for where, rec in _iter_records(path):
+        [class_id] = _ints(where, rec, "class")
         try:
-            class_id = int(rec["class"])
             seed_confidence = float(rec.get("seed_confidence", 0.0))
-            raw = [(int(e["frame"]), e["bbox"], str(e["source"])) for e in rec["entries"]]
+            raw = [(e, e["bbox"], str(e["source"])) for e in rec["entries"]]
         except FIELD_ERRORS as exc:
             raise IngestError(f"{where}: missing or invalid field ({exc})") from None
         if not math.isfinite(seed_confidence):
             raise IngestError(f"{where}: seed_confidence is not finite")
-        if class_id < 0 or any(frame < 0 for frame, _, _ in raw):
-            raise IngestError(f"{where}: negative class or frame index")
-        entries = [TrajectoryEntry(frame, _parse_box(box, where), source)
-                   for frame, box, source in raw]
+        entries = [TrajectoryEntry(*_ints(where, e, "frame"), _parse_box(box, where), source)
+                   for e, box, source in raw]
         out.append(TrajectoryHypothesis(class_id, entries, seed_confidence))
     return out

@@ -101,8 +101,7 @@ def random_scores(rng, n, num_classes, max_pairs=None, max_links=5):
                 mat[i, j] = rng.uniform(0.1, 2.0)
         if not mat.any():
             continue
-        scores[(m, nn)] = LinkScoreMatrix((m, nn), SparseMatrix.from_dense(mat),
-                                          True, 0, 0)
+        scores[(m, nn)] = LinkScoreMatrix(SparseMatrix.from_dense(mat))
     return scores
 
 

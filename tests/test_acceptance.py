@@ -17,13 +17,12 @@ from ctxseg.cli import main as cli_main
 from ctxseg.crf import (beta_adaptive, brute_force_oracle, build_pairwise,
                         energy, infer)
 from ctxseg.evaluation import iou_per_class
-from ctxseg.propagation import (PropagationConfig, propagate_column_pass,
-                                propagate_row_pass)
+from ctxseg.propagation import propagate_column_pass, propagate_row_pass, resolvent
 from ctxseg.qpbo import UNLABELED, solve_binary_pairwise
 from ctxseg.regions import Detection, Region, SparseMatrix, VideoSequence
 from ctxseg.synthetic import AMBIGUITY_MU
 from ctxseg.tracking import (SOURCE_DETECTION, TrajectoryParams,
-                             associate_trajectories, default_tracker, iou_box)
+                             associate_trajectories, iou_box)
 
 CALIBRATED_MATCH_RATE = 0.972  # 486/500, pre-release run, generator seed 12345
 
@@ -53,10 +52,9 @@ def random_instance(rng):
 
 
 def two_pass(O, L, mu):
-    cfg = PropagationConfig(mu=mu, prune_eps=0.0)
-    Ls = SparseMatrix.from_dense(L)
-    r = propagate_row_pass(SparseMatrix.from_dense(O), Ls, cfg)
-    c = propagate_column_pass(r.matrix, Ls, cfg)
+    R = resolvent(SparseMatrix.from_dense(L), mu)
+    r = propagate_row_pass(SparseMatrix.from_dense(O), R)
+    c = propagate_column_pass(r.matrix, R)
     return c.matrix, r.converged and c.converged
 
 
@@ -196,15 +194,13 @@ def test_criterion_6_trajectory_semantics():
     half = [Detection(0, (0, 0, 10, 10), 1, 0.9),
             Detection(1, half_box, 1, 0.8),
             Detection(2, (0, 0, 10, 10), 1, 0.7)]
-    hyps = associate_trajectories(half, default_tracker(),
-                                  TrajectoryParams(frame_count=3, iou_threshold=0.5))
+    hyps = associate_trajectories(half, TrajectoryParams(frame_count=3, iou_threshold=0.5))
     assert hyps == []  # the borderline middle link breaks the 3-instance chain
 
     # worked example: 3-frame chain, seeded at the highest confidence
     chain = [Detection(f, (1.0 * f, 0, 10, 10), 1, c)
              for f, c in [(0, 0.9), (1, 0.8), (2, 0.7)]]
-    hyps = associate_trajectories(chain, default_tracker(),
-                                  TrajectoryParams(frame_count=3))
+    hyps = associate_trajectories(chain, TrajectoryParams(frame_count=3))
     assert len(hyps) == 1
     assert hyps[0].seed_confidence == 0.9
     assert hyps[0].instance_count == 3
@@ -212,8 +208,7 @@ def test_criterion_6_trajectory_semantics():
 
     # worked example: two detections cannot form a hypothesis
     two = [Detection(0, (0, 0, 10, 10), 1, 0.9), Detection(1, (0, 0, 10, 10), 1, 0.8)]
-    assert associate_trajectories(two, default_tracker(),
-                                  TrajectoryParams(frame_count=2)) == []
+    assert associate_trajectories(two, TrajectoryParams(frame_count=2)) == []
 
     # worked example: two spatially disjoint tracks stay separate
     a = [Detection(f, (1.0 * f, 0, 10, 10), 1, 0.9 - 0.01 * f) for f in range(3)]
@@ -221,8 +216,7 @@ def test_criterion_6_trajectory_semantics():
     for da in a:
         for db in b:
             assert iou_box(da.bbox, db.bbox) <= 0.5
-    hyps = associate_trajectories(a + b, default_tracker(),
-                                  TrajectoryParams(frame_count=3))
+    hyps = associate_trajectories(a + b, TrajectoryParams(frame_count=3))
     assert len(hyps) == 2
     assert all(h.instance_count == 3 for h in hyps)
     print("PASS [criterion 6] trajectory association semantics")

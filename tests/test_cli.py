@@ -117,6 +117,10 @@ MALFORMED_STAGE_FILES = [
                  "links hold a non-finite value", id="links-nan"),
     pytest.param("links", {"m": 1, "n": 2, "links": [0, 1]},
                  "missing or invalid field", id="links-flat-list"),
+    pytest.param("links", {"m": 1, "n": 3, "links": [[0.5, 1.7]]},
+                 "region index 0.5 is not an integer", id="links-fractional-index"),
+    pytest.param("links", {"m": -2, "n": 1, "links": [[0, 1]]},
+                 "negative m -2", id="links-negative-class"),
     pytest.param("scores", {"n": 2, "scores": [[0, 1, 0.5]]},
                  "missing or invalid field", id="scores-missing-key"),
     pytest.param("scores", {"m": 1, "n": 2, "scores": [[0, 1, NAN]]},
@@ -125,6 +129,15 @@ MALFORMED_STAGE_FILES = [
                  "region index -1 out of range [0, {n})", id="scores-index-range"),
     pytest.param("scores", {"m": 1, "n": 2, "scores": [[0, 1]]},
                  "missing or invalid field", id="scores-short-row"),
+    pytest.param("scores", {"m": 1, "n": 3, "scores": [[0.5, 1.7, 0.3]]},
+                 "region index 0.5 is not an integer", id="scores-fractional-index"),
+    pytest.param("scores", {"m": -1, "n": 1, "scores": [[0, 1, 0.5]]},
+                 "negative m -1", id="scores-negative-class"),
+    pytest.param("scores", {"m": 1.9, "n": 1, "scores": [[0, 1, 0.5]]},
+                 "missing or invalid field (m must be an integer, got 1.9)",
+                 id="scores-fractional-class"),
+    pytest.param("scores", {"m": 1, "n": 2, "scores": [[1, 0, 0.5]]},
+                 "class pair (1, 2) repeats an earlier record", id="scores-repeated-pair"),
     pytest.param("hypotheses", {"entries": GOOD_HYPOTHESIS["entries"]},
                  "missing or invalid field", id="hypotheses-missing-key"),
     pytest.param("hypotheses", dict(GOOD_HYPOTHESIS, seed_confidence=NAN),
@@ -134,6 +147,19 @@ MALFORMED_STAGE_FILES = [
                  "bbox holds a non-finite value", id="hypotheses-nan-bbox"),
     pytest.param("labels", {"id": 1}, "missing or invalid field",
                  id="labels-missing-class"),
+    pytest.param("labels", {"id": 1, "class": True},
+                 "missing or invalid field (class must be an integer, got True)",
+                 id="labels-boolean-class"),
+    pytest.param("hypotheses", dict(GOOD_HYPOTHESIS, entries=[
+        {"frame": 1.5, "bbox": [0, 0, 5, 5], "source": "det"}]),
+                 "missing or invalid field (frame must be an integer, got 1.5)",
+                 id="hypotheses-fractional-frame"),
+    pytest.param("regions", dict(GOOD_REGION, id=1.9, frame=0.5),
+                 "missing or invalid field (id must be an integer, got 1.9)",
+                 id="regions-fractional-id"),
+    pytest.param("detections", dict(GOOD_DETECTION, **{"class": "1"}),
+                 "missing or invalid field (class must be an integer, got '1')",
+                 id="detections-string-class"),
     pytest.param("regions", dict(GOOD_REGION, id=1, bbox=[HUGE, 0, 5, 5]),
                  "invalid bbox (int too large to convert to float)",
                  id="regions-huge-bbox"),
@@ -310,7 +336,8 @@ def test_eval_reads_ground_truth_once(dataset, monkeypatch):
     ({"id": 10 ** 6, "class": 1}, "unknown region id 1000000"),
     ({"id": 0, "class": -1}, "negative class -1"),
     ({"id": 0}, "missing or invalid field"),
-], ids=["unknown-id", "negative-class", "missing-class"])
+    ({"id": 0, "class": 1.7}, "missing or invalid field (class must be an integer, got 1.7)"),
+], ids=["unknown-id", "negative-class", "missing-class", "fractional-class"])
 def test_eval_bad_ground_truth_exits_with_file_and_line(dataset, tmp_path, capsys,
                                                         bad, message):
     gt = tmp_path / "gt.jsonl"
@@ -337,12 +364,16 @@ def test_no_context_ablation_scores_lower(dataset, tmp_path):
     assert not (bare / "scores.jsonl").exists()
 
 
-def test_literal_alg1_variant_runs(dataset, tmp_path):
-    out = tmp_path / "lit"
-    assert run(["pipeline", "--regions", str(dataset / "regions.jsonl"),
+def test_config_file_with_unknown_field_rejected(dataset, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"k": 5, "literal_alg1": True}))
+    code = run(["pipeline", "--regions", str(dataset / "regions.jsonl"),
                 "--detections", str(dataset / "detections.jsonl"),
-                "--out", str(out), "--seed", "7", "--literal-alg1"]) == 0
-    assert (out / "labeling.jsonl").exists()
+                "--out", str(tmp_path / "o"), "--config", str(cfg_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "ctxseg pipeline: error: unknown config fields: ['literal_alg1']" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_file_and_flag_precedence(dataset, tmp_path):

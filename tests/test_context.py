@@ -17,28 +17,28 @@ class TestExtractExemplars:
     def test_two_object_classes_both_orders(self):
         seq = make_seq({0: 0, 1: 0})
         ex = extract_exemplars({0: 1, 1: 2}, {0}, seq)
-        assert sorted(ex.exemplars) == [(0, 1, 1, 2), (1, 0, 2, 1)]
+        assert sorted(ex) == [(0, 1, 1, 2), (1, 0, 2, 1)]
 
     def test_background_pair_excluded_by_default(self):
         seq = make_seq({0: 0, 1: 0})
-        assert extract_exemplars({0: 0, 1: 0}, {0}, seq).exemplars == []
+        assert extract_exemplars({0: 0, 1: 0}, {0}, seq) == []
         ex = extract_exemplars({0: 0, 1: 0}, {0}, seq, include_bg_pairs=True)
         assert len(ex) == 2
 
     def test_mixed_background_pairs_kept(self):
         seq = make_seq({0: 0, 1: 0})
         ex = extract_exemplars({0: 0, 1: 2}, {0}, seq)
-        assert sorted(ex.exemplars) == [(0, 1, 0, 2), (1, 0, 2, 0)]
+        assert sorted(ex) == [(0, 1, 0, 2), (1, 0, 2, 0)]
 
     def test_temporal_window_gate(self):
         seq = make_seq({0: 0, 1: 3})
-        assert extract_exemplars({0: 1, 1: 2}, {0, 3}, seq).exemplars == []
+        assert extract_exemplars({0: 1, 1: 2}, {0, 3}, seq) == []
         ex = extract_exemplars({0: 1, 1: 2}, {0, 3}, seq, temporal_window=3)
         assert len(ex) == 2
 
     def test_empty_labels(self):
         seq = make_seq({0: 0})
-        assert extract_exemplars({}, {0}, seq).exemplars == []
+        assert extract_exemplars({}, {0}, seq) == []
 
     @pytest.mark.parametrize("seed", range(4))
     def test_same_frame_count_formula(self, seed):
@@ -67,20 +67,17 @@ class TestObservedLinks:
         assert links[(1, 2)].nnz == links[(2, 1)].nnz == 1
 
     def test_empty_exemplars(self):
-        from ctxseg.context import ContextExemplarSet
-        assert build_observed_links(ContextExemplarSet([]), 4, 3) == {}
+        assert build_observed_links([], 4, 3) == {}
 
     def test_duplicate_exemplars_idempotent(self):
-        from ctxseg.context import ContextExemplarSet
-        ex = ContextExemplarSet([(0, 1, 1, 2), (0, 1, 1, 2)])
+        ex = [(0, 1, 1, 2), (0, 1, 1, 2)]
         links = build_observed_links(ex, 3, 3)
         assert links[(1, 2)].toarray()[0, 1] == 1.0
         assert links[(1, 2)].nnz == 1
 
     def test_out_of_range_vertex(self):
-        from ctxseg.context import ContextExemplarSet
         with pytest.raises(ValueError):
-            build_observed_links(ContextExemplarSet([(0, 9, 1, 2)]), 3, 3)
+            build_observed_links([(0, 9, 1, 2)], 3, 3)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_pairwise_nnz_balance_and_frame_membership(self, seed):

@@ -34,7 +34,7 @@ def scores_from_entries(entries, n, converged=True):
         mat = np.zeros((n, n))
         for i, j, s in items:
             mat[i, j] = s
-        out[pair] = LinkScoreMatrix(pair, SparseMatrix.from_dense(mat), converged, 0, 0)
+        out[pair] = LinkScoreMatrix(SparseMatrix.from_dense(mat), converged)
     return out
 
 
@@ -239,22 +239,20 @@ class TestGoldenUnary:
 class TestUnaryPotentials:
     def test_certain_class_costs_zero(self):
         seq = seq_with_features([[1.0, 0.0]])
-        model = UnaryModel(np.array([[100.0, 0.0], [-100.0, 0.0]]),
-                           np.zeros(2), UnaryTrainConfig())
+        model = UnaryModel(np.array([[100.0, 0.0], [-100.0, 0.0]]), np.zeros(2))
         psi = unary_potentials(model, seq)
         assert psi[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_probability_floor(self):
         seq = seq_with_features([[1.0, 0.0]])
-        model = UnaryModel(np.array([[100.0, 0.0], [-100.0, 0.0]]),
-                           np.zeros(2), UnaryTrainConfig())
+        model = UnaryModel(np.array([[100.0, 0.0], [-100.0, 0.0]]), np.zeros(2))
         psi = unary_potentials(model, seq)
         assert psi[0, 1] == pytest.approx(-np.log(1e-6), abs=1e-9)
         assert psi[0, 1] == pytest.approx(13.8155, abs=1e-3)
 
     def test_uniform_probabilities(self):
         seq = seq_with_features([[1.0, 0.0]])
-        model = UnaryModel(np.zeros((4, 2)), np.zeros(4), UnaryTrainConfig())
+        model = UnaryModel(np.zeros((4, 2)), np.zeros(4))
         psi = unary_potentials(model, seq)
         assert np.allclose(psi[0], np.log(4.0), atol=1e-12)
 

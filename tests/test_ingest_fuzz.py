@@ -2,12 +2,13 @@
 
 Valid regions, hypotheses, labels, links and scores files come from one
 synthetic run; each case damages one of them (a truncated line, a dropped
-field, a value of the wrong type, NaN or Infinity, a region index or id out
-of range, or an empty file) and runs the subcommand that reads it. A damaged
-record must end the run with exit code 1 and ``<file>:<line>: ...`` on
-stderr, never a traceback. An empty file must be rejected naming the file
-where the stage needs records (regions, labels); an empty links, scores or
-hypotheses file is what the writers produce for "none" and must run.
+field, a value of the wrong type, NaN or Infinity, a region index, id or
+class out of range, a fraction where an integer belongs, or an empty file)
+and runs the subcommand that reads it. A damaged record must end the run
+with exit code 1 and ``<file>:<line>: ...`` on stderr, never a traceback. An
+empty file must be rejected naming the file where the stage needs records
+(regions, labels); an empty links, scores or hypotheses file is what the
+writers produce for "none" and must run.
 """
 
 import json
@@ -19,7 +20,8 @@ from ctxseg.cli import main
 
 FUZZ_SEED = 20240
 KINDS = ("regions", "hypotheses", "labels", "links", "scores")
-MUTATIONS = ("truncate", "drop", "retype", "non_finite", "out_of_range", "empty")
+MUTATIONS = ("truncate", "drop", "retype", "non_finite", "out_of_range", "empty",
+             "fractional")
 # fields a record may omit: dropping them must not fail
 OPTIONAL = {"regions": {"bbox"}, "hypotheses": {"seed_confidence"}}
 # string leaves, free text that any value converts to
@@ -71,23 +73,29 @@ def leaves(value, path=()):
         yield path
 
 
+def get(record, path):
+    for key in path:
+        record = record[key]
+    return record
+
+
 def put(record, path, value):
-    target = record
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    get(record, path[:-1])[path[-1]] = value
 
 
 def out_of_range(kind, record, n):
-    """Leaves that hold a region index, region id, frame or class, with values
-    outside their range: indices past [0, n), ids naming no region, negatives."""
+    """Groups of leaves that hold a region index, region id, frame or class,
+    each with values outside their range: indices past [0, n), ids naming no
+    region, negatives."""
     if kind in ("links", "scores"):
-        return [(kind, r, c) for r in range(len(record[kind])) for c in (0, 1)], [n, -1, 10 ** 6]
+        index = [(kind, r, c) for r in range(len(record[kind])) for c in (0, 1)]
+        return [(index, [n, -1, 10 ** 6]), ([("m",), ("n",)], [-1])]
     if kind == "labels":
-        return [("id",), ("class",)], [-1]
+        return [([("id",), ("class",)], [-1])]
     if kind == "regions":
-        return [("id",), ("frame",)], [-1]
-    return [("class",)] + [("entries", e, "frame") for e in range(len(record["entries"]))], [-1]
+        return [([("id",), ("frame",)], [-1])]
+    return [([("class",)] + [("entries", e, "frame") for e in range(len(record["entries"]))],
+             [-1])]
 
 
 def mutate(kind, mutation, lines, n, rng):
@@ -106,9 +114,14 @@ def mutate(kind, mutation, lines, n, rng):
             keys = [k for k in record if k not in OPTIONAL.get(kind, ())]
             del record[keys[int(rng.integers(len(keys)))]]
         elif mutation == "out_of_range":
-            targets, values = out_of_range(kind, record, n)
+            groups = out_of_range(kind, record, n)
+            targets, values = groups[int(rng.integers(len(groups)))]
             put(record, targets[int(rng.integers(len(targets)))],
                 values[int(rng.integers(len(values)))])
+        elif mutation == "fractional":
+            integer = [p for p in leaves(record) if type(get(record, p)) is int]
+            path = integer[int(rng.integers(len(integer)))]
+            put(record, path, get(record, path) + 0.5)
         else:
             numeric = [p for p in leaves(record) if not set(p) & TEXT]
             path = numeric[int(rng.integers(len(numeric)))]

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from ctxseg.propagation import (PropagationConfig, dense_two_pass_limit,
-                                dump_scores, load_scores, predict_all_links,
-                                propagate_column_pass, propagate_row_pass)
+from ctxseg.propagation import (dense_two_pass_limit, dump_scores, load_scores,
+                                predict_all_links, propagate_column_pass,
+                                propagate_row_pass, resolvent)
 from ctxseg.regions import SparseMatrix
 
 sp = SparseMatrix.from_dense
-
-TIGHT = PropagationConfig(mu=0.5, prune_eps=0.0)
 
 
 def random_operator(rng, n, k=3):
@@ -38,13 +36,13 @@ def random_links(rng, n, count):
 class TestRowPass:
     def test_zero_source_stays_zero(self):
         L = sp(np.array([[0, 0.5], [0.5, 0]]))
-        res = propagate_row_pass(sp(np.zeros((2, 2))), L, TIGHT)
+        res = propagate_row_pass(sp(np.zeros((2, 2))), resolvent(L, 0.5))
         assert res.matrix.nnz == 0
         assert res.converged
 
     def test_no_edges_single_step(self):
         O = sp(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        res = propagate_row_pass(O, sp(np.zeros((2, 2))), TIGHT)
+        res = propagate_row_pass(O, resolvent(sp(np.zeros((2, 2))), 0.5))
         assert np.allclose(res.matrix.toarray(), 0.5 * O.toarray())
         assert res.converged
 
@@ -55,7 +53,7 @@ class TestRowPass:
         L = W / np.sqrt(np.outer(d, d))
         O = np.zeros((3, 3))
         O[0, 1] = 1.0
-        res = propagate_row_pass(sp(O), sp(L), TIGHT)
+        res = propagate_row_pass(sp(O), resolvent(sp(L), 0.5))
         want = 0.5 * O @ np.linalg.inv(np.eye(3) - 0.5 * L)
         assert np.abs(res.matrix.toarray() - want).max() < 1e-6
 
@@ -64,7 +62,7 @@ class TestRowPass:
         L = sp(random_operator(rng, 12))
         O = np.zeros((12, 12))
         O[3, 5] = 1.0
-        res = propagate_row_pass(sp(O), L, TIGHT)
+        res = propagate_row_pass(sp(O), resolvent(L, 0.5))
         out = res.matrix.toarray()
         assert np.all(out[[r for r in range(12) if r != 3]] == 0.0)
         assert out[3].any()
@@ -73,14 +71,15 @@ class TestRowPass:
 class TestColumnPass:
     def test_zero_input(self):
         L = sp(np.array([[0, 0.5], [0.5, 0]]))
-        res = propagate_column_pass(sp(np.zeros((2, 2))), L, TIGHT)
+        res = propagate_column_pass(sp(np.zeros((2, 2))), resolvent(L, 0.5))
         assert res.matrix.nnz == 0
 
     def test_two_vertex_closed_form(self):
         L = np.array([[0.0, 1.0], [1.0, 0.0]])  # single unit edge, normalized
         O = np.array([[0.0, 1.0], [1.0, 0.0]])
-        r = propagate_row_pass(sp(O), sp(L), TIGHT)
-        c = propagate_column_pass(r.matrix, sp(L), TIGHT)
+        R = resolvent(sp(L), 0.5)
+        r = propagate_row_pass(sp(O), R)
+        c = propagate_column_pass(r.matrix, R)
         Minv = np.linalg.inv(np.eye(2) - 0.5 * L)
         want = 0.25 * Minv @ O @ Minv
         assert np.abs(c.matrix.toarray() - want).max() < 1e-9
@@ -90,9 +89,9 @@ class TestColumnPass:
         L = sp(random_operator(rng, 15))
         O = random_links(rng, 15, 6)
         O = np.maximum(O, O.T)  # symmetric observed links
-        cfg = PropagationConfig(mu=0.9, prune_eps=0.0)
-        r = propagate_row_pass(sp(O), L, cfg)
-        c = propagate_column_pass(r.matrix, L, cfg)
+        R = resolvent(L, 0.9)
+        r = propagate_row_pass(sp(O), R)
+        c = propagate_column_pass(r.matrix, R)
         out = c.matrix.toarray()
         assert np.abs(out - out.T).max() < 1e-9
 
@@ -101,7 +100,7 @@ class TestPredictAllLinks:
     def test_empty_pairs_skipped(self):
         L = sp(np.array([[0, 0.5], [0.5, 0]]))
         observed = {(0, 1): sp(np.zeros((2, 2)))}
-        assert predict_all_links(observed, L, TIGHT) == {}
+        assert predict_all_links(observed, L, 0.5, 0.0) == {}
 
     def test_transpose_duality_across_pairs(self):
         rng = np.random.default_rng(5)
@@ -109,8 +108,7 @@ class TestPredictAllLinks:
         O = random_links(rng, 20, 8)
         observed = {(1, 2): sp(O),
                     (2, 1): sp(O.T)}
-        cfg = PropagationConfig(mu=0.9, prune_eps=0.0)
-        scores = predict_all_links(observed, L, cfg)
+        scores = predict_all_links(observed, L, 0.9, 0.0)
         a = scores[(1, 2)].scores.toarray()
         b = scores[(2, 1)].scores.toarray()
         assert np.abs(a - b.T).max() < 1e-9
@@ -119,8 +117,7 @@ class TestPredictAllLinks:
         rng = np.random.default_rng(6)
         L = sp(random_operator(rng, 20))
         O = sp(random_links(rng, 20, 3))
-        cfg = PropagationConfig(mu=0.9, prune_eps=1e-4)
-        out = predict_all_links({(0, 1): O}, L, cfg)[(0, 1)]
+        out = predict_all_links({(0, 1): O}, L, 0.9, 1e-4)[(0, 1)]
         assert out.scores.nnz == 0 or out.scores.data.min() >= 1e-4
 
     def test_qualitative_link_transfer(self):
@@ -142,9 +139,8 @@ class TestPredictAllLinks:
         L = G * dinv[:, None] * dinv[None, :]
         O = np.zeros((5, 5))
         O[0, 1] = 1.0
-        cfg = PropagationConfig(mu=0.9, prune_eps=0.0)
         out = predict_all_links({(1, 2): sp(O)},
-                                sp(L), cfg)[(1, 2)]
+                                sp(L), 0.9, 0.0)[(1, 2)]
         S = out.scores.toarray()
         assert S[2, 3] > S[2, 4]
         assert S[2, 3] > S[4, 3]
@@ -156,8 +152,7 @@ class TestPredictAllLinks:
             L = sp(random_operator(rng, n))
             O = random_links(rng, n, int(rng.integers(1, 6)))
             mu = float(rng.choice([0.5, 0.9, 0.99]))
-            cfg = PropagationConfig(mu=mu, prune_eps=0.0)
-            out = predict_all_links({(0, 1): sp(O)}, L, cfg)[(0, 1)]
+            out = predict_all_links({(0, 1): sp(O)}, L, mu, 0.0)[(0, 1)]
             if out.scores.nnz:
                 assert out.scores.data.min() >= 0.0
                 # contraction bound: scores never exceed the source maximum
@@ -172,9 +167,9 @@ class TestAgainstDenseOracle:
             n = int(rng.integers(5, 40))
             Ld = random_operator(rng, n)
             O = random_links(rng, n, int(rng.integers(1, 6)))
-            cfg = PropagationConfig(mu=mu, prune_eps=0.0)
-            r = propagate_row_pass(sp(O), sp(Ld), cfg)
-            c = propagate_column_pass(r.matrix, sp(Ld), cfg)
+            R = resolvent(sp(Ld), mu)
+            r = propagate_row_pass(sp(O), R)
+            c = propagate_column_pass(r.matrix, R)
             want = dense_two_pass_limit(O, Ld, mu)
             assert np.abs(c.matrix.toarray() - want).max() < 1e-5
 
@@ -185,13 +180,11 @@ class TestAgainstDenseOracle:
         O1 = random_links(rng, n, 4)
         O2 = O1.copy()
         O2[0, 1] = 1.0  # one extra link
-        cfg = PropagationConfig(mu=0.9, prune_eps=0.0)
+        R = resolvent(sp(Ld), 0.9)
         p1 = propagate_column_pass(
-            propagate_row_pass(sp(O1), sp(Ld), cfg).matrix,
-            sp(Ld), cfg).matrix.toarray()
+            propagate_row_pass(sp(O1), R).matrix, R).matrix.toarray()
         p2 = propagate_column_pass(
-            propagate_row_pass(sp(O2), sp(Ld), cfg).matrix,
-            sp(Ld), cfg).matrix.toarray()
+            propagate_row_pass(sp(O2), R).matrix, R).matrix.toarray()
         assert np.all(p2 >= p1 - 1e-12)
 
     def test_mu_to_zero_degeneracy(self):
@@ -199,33 +192,19 @@ class TestAgainstDenseOracle:
         n = 10
         Ld = random_operator(rng, n)
         O = random_links(rng, n, 5)
-        cfg = PropagationConfig(mu=1e-12, prune_eps=0.0)
-        r = propagate_row_pass(sp(O), sp(Ld), cfg)
+        R = resolvent(sp(Ld), 1e-12)
+        r = propagate_row_pass(sp(O), R)
         assert np.abs(r.matrix.toarray() - O).max() < 1e-9
-        c = propagate_column_pass(r.matrix, sp(Ld), cfg)
+        c = propagate_column_pass(r.matrix, R)
         assert np.abs(c.matrix.toarray() - O).max() < 1e-9
-
-    def test_literal_update_matches_its_closed_form(self):
-        rng = np.random.default_rng(23)
-        n = 12
-        Ld = random_operator(rng, n)
-        O = random_links(rng, n, 4)
-        cfg = PropagationConfig(mu=0.7, prune_eps=0.0,
-                                literal_update=True)
-        r = propagate_row_pass(sp(O), sp(Ld), cfg)
-        c = propagate_column_pass(r.matrix, sp(Ld), cfg)
-        want = dense_two_pass_limit(O, Ld, 0.7, literal_update=True)
-        assert np.abs(c.matrix.toarray() - want).max() < 1e-8
 
 
 class TestExactSolve:
     """The shared-resolvent solve sits on the closed form up to round-off."""
 
-    @pytest.mark.parametrize("literal", [False, True])
     @pytest.mark.parametrize("mu", [0.5, 0.9, 0.99, 0.999])
-    def test_matches_oracle_with_isolated_vertices_and_empty_lines(self, mu, literal):
-        rng = np.random.default_rng(int(mu * 1000) + literal)
-        cfg = PropagationConfig(mu=mu, prune_eps=0.0, literal_update=literal)
+    def test_matches_oracle_with_isolated_vertices_and_empty_lines(self, mu):
+        rng = np.random.default_rng(int(mu * 1000))
         for _ in range(5):
             n = int(rng.integers(6, 60))
             isolated = rng.choice(n, 2, replace=False)
@@ -236,42 +215,40 @@ class TestExactSolve:
             O[isolated, :] = 0.0
             O[:, isolated] = 0.0
             L, Os = sp(Ld), sp(O)
-            got = predict_all_links({(0, 1): Os}, L, cfg)
-            want = dense_two_pass_limit(O, Ld, mu, literal_update=literal)
+            got = predict_all_links({(0, 1): Os}, L, mu, 0.0)
+            want = dense_two_pass_limit(O, Ld, mu)
             S = got[(0, 1)].scores.toarray() if got else np.zeros((n, n))
             assert np.abs(S - want).max() <= 1e-12
             assert not S[isolated].any() and not S[:, isolated].any()
-            rows = propagate_row_pass(Os, L, cfg).matrix.toarray()
-            cols = propagate_column_pass(sp(rows), L, cfg).matrix.toarray()
-            if literal:
-                assert not rows[:, ~O.any(axis=0)].any()
-            else:
-                assert not rows[~O.any(axis=1)].any()
+            R = resolvent(L, mu)
+            rows = propagate_row_pass(Os, R).matrix.toarray()
+            cols = propagate_column_pass(sp(rows), R).matrix.toarray()
+            assert not rows[~O.any(axis=1)].any()
             assert not cols[:, ~rows.any(axis=0)].any()
 
     def test_direct_solve_reports_one_converged_step(self):
         rng = np.random.default_rng(11)
         L = sp(random_operator(rng, 10))
         O = sp(random_links(rng, 10, 3))
-        res = propagate_row_pass(O, L, PropagationConfig(mu=0.99))
+        res = propagate_row_pass(O, resolvent(L, 0.99))
         assert res.converged and res.iterations == 1
-        out = predict_all_links({(0, 1): O}, L, PropagationConfig(mu=0.99))[(0, 1)]
-        assert out.converged and (out.row_iterations, out.col_iterations) == (1, 1)
+        out = predict_all_links({(0, 1): O}, L, 0.99, 1e-8)[(0, 1)]
+        assert out.converged
 
 
 def test_config_validation():
+    L = sp(np.array([[0, 0.5], [0.5, 0]]))
     with pytest.raises(ValueError):
-        PropagationConfig(mu=0.0)
+        resolvent(L, 0.0)
     with pytest.raises(ValueError):
-        PropagationConfig(mu=1.0)
+        resolvent(L, 1.0)
 
 
 def test_scores_dump_roundtrip(tmp_path):
     rng = np.random.default_rng(31)
     L = sp(random_operator(rng, 12))
     observed = {(0, 1): sp(random_links(rng, 12, 4))}
-    cfg = PropagationConfig(mu=0.9, prune_eps=1e-9)
-    scores = predict_all_links(observed, L, cfg)
+    scores = predict_all_links(observed, L, 0.9, 1e-9)
     path = tmp_path / "scores.jsonl"
     dump_scores(scores, path)
     loaded = load_scores(path, 12)

@@ -6,7 +6,7 @@ import pytest
 from ctxseg.cli import main
 from ctxseg.context import dump_links, load_links
 from ctxseg.propagation import dump_scores, load_scores
-from ctxseg.regions import (IngestConfig, IngestError, filter_detections,
+from ctxseg.regions import (IngestError, VideoSequence, filter_detections,
                             load_ground_truth, load_labeling, load_sequence,
                             save_labeling, save_sequence)
 from ctxseg.tracking import dump_hypotheses, load_hypotheses
@@ -70,7 +70,7 @@ def test_feature_dimension_mismatch(tmp_path):
 def test_frame_beyond_declared_count(tmp_path):
     p = write_jsonl(tmp_path / "r.jsonl", [region_rec(0, frame=5)])
     with pytest.raises(IngestError, match="frame"):
-        load_sequence(p, config=IngestConfig(frame_count=5))
+        VideoSequence(load_sequence(p).regions, [], frame_count=5)
 
 
 def test_nonpositive_area_rejected(tmp_path):
