@@ -13,18 +13,22 @@ cost, and pairs without any link score can be omitted entirely.
 
 The pairwise terms have one form throughout, ``PairwiseTerms``: an (E, 2)
 array of region pairs and an (E, L, L) array of their cost tables, so memory
-is O(E L^2) for the E region pairs that carry a stored score. ``CrfProblem``
+is O(E L^2) for the E region pairs that carry a stored score. Building them
+takes one int64 key per off-diagonal score entry, one ``np.unique`` over the
+keys, and then the tables, filled class pair by class pair. ``CrfProblem``
 checks these shapes against the (n, L) unary, and ``energy`` and
 ``qpbo_fuse`` reject labelings that are not n labels in [0, L). Both read the
 tables flat: entry [k, l_a, l_b] sits at (k L + l_a) L + l_b, one gather per
 term. Energy gathers one entry per edge. A fusion step gathers, per edge with
 a free end, the entries its options select: two for an edge with one free
-end, the 2 x 2 restriction for an edge with two.
+end, the 2 x 2 restriction for an edge with two. Its E-sized temporaries are
+freed before QPBO runs.
 
 Inference sweeps expansion proposals (every region offered one class) and
 accepts each move through a QPBO fusion step, which never increases the
-energy. ``brute_force_oracle`` enumerates labelings exactly on small
-instances so inference quality is measurable.
+energy. A fusion that returns the labeling unchanged keeps its energy
+without evaluating it again. ``brute_force_oracle`` enumerates labelings
+exactly on small instances so inference quality is measurable.
 """
 
 from __future__ import annotations
@@ -117,9 +121,10 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
     y = np.array([labeled[rid] for rid in ids])
     L = num_classes if num_classes is not None else int(y.max()) + 1
 
-    missing = [c for c in range(L) if not np.any(y == c)]
-    if missing:
-        raise ValueError(f"classes without training examples: {missing}")
+    missing = np.flatnonzero(np.bincount(y, minlength=L)[:L] == 0)
+    if missing.size:
+        raise ValueError(f"classes without training examples: {missing.size}, "
+                         f"the first {missing[:5].tolist()}")
     if len(ids) > 1 and np.allclose(X, X[0]):
         log.warning("all training features are identical; unary model is degenerate")
 
@@ -218,23 +223,29 @@ def build_pairwise(scores: Mapping[tuple[int, int], LinkScoreMatrix], beta: floa
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    empty = np.zeros(0, dtype=int)
-    parts = [(empty,) * 5]  # i, j, score, m, n of every off-diagonal entry
-    for (m, n), mat in scores.items():
-        S = mat.scores
-        off = S.row != S.col
-        k = int(off.sum())
-        parts.append((S.row[off], S.col[off], S.data[off],
-                      np.full(k, m), np.full(k, n)))
-    i, j, s, m, n = (np.concatenate(col) for col in zip(*parts))
-    size = max((mat.scores.shape[1] for mat in scores.values()), default=1)
-    keys, edge = np.unique(np.minimum(i, j).astype(np.int64) * size + np.maximum(i, j),
-                           return_inverse=True)  # sorted by (a, b)
+    mats = [((m, n), mat.scores) for (m, n), mat in scores.items()]
+    size = max((S.shape[1] for _, S in mats), default=1)
+    offs = [S.row != S.col for _, S in mats]
+    # one key a * size + b (a < b) per off-diagonal entry, class pair by pair
+    keys = np.empty(sum(int(off.sum()) for off in offs), dtype=np.int64)
+    start = 0
+    for (_, S), off in zip(mats, offs):
+        i, j = S.row[off].astype(np.int64), S.col[off]
+        stop = start + i.size
+        np.add(np.minimum(i, j) * size, np.maximum(i, j), out=keys[start:stop])
+        start = stop
+    keys, edge = np.unique(keys, return_inverse=True)  # sorted by (a, b)
+    edges = np.stack([keys // size, keys % size], axis=1)
     tables = np.zeros((len(keys), num_classes, num_classes))
-    fwd = i < j  # the (a, b)-direction score fills entry [m, n]
-    s = s[fwd]
-    tables[edge[fwd], m[fwd], n[fwd]] = lambda_pair * (np.exp(-(s * s) / (2.0 * beta)) - 1.0)
-    return PairwiseTerms(np.stack([keys // size, keys % size], axis=1), tables)
+    start = 0
+    for ((m, n), S), off in zip(mats, offs):
+        i, j = S.row[off], S.col[off]
+        fwd = i < j  # the (a, b)-direction score fills entry [m, n]
+        s = S.data[off][fwd]
+        tables[edge[start:start + i.size][fwd], m, n] = (
+            lambda_pair * (np.exp(-(s * s) / (2.0 * beta)) - 1.0))
+        start += i.size
+    return PairwiseTerms(edges, tables)
 
 
 @dataclass
@@ -334,6 +345,18 @@ def qpbo_fuse(problem: CrfProblem, current: np.ndarray,
     free = np.flatnonzero(current != proposal)
     if free.size == 0:
         return current.copy()
+    z = solve_binary_pairwise(*_fusion_terms(problem, current, proposal, free))
+    fused = current.copy()
+    take = free[z == 1]
+    fused[take] = proposal[take]
+    return fused
+
+
+def _fusion_terms(problem: CrfProblem, current: np.ndarray, proposal: np.ndarray,
+                  free: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The binary problem of a fusion over the free variables, in their order:
+    unary (f, 2) and the edges (E', 2) and tables (E', 2, 2) of the edges with
+    two free ends, as ``solve_binary_pairwise`` takes them."""
     n, L = problem.unary.shape
     pos = np.full(n, -1)
     pos[free] = np.arange(free.size)
@@ -341,7 +364,7 @@ def qpbo_fuse(problem: CrfProblem, current: np.ndarray,
     unary = np.stack([flat[free * L + current[free]], flat[free * L + proposal[free]]])
 
     # tables[k, l_a, l_b] is entry (k L + l_a) L + l_b of the flat tables
-    tables = problem.pairwise.tables
+    tables = problem.pairwise.tables.reshape(-1)
     a, b = problem.pairwise.edges[:, 0], problem.pairwise.edges[:, 1]
     pa, pb = pos[a], pos[b]
     fa, fb = pa >= 0, pb >= 0
@@ -352,23 +375,18 @@ def qpbo_fuse(problem: CrfProblem, current: np.ndarray,
     a1, b1, row = a[one], b[one], one * L
     var = np.maximum(pa[one], pb[one])
     # np.add.at adds in edge order, so every unary sums its terms in that order
-    np.add.at(unary[0], var, np.take(tables, (row + current[a1]) * L + current[b1]))
-    np.add.at(unary[1], var, np.take(tables, (row + proposal[a1]) * L + proposal[b1]))
+    np.add.at(unary[0], var, tables[(row + current[a1]) * L + current[b1]])
+    np.add.at(unary[1], var, tables[(row + proposal[a1]) * L + proposal[b1]])
 
     both = np.flatnonzero(fa & fb)
     a2, b2, row = a[both], b[both], both * L
     la = ((row + current[a2]) * L, (row + proposal[a2]) * L)
     lb = (current[b2], proposal[b2])
-    idx = np.empty((both.size, 2, 2), dtype=np.int64)  # edge k at options z_a, z_b
+    pair = np.empty((both.size, 2, 2))  # edge k at options z_a, z_b
     for za in (0, 1):
         for zb in (0, 1):
-            np.add(la[za], lb[zb], out=idx[:, za, zb])
-    z = solve_binary_pairwise(unary.T, np.stack([pa[both], pb[both]], axis=1),
-                              np.take(tables, idx))
-    fused = current.copy()
-    take = free[z == 1]
-    fused[take] = proposal[take]
-    return fused
+            pair[:, za, zb] = tables[la[za] + lb[zb]]
+    return unary.T, np.stack([pa[both], pb[both]], axis=1), pair
 
 
 def infer(problem: CrfProblem, max_sweeps: int = 10) -> Labeling:
@@ -387,7 +405,8 @@ def infer(problem: CrfProblem, max_sweeps: int = 10) -> Labeling:
         for alpha in range(problem.num_classes):
             proposal = np.full(problem.n, alpha)
             x_new = qpbo_fuse(problem, x, proposal)
-            e_new = energy(problem, x_new)
+            # an unchanged labeling keeps its energy, bit for bit
+            e_new = e if np.array_equal(x_new, x) else energy(problem, x_new)
             if e_new > e + 1e-9:
                 raise AssertionError(
                     f"fusion increased energy: {e} -> {e_new} (alpha={alpha})")

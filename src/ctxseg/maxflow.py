@@ -1,13 +1,16 @@
 """Dinic max-flow on float capacities, for the binary fusion solver.
 
 The network lives in arrays indexed by arc id. Arc k is stored at id 2k with
-its reverse at 2k + 1; ``tail`` and ``to`` hold the ends of every arc and
-``cap`` its residual capacity, which starts at zero on the reverse arcs.
+its reverse at 2k + 1; ``to`` holds the head of every arc and ``cap`` its
+residual capacity, which starts at zero on the reverse arcs. No tail array
+is kept: the tail of arc e is the head of its reverse, ``to[e ^ 1]``.
 Residual capacities at or below ``EPS`` count as saturated. ``out_arcs`` is
 the stable sort of the arc ids by tail, so the arcs leaving vertex u sit in
 id order at ``out_arcs[out_start[u]:out_start[u + 1]]`` (CSR offsets). It is
 an LSD radix sort: one stable ``argsort`` per 16-bit digit of the tail, on
-``uint16`` keys, which NumPy sorts by radix; one pass for n <= 65536.
+``uint16`` keys, which NumPy sorts by radix; one pass for n <= 65536. So a
+network of m arcs holds three arrays of 2m eight-byte slots (``to``, ``cap``,
+``out_arcs``) and n + 1 offsets.
 
 Each phase first builds the BFS level graph by frontier expansion: the
 frontier's out-arcs are gathered from the CSR offsets, so one BFS reads each
@@ -17,8 +20,11 @@ with current-arc pointers, so deep augmenting paths cannot hit the
 interpreter recursion limit. It runs over Python lists of the admissible
 arcs alone: residual capacity above ``EPS``, head exactly one level above a
 reached tail, and head either the sink or below the sink's level, grouped by
-tail in id order, each with its reverse capacity alongside. When the phase
-ends their capacities are written back.
+tail in id order, each with its reverse capacity alongside. The mask reads
+the head levels once; arcs 2k and 2k + 1 hold each other's tail levels, so
+one half-length difference of the pairs gives every level step. The DFS
+keeps the path's vertices next to its arcs, for stepping back. When the
+phase ends the capacities are written back.
 
 Why this gives, bit for bit, the flow of a DFS that scans every arc of a
 vertex and tests ``level[v] == level[u] + 1``: no arc outside the admissible
@@ -58,24 +64,28 @@ class MaxFlowGraph:
                 and tails.size == heads.size == caps.size):
             raise ValueError(f"tails, heads and caps must be 1-D of one length, got shapes "
                              f"{tails.shape}, {heads.shape}, {caps.shape}")
-        self.tail, self.to = np.empty((2, 2 * tails.size), dtype=np.int64)
-        self.tail[0::2], self.tail[1::2] = tails, heads
-        if self.tail.size and not (self.tail.min() >= 0 and self.tail.max() < n):
+        self.to = np.empty(2 * tails.size, dtype=np.int64)
+        self.to[0::2], self.to[1::2] = heads, tails
+        if self.to.size and not (self.to.min() >= 0 and self.to.max() < n):
             raise ValueError(f"arc endpoint out of range [0, {n})")
         if not (np.isfinite(caps) & (caps >= 0.0)).all():
             raise ValueError("arc capacities must be finite and nonnegative")
         self.n = n
-        self.to[0::2], self.to[1::2] = heads, tails
         self.cap = np.zeros(2 * caps.size)
         self.cap[0::2] = caps
-        # LSD radix sort on 16-bit digits: the stable argsort of tail
-        order = np.argsort(self.tail.astype(np.uint16), kind="stable")
+        # LSD radix sort on 16-bit digits: the stable argsort of the tails
+        # (tails, then heads as the tails of the reverse arcs). Assignment
+        # keeps a tail's low 16 bits; later digits read tail e as to[e ^ 1].
+        digit = np.empty(self.to.size, dtype=np.uint16)
+        digit[0::2], digit[1::2] = tails, heads
+        order = np.argsort(digit, kind="stable")
         for shift in range(16, (n - 1).bit_length(), 16):
-            digit = (self.tail[order] >> shift).astype(np.uint16)
+            digit = (self.to[order ^ 1] >> shift).astype(np.uint16)
             order = order[np.argsort(digit, kind="stable")]
         self.out_arcs = order
         self.out_start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.tail, minlength=n), out=self.out_start[1:])
+        np.cumsum(np.bincount(tails, minlength=n) + np.bincount(heads, minlength=n),
+                  out=self.out_start[1:])
         self._cut: tuple[int, np.ndarray] | None = None  # (source, levels) of the last BFS
 
     def _gather(self, nodes: np.ndarray) -> np.ndarray:
@@ -107,20 +117,30 @@ class MaxFlowGraph:
             level[frontier] = depth
         return level
 
+    def _admissible(self, t: int, level: np.ndarray) -> np.ndarray:
+        """Ids of the admissible arcs, grouped by tail in id order."""
+        lh = level[self.to]
+        # the tail of arc e is the head of arc e ^ 1: pairs 2k, 2k + 1 hold
+        # each other's tail levels
+        rise = lh[0::2] - lh[1::2]
+        ok = self.cap > EPS
+        ok[0::2] &= (rise == 1) & (lh[1::2] >= 0)
+        ok[1::2] &= (rise == -1) & (lh[0::2] >= 0)
+        ok &= (lh < level[t]) | (self.to == t)  # only heads that can reach t
+        return self.out_arcs[ok[self.out_arcs]]
+
     def _blocking_flow(self, s: int, t: int, level: np.ndarray) -> float:
-        lt, lh = level[self.tail], level[self.to]
-        ok = ((self.cap > EPS) & (lt >= 0) & (lh == lt + 1)
-              & ((lh < level[t]) | (self.to == t)))  # only heads that can reach t
-        adm = self.out_arcs[ok[self.out_arcs]]  # admissible ids, by tail in id order
-        counts = np.bincount(self.tail[adm], minlength=self.n)
+        adm = self._admissible(t, level)
+        counts = np.bincount(self.to[adm ^ 1], minlength=self.n)
         end = np.cumsum(counts)
         it = (end - counts).tolist()  # current-arc pointers
         end = end.tolist()
-        to, tail = self.to[adm].tolist(), self.tail[adm].tolist()
+        to = self.to[adm].tolist()
         cap, rcap = self.cap[adm].tolist(), self.cap[adm ^ 1].tolist()
         dead = [False] * self.n
         total = 0.0
-        path: list[int] = []  # admissible-list indices from s to the current node
+        path: list[int] = []   # admissible-list indices from s to the current node
+        nodes: list[int] = []  # the tail of each arc on the path
         u = s
         while True:
             j, stop = it[u], end[u]
@@ -131,10 +151,12 @@ class MaxFlowGraph:
                 if u == s:
                     break
                 dead[u] = True
-                u = tail[path.pop()]
+                path.pop()
+                u = nodes.pop()
                 it[u] += 1
                 continue
             path.append(j)
+            nodes.append(u)
             u = to[j]
             if u != t:
                 continue
@@ -149,8 +171,8 @@ class MaxFlowGraph:
                 if c <= EPS and cut < 0:
                     cut = i
             total += bottleneck
-            del path[cut:]
-            u = to[path[-1]] if path else s
+            u = nodes[cut]
+            del path[cut:], nodes[cut:]
         self.cap[adm] = cap
         self.cap[adm ^ 1] = rcap
         return total

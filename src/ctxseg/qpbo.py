@@ -10,12 +10,15 @@ with one literal node and one complement node per variable. Every term is
 split in half between the primal and the mirrored complement copy,
 submodular couplings become arcs between literal nodes and nonsubmodular
 ones cross over to complement nodes, so all arc capacities are nonnegative.
-The arcs are built as arrays, per-variable arcs first and then couplings in
-edge order. After a max-flow, a variable whose two nodes fall on opposite
-sides of the minimum cut is labeled; nodes on the same side leave the
-variable undecided. Labeled variables satisfy weak autarky:
-overwriting any labeling with them never increases the energy, and if every
-coupling is submodular the full labeling is an exact global minimum.
+The arcs are written into one preallocated array each of tails, heads and
+capacities, per-variable arcs first and then couplings in edge order. They
+and the edge-sized temporaries of the split live only while the network is
+built, so the max-flow runs next to the network alone. After a max-flow, a
+variable whose two nodes fall on opposite sides of the minimum cut is
+labeled; nodes on the same side leave the variable undecided. Labeled
+variables satisfy weak autarky: overwriting any labeling with them never
+increases the energy, and if every coupling is submodular the full labeling
+is an exact global minimum.
 """
 
 from __future__ import annotations
@@ -39,6 +42,18 @@ def solve_binary_pairwise(unary: np.ndarray, edges: np.ndarray,
     n = unary.shape[0]
     if n == 0:
         return np.zeros(0, dtype=int)
+    source = 2 * n
+    g = _network(unary, edges, tables)
+    g.max_flow(source, source + 1)
+    reach = g.source_side(source)
+
+    u, v = reach[0::2][:n], reach[1::2][:n]
+    return np.where(u & ~v, 0, np.where(v & ~u, 1, UNLABELED))
+
+
+def _network(unary: np.ndarray, edges: np.ndarray, tables: np.ndarray) -> MaxFlowGraph:
+    """The doubled flow network of the energy, source 2n and sink 2n + 1."""
+    n = unary.shape[0]
     a, b = edges[:, 0], edges[:, 1]
     A, B, C, D = tables[:, 0, 0], tables[:, 0, 1], tables[:, 1, 0], tables[:, 1, 1]
     gap = B + C - A - D
@@ -62,15 +77,13 @@ def solve_binary_pairwise(unary: np.ndarray, edges: np.ndarray,
     var = np.flatnonzero((lin > 0.0) | (lin < 0.0))
     up = lin[var] > 0.0
     lit, comp = 2 * var, 2 * var + 1
-    tails = [np.stack([np.where(up, source, lit), np.where(up, comp, source)], axis=1),
-             np.stack([2 * a, 2 * b + sub], axis=1)]
-    heads = [np.stack([np.where(up, lit, sink), np.where(up, sink, comp)], axis=1),
-             np.stack([2 * b + ~sub, 2 * a + 1], axis=1)]
-    caps = [np.repeat(np.abs(lin[var]), 2), np.repeat(half, 2)]
-    g = MaxFlowGraph(2 * n + 2, np.concatenate(tails, axis=None),
-                     np.concatenate(heads, axis=None), np.concatenate(caps))
-    g.max_flow(source, sink)
-    reach = g.source_side(source)
-
-    u, v = reach[0::2][:n], reach[1::2][:n]
-    return np.where(u & ~v, 0, np.where(v & ~u, 1, UNLABELED))
+    k = 2 * var.size  # arcs per variable, then two per coupling
+    tails, heads = np.empty((2, k + 2 * a.size), dtype=np.int64)
+    caps = np.empty(tails.size)
+    tails[0:k:2], heads[0:k:2] = np.where(up, source, lit), np.where(up, lit, sink)
+    tails[1:k:2], heads[1:k:2] = np.where(up, comp, source), np.where(up, sink, comp)
+    caps[0:k:2] = caps[1:k:2] = np.abs(lin[var])
+    tails[k::2], heads[k::2] = 2 * a, 2 * b + ~sub
+    tails[k + 1::2], heads[k + 1::2] = 2 * b + sub, 2 * a + 1
+    caps[k::2] = caps[k + 1::2] = half
+    return MaxFlowGraph(2 * n + 2, tails, heads, caps)

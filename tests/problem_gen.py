@@ -11,7 +11,10 @@ and ``as_dict`` turns built terms back into a dict for reading.
 
 ``broadcast_energy`` and ``broadcast_fusion_terms`` read the tables through
 three-array broadcast indexing, where ``crf.energy`` and ``crf.qpbo_fuse``
-gather from the flat tables. ``loop_train_unary`` is the per-example SGD
+gather from the flat tables. ``concat_build_pairwise`` concatenates every
+score entry's five columns before it fills the tables in one scatter, where
+``crf.build_pairwise`` keys the entries once and fills class pair by class
+pair. ``loop_train_unary`` is the per-example SGD
 loop that ``crf.train_unary`` replays in chunks, ``list_dinic`` is the
 max-flow that ``maxflow.MaxFlowGraph`` runs over arrays, and
 ``loop_knn_edges`` is the per-row k-NN selection that
@@ -85,6 +88,27 @@ def broadcast_fusion_terms(problem, current, proposal):
     np.add.at(unary, (var, 1), np.where(fa, t[:, 1, 0], t[:, 0, 1])[one])
     both = fa & fb
     return unary, np.stack([pa, pb], axis=1)[both], t[both]
+
+
+def concat_build_pairwise(scores, beta, lambda_pair, num_classes):
+    """Reference ``crf.build_pairwise``: all entries' columns concatenated."""
+    empty = np.zeros(0, dtype=int)
+    parts = [(empty,) * 5]  # i, j, score, m, n of every off-diagonal entry
+    for (m, n), mat in scores.items():
+        S = mat.scores
+        off = S.row != S.col
+        k = int(off.sum())
+        parts.append((S.row[off], S.col[off], S.data[off],
+                      np.full(k, m), np.full(k, n)))
+    i, j, s, m, n = (np.concatenate(col) for col in zip(*parts))
+    size = max((mat.scores.shape[1] for mat in scores.values()), default=1)
+    keys, edge = np.unique(np.minimum(i, j).astype(np.int64) * size + np.maximum(i, j),
+                           return_inverse=True)
+    tables = np.zeros((len(keys), num_classes, num_classes))
+    fwd = i < j
+    s = s[fwd]
+    tables[edge[fwd], m[fwd], n[fwd]] = lambda_pair * (np.exp(-(s * s) / (2.0 * beta)) - 1.0)
+    return PairwiseTerms(np.stack([keys // size, keys % size], axis=1), tables)
 
 
 def random_scores(rng, n, num_classes, max_pairs=None, max_links=5):

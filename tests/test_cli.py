@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -205,6 +206,24 @@ def test_malformed_stage_file_exits_with_file_and_line(dataset, tmp_path, capsys
     err = capsys.readouterr().err
     assert f"ctxseg {argv[0]}: error: {path}:2: {message.format(n=n)}" in err
     assert "Traceback" not in err
+
+
+def test_infer_refuses_score_class_without_label(dataset, tmp_path, capsys):
+    # the class id sizes the label space, so it is checked before training
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text(json.dumps({"m": 1, "n": 10 ** 6, "scores": [[0, 1, 0.5]]}) + "\n")
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text(json.dumps({"id": 0, "class": 0}) + "\n"
+                      + json.dumps({"id": 1, "class": 1}) + "\n")
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run(["infer", "--regions", str(dataset / "regions.jsonl"), "--scores", str(scores),
+                "--labels", str(labels), "--out", str(tmp_path / "p.jsonl")]) == 1
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert len(err) < 1024
+    assert (f"ctxseg infer: error: {scores}: class pair (1, 1000000) names class 1000000, "
+            "which no region label has") in err
 
 
 def test_negative_scores_load(tmp_path):

@@ -2,13 +2,15 @@ import itertools
 import json
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
 
-from problem_gen import (as_dict, broadcast_energy, broadcast_fusion_terms, crf_problem,
-                         loop_train_unary, random_link_problem, random_signed_problem,
-                         random_unary_data, unary_sequence)
+from problem_gen import (as_dict, broadcast_energy, broadcast_fusion_terms,
+                         concat_build_pairwise, crf_problem, loop_train_unary,
+                         random_link_problem, random_signed_problem, random_unary_data,
+                         unary_sequence)
 
 from ctxseg import crf
 from ctxseg.crf import (CrfProblem, PairwiseTerms, UnaryModel, UnaryTrainConfig, beta_adaptive,
@@ -69,6 +71,16 @@ class TestTrainUnary:
         seq = seq_with_features([[1.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(ValueError, match=r"\[1\]"):
             train_unary({0: 0, 1: 2}, seq, num_classes=3)
+
+    def test_many_missing_classes_counted_not_listed(self):
+        seq = seq_with_features([[1.0, 0.0], [-1.0, 0.0]])
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            train_unary({0: 0, 1: 1}, seq, num_classes=10 ** 6)
+        assert time.perf_counter() - start < 0.5
+        message = str(err.value)
+        assert len(message) < 1024
+        assert "999998" in message and "[2, 3, 4, 5, 6]" in message
 
     def test_identical_features_warns_but_returns(self, caplog):
         seq = seq_with_features([[1.0, 0.0]] * 4)
@@ -311,6 +323,31 @@ class TestBuildPairwise:
     def test_diagonal_scores_ignored(self):
         scores = scores_from_entries({(0, 1): [(1, 1, 1.0)]}, 3)
         assert as_dict(build_pairwise(scores, 1.0, 1.0, 2)) == {}
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_concatenating_reference(self, seed):
+        # class pairs with diagonal entries, with (j, i) entries only, with no
+        # entries, or missing; (m, n) and (n, m) both present: same bytes
+        rng = np.random.default_rng(900 + seed)
+        n, L = int(rng.integers(2, 30)), int(rng.integers(1, 5))
+        scores = {}
+        for m in range(L):
+            for nn in range(L):
+                kind = int(rng.integers(4))
+                if kind == 0:
+                    continue
+                k = 0 if kind == 1 else int(rng.integers(1, 3 * n))
+                row, col = rng.integers(0, n, k), rng.integers(0, n, k)
+                if kind == 2:  # on or below the diagonal: (b, a) entries only
+                    row, col = np.maximum(row, col), np.minimum(row, col)
+                scores[(m, nn)] = LinkScoreMatrix(
+                    SparseMatrix.from_entries(row, col, rng.uniform(-2.0, 2.0, k), (n, n)))
+        beta, lam = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.5, 2.0))
+        got = build_pairwise(scores, beta, lam, L)
+        want = concat_build_pairwise(scores, beta, lam, L)
+        for a, b in ((got.edges, want.edges), (got.tables, want.tables)):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("seed", range(20))
     def test_shift_leaves_minimizers_unchanged(self, seed):
@@ -639,6 +676,28 @@ class TestInfer:
         # trace is non-increasing
         assert all(b <= a + 1e-9 for a, b in zip(result.energy_trace,
                                                  result.energy_trace[1:]))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_energy_evaluated_only_for_changed_labelings(self, seed, monkeypatch):
+        p = random_link_problem(np.random.default_rng(450 + seed), max_n=12)
+        changed, evaluated = [], []
+        fuse, evaluate = crf.qpbo_fuse, crf.energy
+
+        def counted_fuse(problem, current, proposal):
+            fused = fuse(problem, current, proposal)
+            changed.append(not np.array_equal(fused, current))
+            return fused
+
+        def counted_energy(problem, x):
+            evaluated.append(True)
+            return evaluate(problem, x)
+
+        monkeypatch.setattr(crf, "qpbo_fuse", counted_fuse)
+        monkeypatch.setattr(crf, "energy", counted_energy)
+        result = infer(p)
+        assert len(evaluated) == 1 + sum(changed)
+        assert len(result.energy_trace) == 1 + len(changed)
+        assert result.energy == evaluate(p, result.assignment)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_mixed_sign_tables_still_bracketed(self, seed):

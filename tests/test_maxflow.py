@@ -85,9 +85,10 @@ def test_arc_index_is_the_stable_argsort_of_tails(n):
     n = int(rng.integers(65538, 1 << 20)) if n == "random" else n
     m = 3000
     g = MaxFlowGraph(n, skewed_tails(rng, n, m), skewed_tails(rng, n, m), np.ones(m))
-    assert np.array_equal(g.out_arcs, np.argsort(g.tail, kind="stable"))
+    tail = g.to[np.arange(g.to.size) ^ 1]  # arc e runs from the head of arc e ^ 1
+    assert np.array_equal(g.out_arcs, np.argsort(tail, kind="stable"))
     assert np.array_equal(g.out_start, np.concatenate(
-        [[0], np.cumsum(np.bincount(g.tail, minlength=n))]))
+        [[0], np.cumsum(np.bincount(tail, minlength=n))]))
 
 
 @pytest.mark.parametrize("seed", range(10))
