@@ -26,8 +26,12 @@ scores = {(1, 2): LinkScoreMatrix(SparseMatrix.from_dense(link)),
 beta = beta_adaptive(scores)
 pairwise = build_pairwise(scores, beta, lambda_pair=1.0, num_classes=3)
 problem = CrfProblem(unary, pairwise)
-print(f"pairwise terms on region pairs {pairwise.edges.tolist()}, table of (0, 1):")
-print(pairwise.tables[0].round(4))
+print(f"pairwise terms on region pairs {pairwise.edges.tolist()}; the stored cells of "
+      f"(0, 1), every other class pair costing 0:")
+L = pairwise.num_classes
+for key, cost in zip(pairwise.keys.tolist(), pairwise.costs.tolist()):
+    cell = key % (L * L)
+    print(f"  classes {divmod(cell, L)}: {cost:+.4f}")
 
 print("labeling energies:")
 for a in range(3):
@@ -50,9 +54,11 @@ for _ in range(trials):
     unary = rng.uniform(0, 3, (n, L))
     terms = [((a, b), rng.normal(scale=0.7, size=(L, L)))
              for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5]
+    # every class pair of every table as a cell: key (k L + m) L + n
+    tables = np.array([t for _, t in terms]).reshape(-1, L, L)
     p = CrfProblem(unary, PairwiseTerms(
         np.array([e for e, _ in terms], dtype=int).reshape(-1, 2),
-        np.array([t for _, t in terms]).reshape(-1, L, L)))
+        np.arange(tables.size), tables.reshape(-1), L))
     got = infer(p)
     best = brute_force_oracle(p)
     assert got.energy >= best.energy - 1e-9

@@ -12,17 +12,21 @@ instantiated pair, so minimizers are unchanged relative to the unshifted
 cost, and pairs without any link score can be omitted entirely.
 
 The pairwise terms have one form throughout, ``PairwiseTerms``: an (E, 2)
-array of region pairs and an (E, L, L) array of their cost tables, so memory
-is O(E L^2) for the E region pairs that carry a stored score. Building them
-takes one int64 key per off-diagonal score entry, one ``np.unique`` over the
-keys, and then the tables, filled class pair by class pair. ``CrfProblem``
-checks these shapes against the (n, L) unary, and ``energy`` and
-``qpbo_fuse`` reject labelings that are not n labels in [0, L). Both read the
-tables flat: entry [k, l_a, l_b] sits at (k L + l_a) L + l_b, one gather per
-term. Energy gathers one entry per edge. A fusion step gathers, per edge with
-a free end, the entries its options select: two for an edge with one free
-end, the 2 x 2 restriction for an edge with two. Its E-sized temporaries are
-freed before QPBO runs.
+array of region pairs and the cells of their L x L cost tables that a score
+writes, as sorted keys (k L + m) L + n with their costs. A class pair
+without a cell costs 0.0, so memory is O(E + C) for the E region pairs that
+carry a stored score and their C cells. Building them takes one int64 key
+per off-diagonal score entry, one ``np.unique`` over the keys, and then one
+cell per forward entry, written class pair by class pair. ``CrfProblem``
+checks the cells against the (n, L) unary, and ``energy`` and ``qpbo_fuse``
+reject labelings that are not n labels in [0, L). Both decode the cells on
+each call and read what each cell's two regions are at its classes in an
+(n, L) table. Energy scatters the cells the labeling selects into a zeroed
+term per edge. A fusion scatters each cell into the unary of an edge with
+one free end or the 2 x 2 table of an edge with two; edges without a cell
+add 0.0 as well, in edge order, so the binary problem is that of dense
+tables bit for bit. The fusion's E-sized temporaries are freed before QPBO
+runs.
 
 Inference sweeps expansion proposals (every region offered one class) and
 accepts each move through a QPBO fusion step, which never increases the
@@ -199,15 +203,18 @@ def beta_adaptive(scores: Mapping[tuple[int, int], LinkScoreMatrix]) -> float:
 
 @dataclass
 class PairwiseTerms:
-    """Pairwise cost tables of a CRF, one per region pair, as arrays.
+    """Pairwise costs of a CRF as stored cells of per-region-pair L x L tables.
 
     ``edges`` is an (E, 2) int array of region pairs (a, b) with a < b, rows
-    in sorted order; ``tables[k]`` is the L x L cost of edge k, indexed
-    [label of a, label of b].
+    in sorted order. Cell c costs ``costs[c]`` when edge k's regions take the
+    classes (m, n), where ``keys[c] = (k L + m) L + n``; the keys increase
+    strictly. A class pair without a cell costs 0.0.
     """
 
     edges: np.ndarray   # (E, 2) int
-    tables: np.ndarray  # (E, L, L) costs
+    keys: np.ndarray    # (C,) int, strictly increasing
+    costs: np.ndarray   # (C,) float
+    num_classes: int
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -215,11 +222,12 @@ class PairwiseTerms:
 
 def build_pairwise(scores: Mapping[tuple[int, int], LinkScoreMatrix], beta: float,
                    lambda_pair: float, num_classes: int) -> PairwiseTerms:
-    """Per-region-pair L x L cost tables from link scores.
+    """Pairwise cells from link scores.
 
     An edge exists for every unordered region pair (a < b) carrying at least
-    one stored score in some class pair; entry [m, n] reads the (a, b) score
-    of class pair (m, n). Diagonal score entries (i == j) are ignored.
+    one stored score in some class pair. Each stored (a, b) score of class
+    pair (m, n) gives the edge the cell (m, n); a (b, a) score adds the edge
+    but no cell, and diagonal score entries (i == j) are ignored.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
@@ -236,53 +244,80 @@ def build_pairwise(scores: Mapping[tuple[int, int], LinkScoreMatrix], beta: floa
         start = stop
     keys, edge = np.unique(keys, return_inverse=True)  # sorted by (a, b)
     edges = np.stack([keys // size, keys % size], axis=1)
-    tables = np.zeros((len(keys), num_classes, num_classes))
-    start = 0
+    del keys
+    L = num_classes
+    cells = np.empty(sum(int((S.row < S.col).sum()) for _, S in mats), dtype=np.int64)
+    costs = np.empty(cells.size)
+    start = stop = 0
     for ((m, n), S), off in zip(mats, offs):
         i, j = S.row[off], S.col[off]
-        fwd = i < j  # the (a, b)-direction score fills entry [m, n]
-        s = S.data[off][fwd]
-        tables[edge[start:start + i.size][fwd], m, n] = (
-            lambda_pair * (np.exp(-(s * s) / (2.0 * beta)) - 1.0))
+        fwd = i < j  # the (a, b)-direction score is cell (m, n)
+        k = edge[start:start + i.size][fwd]
         start += i.size
-    return PairwiseTerms(edges, tables)
+        at = slice(stop, stop + k.size)
+        stop += k.size
+        np.add((k * L + m) * L, n, out=cells[at])
+        s = S.data[off][fwd]
+        costs[at] = lambda_pair * (np.exp(-(s * s) / (2.0 * beta)) - 1.0)
+    del edge
+    # each class pair's cells increase, so the stable sort merges sorted runs
+    order = np.argsort(cells, kind="stable")
+    return PairwiseTerms(edges, cells[order], costs[order], num_classes)
 
 
 @dataclass
 class CrfProblem:
     """Unary costs and pairwise terms over n regions and L classes.
 
-    ValueError: unary not (n, L) with L >= 1 or not finite, tables not
-    (E, L, L), edges not an (E, 2) int array with entries in [0, n).
+    ValueError: unary not (n, L) with L >= 1 or not finite, edges not an
+    (E, 2) int array with entries in [0, n), pairwise terms of another L,
+    keys not strictly increasing ints in [0, E L^2), costs not as many or
+    not finite (the message names the region pair and class pair).
     """
 
     unary: np.ndarray         # (n, L) costs
     pairwise: PairwiseTerms
 
     def __post_init__(self):
-        unary, edges, tables = map(np.asarray, (self.unary, self.pairwise.edges,
-                                                self.pairwise.tables))
+        pw = self.pairwise
+        unary, edges, keys, costs = map(np.asarray, (self.unary, pw.edges, pw.keys,
+                                                     pw.costs))
         if unary.ndim != 2 or unary.shape[1] < 1:
             raise ValueError(f"unary must be (n, L) with L >= 1, got shape {unary.shape}")
         if not np.isfinite(unary).all():
             raise ValueError("unary costs must be finite")
         n, L = unary.shape
         E = len(edges)
-        if tables.shape != (E, L, L):
-            raise ValueError(f"pairwise tables must be (E, L, L) = ({E}, {L}, {L}), "
-                             f"got shape {tables.shape}")
+        if pw.num_classes != L:
+            raise ValueError(f"pairwise terms have {pw.num_classes} classes, unary {L}")
         if edges.shape != (E, 2) or not np.issubdtype(edges.dtype, np.integer):
             raise ValueError(f"pairwise edges must be an (E, 2) int array, got shape "
                              f"{edges.shape} of {edges.dtype}")
         if E and not (edges.min() >= 0 and edges.max() < n):
             raise ValueError(f"pairwise edge endpoint out of range [0, {n})")
+        if keys.ndim != 1 or keys.shape != costs.shape or not (
+                keys.size == 0 or np.issubdtype(keys.dtype, np.integer)):
+            raise ValueError(f"pairwise keys and costs must be two equal-length 1-d "
+                             f"arrays of ints and floats, got shapes {keys.shape} of "
+                             f"{keys.dtype} and {costs.shape}")
+        if keys.size and not (keys[0] >= 0 and keys[-1] < E * L * L
+                              and (keys[1:] > keys[:-1]).all()):
+            raise ValueError(f"pairwise keys must increase strictly within [0, {E * L * L})")
+        bad = np.flatnonzero(~np.isfinite(costs))
+        if bad.size:
+            k, cell = divmod(int(keys[bad[0]]), L * L)
+            raise ValueError(f"pairwise cost of region pair {tuple(edges[k].tolist())} at "
+                             f"class pair {divmod(cell, L)} is not finite: {costs[bad[0]]}")
         # costs are stored with NumPy's own float64 dtype instance: on an equal
         # copy of it (as unpickling makes) np.add.at runs per element
         f64 = np.dtype(np.float64)
         if unary.dtype is not f64:
             self.unary = unary.astype(f64)
-        if tables.dtype is not f64:
-            self.pairwise = PairwiseTerms(self.pairwise.edges, tables.astype(f64))
+        if costs.dtype is not f64:
+            costs = costs.astype(f64)
+        keys = keys.astype(np.int64, copy=False)
+        if any(x is not y for x, y in zip((edges, keys, costs), (pw.edges, pw.keys, pw.costs))):
+            self.pairwise = PairwiseTerms(edges, keys, costs, L)
 
     def __reduce__(self):
         # unpickle through __init__, so the checks and the dtype fix run again
@@ -295,6 +330,26 @@ class CrfProblem:
     @property
     def num_classes(self) -> int:
         return self.unary.shape[1]
+
+
+def _cell_options(problem: CrfProblem, table: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per cell (k, m, n): its edge k, table[a, m] and table[b, n], for edge k
+    = (a, b) and an (n, L) table of one-byte entries.
+
+    The table's rows are gathered per edge end, E L bytes each, and read at
+    k L + m = keys // L and at k L + n. q and k are the only cell-sized int
+    arrays made, as each fresh one also costs its page faults.
+    """
+    L = problem.num_classes
+    keys, edges = problem.pairwise.keys, problem.pairwise.edges
+    q = keys // L  # k L + m
+    k = q // L
+    at_a = np.take(table, edges[:, 0], axis=0).reshape(-1).take(q)
+    np.subtract(q, k, out=q)
+    q *= L
+    np.subtract(keys, q, out=q)  # k L + n
+    return k, at_a, np.take(table, edges[:, 1], axis=0).reshape(-1).take(q)
 
 
 @dataclass
@@ -320,12 +375,13 @@ def energy(problem: CrfProblem, x: np.ndarray) -> float:
     """Total cost of a labeling; each stored pair counted once."""
     x = _labels(problem, x)
     n, L = problem.unary.shape
-    edges = problem.pairwise.edges
-    # (k L + x_a) L + x_b indexes tables[k, x_a, x_b] in the flat tables
-    idx = (np.arange(0, len(edges) * L, L) + x[edges[:, 0]]) * L + x[edges[:, 1]]
-    terms = np.empty(len(edges) + 1)
+    chosen = np.zeros((n, L), dtype=bool)
+    chosen[np.arange(n), x] = True
+    k, on_a, on_b = _cell_options(problem, chosen)
+    on = np.flatnonzero(on_a & on_b)
+    terms = np.zeros(len(problem.pairwise) + 1)  # an edge without a cell adds 0.0
     terms[0] = problem.unary.reshape(-1)[np.arange(0, n * L, L) + x].sum()
-    np.take(problem.pairwise.tables, idx, out=terms[1:])
+    terms[1 + k.take(on)] = problem.pairwise.costs.take(on)
     # cumsum adds the terms one by one in edge order; np.sum would add them
     # pairwise, which changes the last bits of the energy
     return float(np.cumsum(terms)[-1])
@@ -360,33 +416,45 @@ def _fusion_terms(problem: CrfProblem, current: np.ndarray, proposal: np.ndarray
     n, L = problem.unary.shape
     pos = np.full(n, -1)
     pos[free] = np.arange(free.size)
-    flat = problem.unary.reshape(-1)
-    unary = np.stack([flat[free * L + current[free]], flat[free * L + proposal[free]]])
+    unary = np.stack([problem.unary[free, current[free]], problem.unary[free, proposal[free]]])
 
-    # tables[k, l_a, l_b] is entry (k L + l_a) L + l_b of the flat tables
-    tables = problem.pairwise.tables.reshape(-1)
     a, b = problem.pairwise.edges[:, 0], problem.pairwise.edges[:, 1]
     pa, pb = pos[a], pos[b]
     fa, fb = pa >= 0, pb >= 0
-    # one free end: the term joins that end's unary. The fixed end's two
-    # options coincide, so z = 0 reads (current_a, current_b) and z = 1 reads
-    # (proposal_a, proposal_b).
     one = np.flatnonzero(fa != fb)
-    a1, b1, row = a[one], b[one], one * L
-    var = np.maximum(pa[one], pb[one])
-    # np.add.at adds in edge order, so every unary sums its terms in that order
-    np.add.at(unary[0], var, tables[(row + current[a1]) * L + current[b1]])
-    np.add.at(unary[1], var, tables[(row + proposal[a1]) * L + proposal[b1]])
-
     both = np.flatnonzero(fa & fb)
-    a2, b2, row = a[both], b[both], both * L
-    la = ((row + current[a2]) * L, (row + proposal[a2]) * L)
-    lb = (current[b2], proposal[b2])
-    pair = np.empty((both.size, 2, 2))  # edge k at options z_a, z_b
-    for za in (0, 1):
-        for zb in (0, 1):
-            pair[:, za, zb] = tables[la[za] + lb[zb]]
-    return unary.T, np.stack([pa[both], pb[both]], axis=1), pair
+    var = np.maximum(pa[one], pb[one])
+    pair_ends = np.stack([pa[both], pb[both]], axis=1)
+    del pa, pb, fa, fb
+    rank = np.empty(len(a), dtype=np.int64)  # edge k's place in one or in both
+    rank[one] = np.arange(one.size)
+    rank[both] = np.arange(both.size)
+
+    # option of region i at class l: 0 its current class and 1 its proposed
+    # one if i is free, 2 the class of a fixed region, -1 neither
+    opt = np.full((n, L), -1, dtype=np.int8)
+    opt[np.arange(n), current] = 2
+    opt[free, current[free]] = 0
+    opt[free, proposal[free]] = 1
+    k, za, zb = _cell_options(problem, opt)
+    costs = problem.pairwise.costs
+    # one free end: the term joins that end's unary, z = 0 at (current_a,
+    # current_b) and z = 1 at (proposal_a, proposal_b); the fixed end's two
+    # options coincide. Edges without a cell add 0.0, in edge order too, as
+    # np.add.at adds in edge order.
+    fold = np.flatnonzero(((za == 2) & (zb >= 0) & (zb < 2))
+                          | ((zb == 2) & (za >= 0) & (za < 2)))
+    vals = np.zeros((2, one.size))
+    vals[np.minimum(za[fold], zb[fold]), rank.take(k.take(fold))] = costs.take(fold)
+    np.add.at(unary[0], var, vals[0])
+    np.add.at(unary[1], var, vals[1])
+
+    cell = np.flatnonzero((za >= 0) & (za < 2) & (zb >= 0) & (zb < 2))
+    pair = np.zeros((both.size, 2, 2))  # edge k at options z_a, z_b
+    at = rank.take(k.take(cell)) * 4
+    at += 2 * za[cell] + zb[cell]
+    pair.reshape(-1)[at] = costs.take(cell)
+    return unary.T, pair_ends, pair
 
 
 def infer(problem: CrfProblem, max_sweeps: int = 10) -> Labeling:
@@ -431,6 +499,9 @@ def brute_force_oracle(problem: CrfProblem) -> Labeling:
     if total > BRUTE_FORCE_LIMIT:
         raise ValueError(f"instance too large for enumeration: {L}^{n} labelings")
     radix = L ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    # dense tables, small as L^n <= BRUTE_FORCE_LIMIT
+    tables = np.zeros((len(problem.pairwise), L, L))
+    tables.reshape(-1)[problem.pairwise.keys] = problem.pairwise.costs
     best_e = np.inf
     best_idx = -1
     chunk = 1 << 16
@@ -438,8 +509,8 @@ def brute_force_oracle(problem: CrfProblem) -> Labeling:
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         labelings = (idx[:, None] // radix[None, :]) % L
         e = problem.unary[np.arange(n)[None, :], labelings].sum(axis=1)
-        for (a, b), tbl in zip(problem.pairwise.edges, problem.pairwise.tables):
-            e += tbl[labelings[:, a], labelings[:, b]]
+        for k, (a, b) in enumerate(problem.pairwise.edges):
+            e += tables[k][labelings[:, a], labelings[:, b]]
         k = int(np.argmin(e))
         if e[k] < best_e:
             best_e = float(e[k])

@@ -84,16 +84,23 @@ def build_knn_graph(seq: VideoSequence, k: int) -> SimilarityGraph:
     for r in range(0, n, SELECT_ROWS):
         block = G[r:r + SELECT_ROWS]
         kth = np.partition(block, n - k, axis=1)[:, n - k, None]  # k-th largest
-        above = block > kth
-        tied = block == kth
-        # of the values equal to the k-th, keep the ones with smaller indices
-        room = k - above.sum(axis=1, keepdims=True)
-        keep = (above | (tied & (np.cumsum(tied, axis=1) <= room))) & (block > 0.0)
+        keep = block >= kth
+        # a row with more than k such values has ties at the k-th: of the tied
+        # values keep the ones with smaller indices
+        over = np.flatnonzero(keep.sum(axis=1) > k)
+        if over.size:
+            sub, cut = block[over], kth[over]
+            tied = sub == cut
+            room = k - (sub > cut).sum(axis=1, keepdims=True)
+            keep[over] = (sub > cut) | (tied & (np.cumsum(tied, axis=1) <= room))
+        keep &= block > 0.0
         a, b = np.nonzero(keep)
         a += r
         keys.append(np.minimum(a, b) * n + np.maximum(a, b))
     a, b = np.divmod(np.unique(np.concatenate(keys)), n)
-    return _assemble(n, k, a, b, np.maximum(G[a, b], G[b, a]))
+    w = np.maximum(G[a, b], G[b, a])
+    del G  # the n x n Gram is freed before W and the operator are built
+    return _assemble(n, k, a, b, w)
 
 
 def dump_graph(graph: SimilarityGraph, path) -> None:

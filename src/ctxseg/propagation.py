@@ -23,6 +23,7 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -52,12 +53,24 @@ def resolvent(op: SparseMatrix, mu: float) -> np.ndarray:
     return (1.0 - mu) * np.linalg.inv(M)
 
 
-def _left_product(R: np.ndarray, P: SparseMatrix) -> SparseMatrix:
-    """R @ P using only the nonzero rows of P; zero columns stay exactly zero."""
+def _kept(P: np.ndarray, eps: Optional[float]) -> SparseMatrix:
+    """The entries of dense P that a prune at eps keeps: nonzero and, unless
+    eps is None, not below eps. Only the kept entries are gathered."""
+    keep = P != 0.0
+    if eps is not None:
+        keep &= ~(P < eps)
+    r, c = np.nonzero(keep)
+    return SparseMatrix(r, c, P[r, c], P.shape)
+
+
+def _left_product(R: np.ndarray, P: SparseMatrix, eps: Optional[float] = None
+                  ) -> SparseMatrix:
+    """R @ P using only the nonzero rows of P, pruned at eps as ``_kept``;
+    zero columns stay exactly zero."""
     active, rank = np.unique(P.row, return_inverse=True)
     rows = np.zeros((len(active), P.shape[1]))
     rows[rank, P.col] += P.data
-    return SparseMatrix.from_dense(R[:, active] @ rows)
+    return _kept(R[:, active] @ rows, eps)
 
 
 def _right_product(O: SparseMatrix, R: np.ndarray) -> np.ndarray:
@@ -74,27 +87,28 @@ def _right_product(O: SparseMatrix, R: np.ndarray) -> np.ndarray:
     return out
 
 
-def propagate_row_pass(O: SparseMatrix, R: np.ndarray) -> PassResult:
+def propagate_row_pass(O: SparseMatrix, R: np.ndarray,
+                       prune_eps: Optional[float] = None) -> PassResult:
     """Diffuse each nonzero row of O over the graph: O R = (1-mu) O (I - mu L)^{-1}.
 
     ``R`` is ``resolvent(op, mu)``. Rows of O without any observed link stay
-    exactly zero.
+    exactly zero: only the others are computed, each adding its terms in the
+    same order. Entries are pruned at ``prune_eps`` as ``_kept`` does.
     """
-    return PassResult(SparseMatrix.from_dense(_right_product(O, R)))
+    active, rank = np.unique(O.row, return_inverse=True)
+    dense = _right_product(SparseMatrix(rank, O.col, O.data, (len(active), O.shape[1])), R)
+    P = _kept(dense, prune_eps)
+    return PassResult(SparseMatrix(active[P.row], P.col, P.data, (O.shape[0], R.shape[1])))
 
 
-def propagate_column_pass(P_rows: SparseMatrix, R: np.ndarray) -> PassResult:
+def propagate_column_pass(P_rows: SparseMatrix, R: np.ndarray,
+                          prune_eps: Optional[float] = None) -> PassResult:
     """Diffuse each column of the row-pass result: R P_rows.
 
-    Zero columns stay exactly zero. ``R`` is as for the row pass.
+    Zero columns stay exactly zero. ``R`` and ``prune_eps`` are as for the
+    row pass.
     """
-    return PassResult(_left_product(R, P_rows))
-
-
-def _prune(M: SparseMatrix, eps: float) -> SparseMatrix:
-    """M without its entries below eps or equal to zero."""
-    keep = ~(M.data < eps) & (M.data != 0.0)
-    return SparseMatrix(M.row[keep], M.col[keep], M.data[keep], M.shape)
+    return PassResult(_left_product(R, P_rows, prune_eps))
 
 
 def predict_all_links(observed: dict[tuple[int, int], SparseMatrix],
@@ -111,9 +125,8 @@ def predict_all_links(observed: dict[tuple[int, int], SparseMatrix],
     R = resolvent(op, mu)
     out = {}
     for pair, O in pairs:
-        rows = propagate_row_pass(O, R)
-        cols = propagate_column_pass(_prune(rows.matrix, prune_eps), R)
-        out[pair] = LinkScoreMatrix(_prune(cols.matrix, prune_eps))
+        rows = propagate_row_pass(O, R, prune_eps)
+        out[pair] = LinkScoreMatrix(propagate_column_pass(rows.matrix, R, prune_eps).matrix)
     return out
 
 

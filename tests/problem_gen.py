@@ -1,20 +1,24 @@
 """Seeded random CRF instances shared by the unit and acceptance tests.
 
 ``random_link_problem`` mirrors the production path: random sparse link
-scores feed ``beta_adaptive`` and ``build_pairwise``, so the pairwise tables
-have exactly the shape inference sees. ``random_signed_problem`` draws
+scores feed ``beta_adaptive`` and ``build_pairwise``, so the pairwise cells
+are exactly the ones inference sees. ``random_signed_problem`` draws
 arbitrary mixed-sign tables for robustness checks.
 
-Tests write small tables as dicts ``{(a, b): table}``; ``crf_problem`` and
-``binary_terms`` turn such a dict into the array form the library takes,
-and ``as_dict`` turns built terms back into a dict for reading.
+Tests write small tables as dicts ``{(a, b): L x L table}``; ``crf_problem``
+and ``binary_terms`` turn such a dict into the array form the library takes,
+and ``as_dict`` turns built terms back into a dict for reading. The library
+keeps its pairwise terms as stored cells; ``terms_from_tables`` and
+``dense_tables`` convert between (E, L, L) tables and cells. A table entry
+of +0.0 becomes no cell, as an absent cell reads +0.0; every other entry,
+-0.0 included, becomes a cell.
 
-``broadcast_energy`` and ``broadcast_fusion_terms`` read the tables through
-three-array broadcast indexing, where ``crf.energy`` and ``crf.qpbo_fuse``
-gather from the flat tables. ``concat_build_pairwise`` concatenates every
-score entry's five columns before it fills the tables in one scatter, where
-``crf.build_pairwise`` keys the entries once and fills class pair by class
-pair. ``loop_train_unary`` is the per-example SGD
+``broadcast_energy`` and ``broadcast_fusion_terms`` read the dense tables
+through three-array broadcast indexing, where ``crf.energy`` and
+``crf.qpbo_fuse`` scatter the stored cells. ``concat_build_pairwise``
+concatenates every score entry's five columns before it fills dense tables
+in one scatter, where ``crf.build_pairwise`` keys the entries once and
+writes one cell per forward entry. ``loop_train_unary`` is the per-example SGD
 loop that ``crf.train_unary`` replays in chunks, ``list_dinic`` is the
 max-flow that ``maxflow.MaxFlowGraph`` runs over arrays, and
 ``loop_knn_edges`` is the per-row k-NN selection that
@@ -34,12 +38,29 @@ from ctxseg.propagation import LinkScoreMatrix
 from ctxseg.regions import Region, SparseMatrix, VideoSequence
 
 
+def terms_from_tables(edges, tables):
+    """``PairwiseTerms`` with a cell for every entry of the (E, L, L) tables
+    but the +0.0 ones."""
+    tables = np.asarray(tables, dtype=float)
+    flat = tables.reshape(-1)
+    keys = np.flatnonzero(flat.view(np.int64) != 0)  # bits of +0.0 are all zero
+    return PairwiseTerms(np.asarray(edges), keys, flat[keys], tables.shape[-1])
+
+
+def dense_tables(pairwise):
+    """The (E, L, L) tables of ``PairwiseTerms``, +0.0 where no cell is stored."""
+    L = pairwise.num_classes
+    tables = np.zeros((len(pairwise), L, L))
+    tables.reshape(-1)[pairwise.keys] = pairwise.costs
+    return tables
+
+
 def crf_problem(unary, pairwise):
     """``CrfProblem`` from a unary array and ``{(a, b): L x L table}``, a < b."""
     unary = np.asarray(unary, dtype=float)
     L = unary.shape[1]
     keys = sorted(pairwise)
-    return CrfProblem(unary, PairwiseTerms(
+    return CrfProblem(unary, terms_from_tables(
         np.array(keys, dtype=int).reshape(-1, 2),
         np.array([pairwise[k] for k in keys], dtype=float).reshape(-1, L, L)))
 
@@ -51,13 +72,13 @@ def binary_terms(pairwise):
 
 
 def as_dict(pairwise):
-    """``PairwiseTerms`` as ``{(a, b): table}``."""
-    return {(int(a), int(b)): t for (a, b), t in zip(pairwise.edges, pairwise.tables)}
+    """``PairwiseTerms`` as ``{(a, b): dense table}``."""
+    return {(int(a), int(b)): t for (a, b), t in zip(pairwise.edges, dense_tables(pairwise))}
 
 
 def broadcast_energy(problem, x):
     """Reference ``crf.energy``: same terms, same summation order."""
-    edges, tables = problem.pairwise.edges, problem.pairwise.tables
+    edges, tables = problem.pairwise.edges, dense_tables(problem.pairwise)
     terms = tables[np.arange(len(edges)), x[edges[:, 0]], x[edges[:, 1]]]
     unary = problem.unary[np.arange(problem.n), x].sum()
     return float(np.cumsum(np.concatenate([[unary], terms]))[-1])
@@ -76,7 +97,7 @@ def broadcast_fusion_terms(problem, current, proposal):
     pos[free] = np.arange(free.size)
     unary = np.stack([problem.unary[free, current[free]],
                       problem.unary[free, proposal[free]]], axis=1)
-    edges, tables = problem.pairwise.edges, problem.pairwise.tables
+    edges, tables = problem.pairwise.edges, dense_tables(problem.pairwise)
     options = np.stack([current[edges], proposal[edges]], axis=2)  # (E, 2 ends, 2)
     t = tables[np.arange(len(edges))[:, None, None],
                options[:, 0, :, None], options[:, 1, None, :]]
@@ -91,7 +112,8 @@ def broadcast_fusion_terms(problem, current, proposal):
 
 
 def concat_build_pairwise(scores, beta, lambda_pair, num_classes):
-    """Reference ``crf.build_pairwise``: all entries' columns concatenated."""
+    """Reference ``crf.build_pairwise`` as (edges, dense tables): all entries'
+    columns concatenated."""
     empty = np.zeros(0, dtype=int)
     parts = [(empty,) * 5]  # i, j, score, m, n of every off-diagonal entry
     for (m, n), mat in scores.items():
@@ -108,7 +130,7 @@ def concat_build_pairwise(scores, beta, lambda_pair, num_classes):
     fwd = i < j
     s = s[fwd]
     tables[edge[fwd], m[fwd], n[fwd]] = lambda_pair * (np.exp(-(s * s) / (2.0 * beta)) - 1.0)
-    return PairwiseTerms(np.stack([keys // size, keys % size], axis=1), tables)
+    return np.stack([keys // size, keys % size], axis=1), tables
 
 
 def random_scores(rng, n, num_classes, max_pairs=None, max_links=5):

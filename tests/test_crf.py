@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from problem_gen import (as_dict, broadcast_energy, broadcast_fusion_terms,
-                         concat_build_pairwise, crf_problem, loop_train_unary,
+                         concat_build_pairwise, crf_problem, dense_tables, loop_train_unary,
                          random_link_problem, random_signed_problem, random_unary_data,
                          unary_sequence)
 
@@ -306,19 +306,19 @@ class TestBuildPairwise:
         pw = build_pairwise(scores, 1.0, 1.0, num_classes=2)
         assert len(pw) == 3
         assert pw.edges.tolist() == [[0, 2], [1, 3], [2, 3]]
-        assert pw.tables.shape == (3, 2, 2)
-        want = np.zeros((3, 2, 2))
-        want[0, 1, 0] = np.exp(-2.0) - 1.0     # (1, 0) stores (0, 2)
-        want[1, 0, 1] = np.exp(-0.125) - 1.0   # (0, 1) stores (1, 3)
-        # (0, 1)'s scores at (2, 0) and (3, 2) run b -> a: the pairs are
-        # edges, but their tables do not read them
-        assert np.array_equal(pw.tables, want)
+        # (1, 0) stores (0, 2): edge 0, cell (1, 0); (0, 1) stores (1, 3):
+        # edge 1, cell (0, 1). (0, 1)'s scores at (2, 0) and (3, 2) run
+        # b -> a: the pairs are edges, but without a cell
+        assert pw.keys.tolist() == [(0 * 2 + 1) * 2 + 0, (1 * 2 + 0) * 2 + 1]
+        assert pw.costs.tolist() == [np.exp(-2.0) - 1.0, np.exp(-0.125) - 1.0]
+        assert pw.num_classes == 2
 
     def test_no_scores_give_empty_terms(self):
         pw = build_pairwise({}, 1.0, 1.0, num_classes=3)
         assert len(pw) == 0
         assert pw.edges.shape == (0, 2)
-        assert pw.tables.shape == (0, 3, 3)
+        assert pw.keys.shape == pw.costs.shape == (0,)
+        assert pw.num_classes == 3
 
     def test_diagonal_scores_ignored(self):
         scores = scores_from_entries({(0, 1): [(1, 1, 1.0)]}, 3)
@@ -327,7 +327,9 @@ class TestBuildPairwise:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_concatenating_reference(self, seed):
         # class pairs with diagonal entries, with (j, i) entries only, with no
-        # entries, or missing; (m, n) and (n, m) both present: same bytes
+        # entries, or missing; (m, n) and (n, m) both present; lambda_pair 0
+        # makes every cost -0.0: the cells densify to the same bytes, one
+        # cell per forward entry
         rng = np.random.default_rng(900 + seed)
         n, L = int(rng.integers(2, 30)), int(rng.integers(1, 5))
         scores = {}
@@ -343,11 +345,16 @@ class TestBuildPairwise:
                 scores[(m, nn)] = LinkScoreMatrix(
                     SparseMatrix.from_entries(row, col, rng.uniform(-2.0, 2.0, k), (n, n)))
         beta, lam = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.5, 2.0))
-        got = build_pairwise(scores, beta, lam, L)
-        want = concat_build_pairwise(scores, beta, lam, L)
-        for a, b in ((got.edges, want.edges), (got.tables, want.tables)):
-            assert (a.dtype, a.shape) == (b.dtype, b.shape)
-            assert a.tobytes() == b.tobytes()
+        forward = sum(int((s.scores.row < s.scores.col).sum()) for s in scores.values())
+        for lam in (lam, 0.0):
+            got = build_pairwise(scores, beta, lam, L)
+            for a, b in zip((got.edges, dense_tables(got)),
+                            concat_build_pairwise(scores, beta, lam, L)):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+            assert got.keys.shape == got.costs.shape == (forward,)
+            assert np.all(got.keys[1:] > got.keys[:-1])
+        assert np.all(np.signbit(got.costs))  # lambda_pair 0: -0.0 each
 
     @pytest.mark.parametrize("seed", range(20))
     def test_shift_leaves_minimizers_unchanged(self, seed):
@@ -492,8 +499,9 @@ def dense_problem(rng, n, L, density=0.5):
 
 
 class TestFlatGathers:
-    """``energy`` and ``qpbo_fuse`` read the flat tables; the broadcast
-    gathers of ``problem_gen`` are the reference, bit for bit."""
+    """``energy`` and ``qpbo_fuse`` scatter the stored cells; the broadcast
+    gathers of ``problem_gen`` over dense tables are the reference, bit for
+    bit."""
 
     @staticmethod
     def fusion_terms(p, current, proposal, monkeypatch):
@@ -556,6 +564,29 @@ class TestFlatGathers:
         assert energy(p, current).hex() == broadcast_energy(p, current).hex()
         self.assert_same_terms(p, current, proposal, monkeypatch)
 
+    @pytest.mark.parametrize("L", [1, 2, 3, 6])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edges_without_cells(self, L, seed, monkeypatch):
+        # edges whose tables are all +0.0 store no cell; -0.0 entries are
+        # cells, and a -0.0 unary gains +0.0 from a cell-less edge
+        rng = np.random.default_rng(990 + 10 * L + seed)
+        n = 8
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.6]
+        tables = {}
+        for e in pairs:
+            kind = int(rng.integers(3))
+            tables[e] = (np.zeros((L, L)) if kind == 0 else np.full((L, L), -0.0)
+                         if kind == 1 else rng.normal(size=(L, L)) * (rng.random((L, L)) < 0.3))
+        unary = rng.uniform(0.0, 3.0, (n, L))
+        unary[rng.random((n, L)) < 0.3] = -0.0
+        p = crf_problem(unary, tables)
+        assert len(p.pairwise.keys) < len(pairs) * L * L
+        for _ in range(4):
+            current = rng.integers(0, L, n)
+            proposal = rng.integers(0, L, n)
+            assert energy(p, current).hex() == broadcast_energy(p, current).hex()
+            self.assert_same_terms(p, current, proposal, monkeypatch)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_link_problems_along_inference(self, seed, monkeypatch):
         """Every fusion of an inference run, on production-shaped tables."""
@@ -584,40 +615,65 @@ class TestLabelChecks:
             qpbo_fuse(problem, np.zeros(2, dtype=int), np.array(x))
 
 
+def terms(edges, keys, costs, L):
+    return PairwiseTerms(np.array(edges), np.array(keys), np.array(costs, dtype=float), L)
+
+
+NO_EDGES = np.zeros((0, 2), dtype=int)
+
 BAD_PROBLEMS = [
-    pytest.param(lambda: (np.zeros(3), np.zeros((0, 2), dtype=int), np.zeros((0, 1, 1))),
-                 id="unary-1d"),
-    pytest.param(lambda: (np.zeros((3, 0)), np.zeros((0, 2), dtype=int), np.zeros((0, 0, 0))),
+    pytest.param(lambda: (np.zeros(3), terms(NO_EDGES, [], [], 1)), id="unary-1d"),
+    pytest.param(lambda: (np.zeros((3, 0)), terms(NO_EDGES, [], [], 0)),
                  id="unary-no-classes"),
-    pytest.param(lambda: (np.array([[0.0, np.nan]]), np.zeros((0, 2), dtype=int),
-                          np.zeros((0, 2, 2))), id="unary-nan"),
-    pytest.param(lambda: (np.array([[0.0, np.inf], [1.0, 1.0]]), np.zeros((0, 2), dtype=int),
-                          np.zeros((0, 2, 2))), id="unary-inf"),
-    pytest.param(lambda: (np.zeros((3, 2)), np.array([[0, 1]]), np.zeros((1, 3, 3))),
+    pytest.param(lambda: (np.array([[0.0, np.nan]]), terms(NO_EDGES, [], [], 2)),
+                 id="unary-nan"),
+    pytest.param(lambda: (np.array([[0.0, np.inf], [1.0, 1.0]]), terms(NO_EDGES, [], [], 2)),
+                 id="unary-inf"),
+    pytest.param(lambda: (np.zeros((3, 2)), terms([[0, 1]], [0], [1.0], 3)),
                  id="tables-other-L"),
-    pytest.param(lambda: (np.zeros((3, 2)), np.array([[0, 1]]), np.zeros((2, 2, 2))),
+    pytest.param(lambda: (np.zeros((3, 2)), terms([[0, 1]], [4], [1.0], 2)),
                  id="tables-other-E"),
-    pytest.param(lambda: (np.zeros((3, 2)), np.array([[0, 1]]), np.zeros((1, 4))),
+    pytest.param(lambda: (np.zeros((3, 2)), terms([[0, 1]], [[0, 1]], [[1.0, 1.0]], 2)),
                  id="tables-2d"),
-    pytest.param(lambda: (np.zeros((3, 2)), np.array([0, 1]), np.zeros((2, 2, 2))),
-                 id="edges-1d"),
-    pytest.param(lambda: (np.zeros((3, 2)), np.array([[0, 1, 2]]), np.zeros((1, 2, 2))),
+    pytest.param(lambda: (np.zeros((3, 2)), terms([0, 1], [], [], 2)), id="edges-1d"),
+    pytest.param(lambda: (np.zeros((3, 2)), terms([[0, 1, 2]], [], [], 2)),
                  id="edges-three-columns"),
-    pytest.param(lambda: (np.zeros((3, 2)), np.array([[0.0, 1.0]]), np.zeros((1, 2, 2))),
+    pytest.param(lambda: (np.zeros((3, 2)), terms([[0.0, 1.0]], [], [], 2)),
                  id="edges-float"),
-    pytest.param(lambda: (np.zeros((3, 2)), np.array([[0, 3]]), np.zeros((1, 2, 2))),
-                 id="edge-end-n"),
-    pytest.param(lambda: (np.zeros((3, 2)), np.array([[-1, 2]]), np.zeros((1, 2, 2))),
+    pytest.param(lambda: (np.zeros((3, 2)), terms([[0, 3]], [], [], 2)), id="edge-end-n"),
+    pytest.param(lambda: (np.zeros((3, 2)), terms([[-1, 2]], [], [], 2)),
                  id="edge-end-negative"),
+    pytest.param(lambda: (np.zeros((3, 2)), terms([[0, 1]], [3, 1], [1.0, 1.0], 2)),
+                 id="keys-unsorted"),
+    pytest.param(lambda: (np.zeros((3, 2)), terms([[0, 1]], [1, 1], [1.0, 2.0], 2)),
+                 id="keys-repeated"),
+    pytest.param(lambda: (np.zeros((3, 2)), terms([[0, 1]], [-1], [1.0], 2)),
+                 id="keys-negative"),
+    pytest.param(lambda: (np.zeros((3, 2)), terms([[0, 1]], [1.0], [1.0], 2)),
+                 id="keys-float"),
+    pytest.param(lambda: (np.zeros((3, 2)), terms([[0, 1]], [0, 1], [1.0], 2)),
+                 id="costs-short"),
 ]
 
 
 class TestProblemChecks:
     @pytest.mark.parametrize("parts", BAD_PROBLEMS)
     def test_bad_shapes_raise(self, parts):
-        unary, edges, tables = parts()
+        unary, pairwise = parts()
         with pytest.raises(ValueError):
-            CrfProblem(unary, PairwiseTerms(edges, tables))
+            CrfProblem(unary, pairwise)
+
+    @pytest.mark.parametrize("cost", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cost_names_region_and_class_pair(self, cost):
+        # a 3-region chain whose unary argmin (1, 2, 0) picks the bad cell:
+        # unchecked, NaN made infer return energy nan and +inf failed in the
+        # max-flow without naming a term
+        table = np.zeros((3, 3))
+        table[2, 0] = cost
+        unary = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        with pytest.raises(ValueError, match=r"region pair \(1, 2\) at class pair "
+                                             r"\(2, 0\) is not finite"):
+            crf_problem(unary, {(0, 1): np.ones((3, 3)), (1, 2): table})
 
     @pytest.mark.parametrize("n", [0, 4])
     def test_empty_scores_pass(self, n):
@@ -638,7 +694,7 @@ class TestProblemChecks:
         p = random_link_problem(np.random.default_rng(700 + seed), max_n=30, max_classes=5)
         q = pickle.loads(pickle.dumps(p))
         assert q.unary.dtype is np.dtype(np.float64)
-        assert q.pairwise.tables.dtype is np.dtype(np.float64)
+        assert q.pairwise.costs.dtype is np.dtype(np.float64)
         a, b = infer(p), infer(q)
         assert np.array_equal(a.assignment, b.assignment)
         assert [float(e).hex() for e in a.energy_trace] == [float(e).hex() for e in b.energy_trace]

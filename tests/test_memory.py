@@ -1,13 +1,15 @@
-"""Traced memory peaks of the CRF's pairwise assembly and of one fusion move.
+"""Traced memory of the CRF's pairwise assembly and of one fusion move.
 
 The problem is the benchmark's ``ctx-mu95`` shape: the ambiguity scenario of
 seed 200 twice in a row with 4 clutter regions per frame (n = 314), scored at
-mu = 0.95 (E = 23544 region pairs, L = 4). ``tracemalloc`` counts what NumPy
-and Python allocate, so the peaks are deterministic for a given NumPy build.
-Each bound sits 10-15 % above the measured peak (4.37 MiB and 4.74 MiB). A
-builder that concatenates five columns of every score entry peaks at
-9.4 MiB; a fusion that keeps its E-sized index arrays, its arc lists next to
-their concatenation and a stored tail array through the max-flow, at 9.8 MiB.
+mu = 0.95 (E = 23544 region pairs, L = 4, 33048 stored cells). ``tracemalloc``
+counts what NumPy and Python allocate, so the peaks are deterministic for a
+given NumPy build. Each peak bound sits 10-15 % above the measured peak
+(3.48 MiB and 4.74 MiB). A builder that concatenates five columns of every
+score entry peaks at 9.4 MiB, and one that fills (E, L, L) tables at 4.37 MiB;
+a fusion that keeps its E-sized index arrays, its arc lists next to their
+concatenation and a stored tail array through the max-flow, at 9.8 MiB. The
+built terms take 0.91 MB as edges plus cells, 3.39 MB as (E, L, L) tables.
 """
 
 import dataclasses
@@ -56,7 +58,15 @@ def test_build_pairwise_peak(ctx_problem):
     scores, beta, lambda_pair, unary = ctx_problem
     L = unary.shape[1]
     assert len(crf.build_pairwise(scores, beta, lambda_pair, L)) == 23544
-    assert traced_peak(crf.build_pairwise, scores, beta, lambda_pair, L) < 5.0 * MIB
+    assert traced_peak(crf.build_pairwise, scores, beta, lambda_pair, L) < 4.0 * MIB
+
+
+def test_pairwise_terms_bytes(ctx_problem):
+    scores, beta, lambda_pair, unary = ctx_problem
+    pw = crf.build_pairwise(scores, beta, lambda_pair, unary.shape[1])
+    arrays = [v for v in vars(pw).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) < 1.2e6
+    assert len(pw.keys) == 33048
 
 
 def test_largest_fusion_peak(ctx_problem):

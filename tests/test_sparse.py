@@ -157,9 +157,39 @@ def test_prune_matches_eliminate_zeros(seed):
     S = sparse.csr_matrix((data, (row, col)), shape=(n, n))
     S.data[S.data < eps] = 0.0
     S.eliminate_zeros()
-    got = propagation._prune(M, eps)
+    got = propagation._kept(M.toarray(), eps)
     assert_same(got, S)
     assert not (got.data < eps).any() and got.data.all()
+
+
+def pruned(dense, eps):
+    """SciPy's stored entries of a dense product, pruned at eps (None: none)."""
+    S = sparse.csr_matrix(dense)
+    if eps is not None:
+        S.data[S.data < eps] = 0.0
+        S.eliminate_zeros()
+    return S
+
+
+@pytest.mark.parametrize("eps", [None, 0.0, 1e-3], ids=["none", "zero", "1e-3"])
+@pytest.mark.parametrize("seed", range(12))
+def test_passes_gather_what_the_prune_keeps(seed, eps):
+    # each pass gathers only the entries a prune at eps keeps: the same bytes
+    # as the dense product's nonzeros pruned afterwards; with no prune,
+    # negative entries stay
+    rng = np.random.default_rng(600 + seed)
+    n = SIZES[seed % len(SIZES)]
+    O = SparseMatrix.from_entries(*random_entries(rng, n), (n, n))
+    R = rng.standard_normal((n, n))
+    rows = propagation.propagate_row_pass(O, R, eps).matrix
+    assert_same(rows, pruned(sparse.csr_matrix((O.data, (O.row, O.col)), shape=(n, n)) @ R,
+                             eps))
+    cols = propagation.propagate_column_pass(rows, R, eps).matrix
+    S = sparse.csr_matrix(rows.toarray())
+    active = np.flatnonzero(np.diff(S.indptr))
+    assert_same(cols, pruned(R[:, active] @ S[active].toarray(), eps))
+    if eps is None and rows.nnz:
+        assert (rows.data < 0).any()
 
 
 def test_import_and_pipeline_run_leave_scipy_unloaded(tmp_path):
