@@ -38,7 +38,8 @@ hypotheses = associate_trajectories(detections, params)
 print(f"{len(detections)} detections -> {len(hypotheses)} retained hypotheses\n")
 for i, h in enumerate(hypotheses):
     marks = "".join("D" if e.source == "det" else "t" for e in h.entries)
-    print(f"hypothesis {i}: class {h.class_id}, frames {h.frames[0]}..{h.frames[-1]}, "
+    first, last = h.entries[0].frame, h.entries[-1].frame
+    print(f"hypothesis {i}: class {h.class_id}, frames {first}..{last}, "
           f"{h.instance_count} detections, seed conf {h.seed_confidence:.2f}")
     print(f"  per-frame sources (D=detection, t=tracker): {marks}")
 

@@ -12,21 +12,18 @@ instantiated pair, so minimizers are unchanged relative to the unshifted
 cost, and pairs without any link score can be omitted entirely.
 
 The pairwise terms have one form throughout, ``PairwiseTerms``: an (E, 2)
-array of region pairs and the cells of their L x L cost tables that a score
-writes, as sorted keys (k L + m) L + n with their costs. A class pair
-without a cell costs 0.0, so memory is O(E + C) for the E region pairs that
-carry a stored score and their C cells. Building them takes one int64 key
-per off-diagonal score entry, one ``np.unique`` over the keys, and then one
-cell per forward entry, written class pair by class pair. ``CrfProblem``
-checks the cells against the (n, L) unary, and ``energy`` and ``qpbo_fuse``
-reject labelings that are not n labels in [0, L). Both decode the cells on
-each call and read what each cell's two regions are at its classes in an
-(n, L) table. Energy scatters the cells the labeling selects into a zeroed
-term per edge. A fusion scatters each cell into the unary of an edge with
-one free end or the 2 x 2 table of an edge with two; edges without a cell
-add 0.0 as well, in edge order, so the binary problem is that of dense
-tables bit for bit. The fusion's E-sized temporaries are freed before QPBO
-runs.
+array of region pairs and the cells of their L x L cost tables, as sorted
+keys (k L + m) L + n with their costs. Each stored (a, b) score with a < b
+of class pair (m, n) gives edge (a, b) the cell (m, n). A class pair
+without a cell costs 0.0, so memory is O(E + C) for E region pairs and C
+cells. ``CrfProblem`` checks the cells against the (n, L) unary, and
+``energy`` and ``qpbo_fuse`` reject labelings that are not n labels in
+[0, L). Both decode the cells on each call and read what each cell's two
+regions are at its classes in an (n, L) table. Energy scatters the cells
+the labeling selects into a zeroed term per edge. A fusion scatters each
+cell into the unary of an edge with one free end or the 2 x 2 table of an
+edge with two, in edge order. The fusion's E-sized temporaries are freed
+before QPBO runs.
 
 Inference sweeps expansion proposals (every region offered one class) and
 accepts each move through a QPBO fusion step, which never increases the
@@ -224,45 +221,34 @@ def build_pairwise(scores: Mapping[tuple[int, int], LinkScoreMatrix], beta: floa
                    lambda_pair: float, num_classes: int) -> PairwiseTerms:
     """Pairwise cells from link scores.
 
-    An edge exists for every unordered region pair (a < b) carrying at least
-    one stored score in some class pair. Each stored (a, b) score of class
-    pair (m, n) gives the edge the cell (m, n); a (b, a) score adds the edge
-    but no cell, and diagonal score entries (i == j) are ignored.
+    Each stored (a, b) score with a < b of class pair (m, n) gives edge
+    (a, b) the cell (m, n). Scores with a >= b are ignored.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    mats = [((m, n), mat.scores) for (m, n), mat in scores.items()]
+    L = num_classes
+    mats = [(m * L + n, mat.scores) for (m, n), mat in scores.items()]
     size = max((S.shape[1] for _, S in mats), default=1)
-    offs = [S.row != S.col for _, S in mats]
-    # one key a * size + b (a < b) per off-diagonal entry, class pair by pair
-    keys = np.empty(sum(int(off.sum()) for off in offs), dtype=np.int64)
+    fwds = [S.row < S.col for _, S in mats]
+    counts = [int(fwd.sum()) for fwd in fwds]
+    # one key a * size + b and one score per forward entry, class pair by pair
+    keys = np.empty(sum(counts), dtype=np.int64)
+    s = np.empty(keys.size)
     start = 0
-    for (_, S), off in zip(mats, offs):
-        i, j = S.row[off].astype(np.int64), S.col[off]
-        stop = start + i.size
-        np.add(np.minimum(i, j) * size, np.maximum(i, j), out=keys[start:stop])
-        start = stop
-    keys, edge = np.unique(keys, return_inverse=True)  # sorted by (a, b)
+    for (_, S), fwd, count in zip(mats, fwds, counts):
+        at = slice(start, start + count)
+        np.add(S.row[fwd].astype(np.int64) * size, S.col[fwd], out=keys[at])
+        s[at] = S.data[fwd]
+        start += count
+    keys, cells = np.unique(keys, return_inverse=True)  # edges sorted by (a, b)
     edges = np.stack([keys // size, keys % size], axis=1)
     del keys
-    L = num_classes
-    cells = np.empty(sum(int((S.row < S.col).sum()) for _, S in mats), dtype=np.int64)
-    costs = np.empty(cells.size)
-    start = stop = 0
-    for ((m, n), S), off in zip(mats, offs):
-        i, j = S.row[off], S.col[off]
-        fwd = i < j  # the (a, b)-direction score is cell (m, n)
-        k = edge[start:start + i.size][fwd]
-        start += i.size
-        at = slice(stop, stop + k.size)
-        stop += k.size
-        np.add((k * L + m) * L, n, out=cells[at])
-        s = S.data[off][fwd]
-        costs[at] = lambda_pair * (np.exp(-(s * s) / (2.0 * beta)) - 1.0)
-    del edge
+    cells *= L * L  # (k L + m) L + n = k L^2 + (m L + n)
+    cells += np.repeat(np.array([mn for mn, _ in mats], dtype=np.int64), counts)
+    costs = lambda_pair * (np.exp(-(s * s) / (2.0 * beta)) - 1.0)
     # each class pair's cells increase, so the stable sort merges sorted runs
     order = np.argsort(cells, kind="stable")
-    return PairwiseTerms(edges, cells[order], costs[order], num_classes)
+    return PairwiseTerms(edges, cells[order], costs[order], L)
 
 
 @dataclass

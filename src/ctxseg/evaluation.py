@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from .context import BACKGROUND
 from .regions import VideoSequence
-
-BACKGROUND = 0
 
 
 @dataclass

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -48,13 +47,20 @@ class PipelineConfig:
     no_context: bool = False
 
     def validate(self) -> None:
-        """Range-check every field against its owning module's contract.
+        """Check each field's type, and its range against its module's contract.
 
-        A non-finite float passes most range checks (``inf > 0``) and then
-        turns the CRF energy into NaN or -inf, so every float must be finite.
+        Each field must have its default's type: a bool field a bool, an int
+        field an int that is not a bool, a float field an int or a float that
+        is not a bool (kept as given). A non-finite float passes most range
+        checks (``inf > 0``) and then turns the CRF energy into NaN or -inf,
+        so every float must be finite.
         """
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
+            value, kind = getattr(self, f.name), type(f.default)
+            allowed = (int, float) if kind is float else kind
+            if not isinstance(value, allowed) or (kind is not bool and isinstance(value, bool)):
+                name = {bool: "a bool", int: "an int", float: "a number"}[kind]
+                raise ValueError(f"{f.name} must be {name}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
         checks = [
@@ -77,9 +83,6 @@ class PipelineConfig:
         for ok, message in checks:
             if not ok:
                 raise ValueError(message)
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2)
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -147,7 +150,6 @@ def infer_stage(seq: VideoSequence, labels: dict[int, int], scores,
 @dataclass
 class PipelineResult:
     hypotheses: list[tracking.TrajectoryHypothesis]
-    annotated: frozenset[int]
     labels: dict[int, int]
     graph: Optional[graph.SimilarityGraph]
     links: dict
@@ -170,5 +172,4 @@ def run_pipeline(seq: VideoSequence, cfg: PipelineConfig,
         scores = propagate_stage(links, g, cfg)
     pred, labeling = infer_stage(seq, labels, scores, cfg)
     report = evaluation.iou_per_class(pred, gt, seq) if gt else None
-    return PipelineResult(hyps, frames, labels, g, links, scores, pred,
-                          labeling, report)
+    return PipelineResult(hyps, labels, g, links, scores, pred, labeling, report)

@@ -45,7 +45,6 @@ class Region:
     feature: np.ndarray
     area: int
     bbox: Optional[Box] = None
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -78,16 +77,11 @@ class VideoSequence:
             if r.bbox is not None and (r.bbox[2] <= 0 or r.bbox[3] <= 0):
                 raise IngestError(f"region {r.region_id}: bbox extents must be positive")
 
-        if regions:
-            d = regions[0].feature.shape[0]
-            for r in regions:
-                if r.feature.shape != (d,):
-                    raise IngestError(
-                        f"region {r.region_id}: feature dimension "
-                        f"{r.feature.shape[0]} != {d}")
-            self.feature_dim = d
-        else:
-            self.feature_dim = 0
+        d = regions[0].feature.shape[0] if regions else 0
+        for r in regions:
+            if r.feature.shape != (d,):
+                raise IngestError(
+                    f"region {r.region_id}: feature dimension {r.feature.shape[0]} != {d}")
 
         max_frame = max(
             [r.frame for r in regions] + [d.frame for d in detections],
@@ -140,18 +134,16 @@ class VideoSequence:
         return np.stack([r.feature for r in self.regions])
 
 
-def normalize_feature(raw: np.ndarray) -> tuple[np.ndarray, bool]:
-    """L2-normalize a feature; all-zero vectors are kept and flagged.
+def normalize_feature(raw: np.ndarray) -> np.ndarray:
+    """L2-normalize a feature; all-zero vectors are kept as they are.
 
     Vectors already unit within 1e-9 pass through untouched so that a
     save/load cycle is bitwise idempotent.
     """
     nrm = float(np.linalg.norm(raw))
-    if nrm == 0.0:
-        return raw, True
-    if abs(nrm - 1.0) < 1e-9:
-        return raw, False
-    return raw / nrm, False
+    if nrm == 0.0 or abs(nrm - 1.0) < 1e-9:
+        return raw
+    return raw / nrm
 
 
 # what converting a record's fields can raise: a missing key, a wrong type,
@@ -317,8 +309,8 @@ def _parse_box(raw, where: str) -> Box:
 def load_sequence(regions_path, detections_path=None) -> VideoSequence:
     """Load and validate a sequence from JSON-lines files.
 
-    Features are L2-normalized in place; all-zero features are admitted but
-    flagged degenerate. Raises :class:`IngestError` with the offending file
+    Features are L2-normalized; all-zero features are admitted as they are.
+    Raises :class:`IngestError` with the offending file
     and line number on malformed input.
     """
     regions: list[Region] = []
@@ -340,8 +332,7 @@ def load_sequence(regions_path, detections_path=None) -> VideoSequence:
                 f"{where}: feature dimension {feat.size} != {dim} "
                 f"(set by first record)")
         bbox = _parse_box(rec["bbox"], where) if rec.get("bbox") is not None else None
-        feature, degenerate = normalize_feature(feat)
-        regions.append(Region(rid, frame, feature, area, bbox, degenerate))
+        regions.append(Region(rid, frame, normalize_feature(feat), area, bbox))
     if not regions:
         raise IngestError(f"{regions_path}: no region records")
 

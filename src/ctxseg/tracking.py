@@ -54,10 +54,6 @@ class TrajectoryHypothesis:
     def instance_count(self) -> int:
         return sum(1 for e in self.entries if e.source == SOURCE_DETECTION)
 
-    @property
-    def frames(self) -> list[int]:
-        return [e.frame for e in self.entries]
-
 
 class ConstantVelocityTracker:
     """Box predictor with velocity from the last two accepted boxes.
@@ -126,7 +122,6 @@ def associate_trajectories(dets: list[Detection],
     while len(pool) >= params.min_instances:
         seed = pool.pop(0)
         entries = {seed.frame: TrajectoryEntry(seed.frame, seed.bbox, SOURCE_DETECTION)}
-        count = 1
         for direction in (1, -1):
             tracker.begin(seed.frame, seed.bbox)
             misses = 0
@@ -148,7 +143,6 @@ def associate_trajectories(dets: list[Detection],
                     entries[f] = TrajectoryEntry(f, best.bbox, SOURCE_DETECTION)
                     pool.remove(best)
                     tracker.accept(f, best.bbox)
-                    count += 1
                     misses = 0
                 else:
                     entries[f] = TrajectoryEntry(f, pred, SOURCE_TRACKER)
@@ -158,7 +152,7 @@ def associate_trajectories(dets: list[Detection],
             class_id=seed.class_id,
             entries=[entries[f] for f in sorted(entries)],
             seed_confidence=seed.confidence)
-        if count >= params.min_instances:
+        if hyp.instance_count >= params.min_instances:
             retained.append(hyp)
     return retained
 

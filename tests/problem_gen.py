@@ -17,14 +17,13 @@ of +0.0 becomes no cell, as an absent cell reads +0.0; every other entry,
 through three-array broadcast indexing, where ``crf.energy`` and
 ``crf.qpbo_fuse`` scatter the stored cells. ``concat_build_pairwise``
 concatenates every score entry's five columns before it fills dense tables
-in one scatter, where ``crf.build_pairwise`` keys the entries once and
-writes one cell per forward entry. ``loop_train_unary`` is the per-example SGD
-loop that ``crf.train_unary`` replays in chunks, ``list_dinic`` is the
-max-flow that ``maxflow.MaxFlowGraph`` runs over arrays, and
-``loop_knn_edges`` is the per-row k-NN selection that
-``graph.build_knn_graph`` runs over row blocks; tests hold the library to
-their bits. ``normalized_operator`` builds the graph operator of a given
-affinity matrix.
+in one scatter, where ``crf.build_pairwise`` keys the forward entries once
+and writes one cell each. ``loop_train_unary`` is the per-example SGD loop
+that ``crf.train_unary`` replays in chunks, ``list_dinic`` is the max-flow
+that ``maxflow.MaxFlowGraph`` runs over arrays, and ``loop_knn_edges`` is
+the per-row k-NN selection that ``graph.build_knn_graph`` runs over row
+blocks; tests hold the library to their bits. ``normalized_operator``
+builds the graph operator of a given affinity matrix.
 """
 
 from collections import deque
@@ -113,7 +112,8 @@ def broadcast_fusion_terms(problem, current, proposal):
 
 def concat_build_pairwise(scores, beta, lambda_pair, num_classes):
     """Reference ``crf.build_pairwise`` as (edges, dense tables): all entries'
-    columns concatenated."""
+    columns concatenated. Every off-diagonal entry makes an edge, so it matches
+    ``build_pairwise`` on scores that hold forward (i < j) entries only."""
     empty = np.zeros(0, dtype=int)
     parts = [(empty,) * 5]  # i, j, score, m, n of every off-diagonal entry
     for (m, n), mat in scores.items():

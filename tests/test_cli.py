@@ -369,6 +369,18 @@ def test_eval_bad_ground_truth_exits_with_file_and_line(dataset, tmp_path, capsy
     assert "Traceback" not in err
 
 
+def test_eval_unknown_labeling_id_exits_with_file_and_line(dataset, tmp_path, capsys):
+    labeling = tmp_path / "labeling.jsonl"
+    labeling.write_text(json.dumps({"id": 0, "class": 0}) + "\n"
+                        + json.dumps({"id": 99999, "class": 1}) + "\n")
+    capsys.readouterr()
+    assert run(["eval", "--regions", str(dataset / "regions.jsonl"),
+                "--labeling", str(labeling), "--gt", str(dataset / "gt.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert f"ctxseg eval: error: {labeling}:2: unknown region id 99999" in err
+    assert "Traceback" not in err
+
+
 def test_no_context_ablation_scores_lower(dataset, tmp_path):
     full = tmp_path / "full"
     bare = tmp_path / "bare"
@@ -392,6 +404,25 @@ def test_config_file_with_unknown_field_rejected(dataset, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "ctxseg pipeline: error: unknown config fields: ['literal_alg1']" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("no_context", "false", "no_context must be a bool, got 'false'"),
+    ("k", True, "k must be an int, got True"),
+    ("k", 5.5, "k must be an int, got 5.5"),
+], ids=["string-bool", "bool-int", "fractional-int"])
+def test_config_file_field_of_wrong_type_rejected(dataset, tmp_path, capsys,
+                                                  field, value, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({field: value}))
+    code = run(["pipeline", "--regions", str(dataset / "regions.jsonl"),
+                "--detections", str(dataset / "detections.jsonl"),
+                "--out", str(tmp_path / "o"), "--config", str(cfg_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"ctxseg pipeline: error: {message}" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

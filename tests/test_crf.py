@@ -304,11 +304,11 @@ class TestBuildPairwise:
         scores = scores_from_entries({(0, 1): [(2, 0, 1.0), (1, 3, 0.5), (3, 2, 1.0)],
                                       (1, 0): [(0, 2, 2.0)]}, 4)
         pw = build_pairwise(scores, 1.0, 1.0, num_classes=2)
-        assert len(pw) == 3
-        assert pw.edges.tolist() == [[0, 2], [1, 3], [2, 3]]
+        assert len(pw) == 2
+        assert pw.edges.tolist() == [[0, 2], [1, 3]]
         # (1, 0) stores (0, 2): edge 0, cell (1, 0); (0, 1) stores (1, 3):
         # edge 1, cell (0, 1). (0, 1)'s scores at (2, 0) and (3, 2) run
-        # b -> a: the pairs are edges, but without a cell
+        # b -> a: they make neither an edge nor a cell
         assert pw.keys.tolist() == [(0 * 2 + 1) * 2 + 0, (1 * 2 + 0) * 2 + 1]
         assert pw.costs.tolist() == [np.exp(-2.0) - 1.0, np.exp(-0.125) - 1.0]
         assert pw.num_classes == 2
@@ -328,8 +328,8 @@ class TestBuildPairwise:
     def test_matches_concatenating_reference(self, seed):
         # class pairs with diagonal entries, with (j, i) entries only, with no
         # entries, or missing; (m, n) and (n, m) both present; lambda_pair 0
-        # makes every cost -0.0: the cells densify to the same bytes, one
-        # cell per forward entry
+        # makes every cost -0.0. The terms are those of the forward entries
+        # alone, one cell each, and densify to the reference's bytes
         rng = np.random.default_rng(900 + seed)
         n, L = int(rng.integers(2, 30)), int(rng.integers(1, 5))
         scores = {}
@@ -345,14 +345,25 @@ class TestBuildPairwise:
                 scores[(m, nn)] = LinkScoreMatrix(
                     SparseMatrix.from_entries(row, col, rng.uniform(-2.0, 2.0, k), (n, n)))
         beta, lam = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.5, 2.0))
-        forward = sum(int((s.scores.row < s.scores.col).sum()) for s in scores.values())
+        forward = {}
+        for pair, mat in scores.items():
+            S = mat.scores
+            fwd = S.row < S.col
+            forward[pair] = LinkScoreMatrix(
+                SparseMatrix.from_entries(S.row[fwd], S.col[fwd], S.data[fwd], S.shape))
+        count = sum(s.scores.nnz for s in forward.values())
         for lam in (lam, 0.0):
             got = build_pairwise(scores, beta, lam, L)
             for a, b in zip((got.edges, dense_tables(got)),
-                            concat_build_pairwise(scores, beta, lam, L)):
+                            concat_build_pairwise(forward, beta, lam, L)):
                 assert (a.dtype, a.shape) == (b.dtype, b.shape)
                 assert a.tobytes() == b.tobytes()
-            assert got.keys.shape == got.costs.shape == (forward,)
+            want = build_pairwise(forward, beta, lam, L)
+            for a, b in zip((got.edges, got.keys, got.costs),
+                            (want.edges, want.keys, want.costs)):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+            assert got.keys.shape == got.costs.shape == (count,)
             assert np.all(got.keys[1:] > got.keys[:-1])
         assert np.all(np.signbit(got.costs))  # lambda_pair 0: -0.0 each
 
@@ -754,6 +765,25 @@ class TestInfer:
         assert len(evaluated) == 1 + sum(changed)
         assert len(result.energy_trace) == 1 + len(changed)
         assert result.energy == evaluate(p, result.assignment)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_edges_without_cells_change_nothing(self, seed):
+        # a cell-less edge adds +0.0 to the energy and to fusion unaries and
+        # couples no fusion variables, so inference runs bit for bit
+        rng = np.random.default_rng(1300 + seed)
+        p = random_link_problem(rng, max_n=12)
+        n, L, pw = p.n, p.num_classes, p.pairwise
+        pairs = np.array([(a, b) for a in range(n) for b in range(a + 1, n)])
+        edges = np.unique(np.concatenate([pw.edges, pairs[rng.random(len(pairs)) < 0.4]]),
+                          axis=0)
+        place = np.flatnonzero((edges[:, None] == pw.edges[None]).all(axis=2).any(axis=1))
+        assert len(place) == len(pw)
+        keys = place[pw.keys // (L * L)] * (L * L) + pw.keys % (L * L)
+        q = CrfProblem(p.unary, PairwiseTerms(edges, keys, pw.costs, L))
+        a, b = infer(p), infer(q)
+        assert np.array_equal(a.assignment, b.assignment)
+        assert [float(e).hex() for e in a.energy_trace] == [float(e).hex() for e in b.energy_trace]
+        assert a.energy.hex() == b.energy.hex()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_mixed_sign_tables_still_bracketed(self, seed):

@@ -5,11 +5,12 @@ seed 200 twice in a row with 4 clutter regions per frame (n = 314), scored at
 mu = 0.95 (E = 23544 region pairs, L = 4, 33048 stored cells). ``tracemalloc``
 counts what NumPy and Python allocate, so the peaks are deterministic for a
 given NumPy build. Each peak bound sits 10-15 % above the measured peak
-(3.48 MiB and 4.74 MiB). A builder that concatenates five columns of every
-score entry peaks at 9.4 MiB, and one that fills (E, L, L) tables at 4.37 MiB;
-a fusion that keeps its E-sized index arrays, its arc lists next to their
-concatenation and a stored tail array through the max-flow, at 9.8 MiB. The
-built terms take 0.91 MB as edges plus cells, 3.39 MB as (E, L, L) tables.
+(2.04 MiB and 4.74 MiB). A builder that also keys the backward score entries
+peaks at 3.48 MiB, one that concatenates five columns of every score entry
+at 9.4 MiB, and one that fills (E, L, L) tables at 4.37 MiB; a fusion that
+keeps its E-sized index arrays, its arc lists next to their concatenation
+and a stored tail array through the max-flow, at 9.8 MiB. The built terms
+take 0.91 MB as edges plus cells.
 """
 
 import dataclasses
@@ -58,7 +59,7 @@ def test_build_pairwise_peak(ctx_problem):
     scores, beta, lambda_pair, unary = ctx_problem
     L = unary.shape[1]
     assert len(crf.build_pairwise(scores, beta, lambda_pair, L)) == 23544
-    assert traced_peak(crf.build_pairwise, scores, beta, lambda_pair, L) < 4.0 * MIB
+    assert traced_peak(crf.build_pairwise, scores, beta, lambda_pair, L) < 2.3 * MIB
 
 
 def test_pairwise_terms_bytes(ctx_problem):

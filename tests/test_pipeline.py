@@ -8,8 +8,25 @@ from ctxseg.pipeline import PipelineConfig, stage_seed
 
 def test_config_json_roundtrip():
     cfg = PipelineConfig(k=7, mu=0.8, lambda_pair=2.5, seed=42, no_context=True)
-    back = PipelineConfig.from_dict(json.loads(cfg.to_json()))
+    back = PipelineConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
     assert back == cfg
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("no_context", 0, "no_context must be a bool, got 0"),
+    ("seed", 3.0, "seed must be an int, got 3.0"),
+    ("mu", True, "mu must be a number, got True"),
+    ("lambda_pair", "1", "lambda_pair must be a number, got '1'"),
+])
+def test_config_rejects_wrong_types(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PipelineConfig(**{field: value}).validate()
+
+
+def test_config_keeps_int_given_for_float():
+    cfg = PipelineConfig(lambda_pair=2)
+    cfg.validate()
+    assert type(cfg.lambda_pair) is int
 
 
 def test_config_rejects_unknown_fields():

@@ -34,14 +34,12 @@ def test_l2_normalization_3_4_5(tmp_path):
     p = write_jsonl(tmp_path / "r.jsonl", [region_rec(0, feature=[3.0, 4.0])])
     seq = load_sequence(p)
     assert np.array_equal(seq.regions[0].feature, np.array([0.6, 0.8]))
-    assert not seq.regions[0].degenerate
 
 
-def test_zero_feature_kept_and_flagged(tmp_path):
+def test_zero_feature_kept(tmp_path):
     p = write_jsonl(tmp_path / "r.jsonl", [region_rec(0, feature=[0.0, 0.0])])
     seq = load_sequence(p)
     assert np.array_equal(seq.regions[0].feature, np.zeros(2))
-    assert seq.regions[0].degenerate
 
 
 def test_duplicate_region_id_names_offender(tmp_path):
@@ -189,8 +187,7 @@ def test_features_unit_norm_after_load(tmp_path):
             for i in range(30)]
     seq = load_sequence(write_jsonl(tmp_path / "r.jsonl", recs))
     for r in seq.regions:
-        if not r.degenerate:
-            assert abs(1.0 - np.linalg.norm(r.feature)) <= 1e-6
+        assert abs(1.0 - np.linalg.norm(r.feature)) <= 1e-6
 
 
 @pytest.fixture(scope="module")

@@ -64,7 +64,7 @@ class TestAssociate:
         assert h.class_id == 1
         assert h.instance_count == 3
         assert h.seed_confidence == 0.9  # seeded at the top-ranked detection
-        assert h.frames == [0, 1, 2]
+        assert [e.frame for e in h.entries] == [0, 1, 2]
         assert all(e.source == SOURCE_DETECTION for e in h.entries)
 
     def test_two_instances_not_retained(self):
@@ -103,7 +103,7 @@ class TestAssociate:
     def test_direction_stops_after_max_miss(self):
         dets = chain_dets(1, [0, 1, 2], [0.9, 0.8, 0.7])
         hyps = associate_trajectories(dets, TrajectoryParams(frame_count=50, max_miss=2))
-        frames = hyps[0].frames
+        frames = [e.frame for e in hyps[0].entries]
         assert max(frames) == 4  # two tracker frames past the last detection
         trailing = [e for e in hyps[0].entries if e.frame > 2]
         assert all(e.source == SOURCE_TRACKER for e in trailing)
@@ -134,7 +134,7 @@ class TestAssociate:
         dets = chain_dets(2, [0, 1, 2, 3, 4], [0.6, 0.9, 0.7, 0.8, 0.65])
         hyps = associate_trajectories(dets, TrajectoryParams(frame_count=5))
         for h in hyps:
-            f = h.frames
+            f = [e.frame for e in h.entries]
             assert all(b > a for a, b in zip(f, f[1:]))
 
     def test_empty_input(self):
