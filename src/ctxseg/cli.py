@@ -3,7 +3,8 @@
 Subcommands run the pipeline stage by stage over JSON-lines files or end to
 end; ``pipeline`` also writes every intermediate dump so a run is byte-for-
 byte reproducible by chaining the individual stages. Config precedence is
-built-in defaults, then ``--config`` JSON, then explicit flags.
+built-in defaults, then ``--config`` JSON, then explicit flags, merged into
+one dict that one ``PipelineConfig.from_dict`` call builds and checks.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from .regions import (IngestError, load_ground_truth, load_labeling,
                       load_sequence, save_labeling, save_sequence, write_records)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _config_parser() -> argparse.ArgumentParser:
+    """``--config`` and one flag per PipelineConfig field, for every subcommand."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", help="JSON file with PipelineConfig fields")
     defaults = PipelineConfig()
     for f in dataclasses.fields(PipelineConfig):
@@ -35,20 +38,22 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         else:
             parser.add_argument(flag, type=type(value), default=None,
                                 help=f"(default {value})")
+    return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     data: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            data.update(json.load(fh))
-    cfg = PipelineConfig.from_dict(data)
-    for f in dataclasses.fields(PipelineConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
-    cfg.validate()
-    return cfg
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, or a byte that is not UTF-8
+                raise ValueError(f"{args.config}: malformed JSON ({exc})") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.config}: config is not a JSON object")
+    data.update((f.name, getattr(args, f.name)) for f in dataclasses.fields(PipelineConfig)
+                if getattr(args, f.name) is not None)
+    return PipelineConfig.from_dict(data)
 
 
 def _load_seq(args):
@@ -178,58 +183,51 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ctxseg",
         description="Video region labeling with propagated context links")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_config_parser()]
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
+    p = sub.add_parser("synth", parents=common, help="generate a synthetic dataset")
     p.add_argument("--scenario", default="ambiguity")
     p.add_argument("--out", required=True, help="output directory")
-    _add_config_flags(p)
 
-    p = sub.add_parser("tracks", help="detections -> trajectory hypotheses")
+    p = sub.add_parser("tracks", parents=common, help="detections -> trajectory hypotheses")
     p.add_argument("--regions", required=True)
     p.add_argument("--detections", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
 
-    p = sub.add_parser("graph", help="regions -> similarity graph dump")
+    p = sub.add_parser("graph", parents=common, help="regions -> similarity graph dump")
     p.add_argument("--regions", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
 
-    p = sub.add_parser("context", help="hypotheses + regions -> link/label dumps")
+    p = sub.add_parser("context", parents=common, help="hypotheses + regions -> link/label dumps")
     p.add_argument("--regions", required=True)
     p.add_argument("--hypotheses", required=True)
     p.add_argument("--out", required=True, help="observed-links output")
     p.add_argument("--labels-out", required=True, help="region-labels output")
-    _add_config_flags(p)
 
-    p = sub.add_parser("propagate", help="links + graph -> score dumps")
+    p = sub.add_parser("propagate", parents=common, help="links + graph -> score dumps")
     p.add_argument("--links", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
 
-    p = sub.add_parser("infer", help="scores + labels + regions -> labeling")
+    p = sub.add_parser("infer", parents=common, help="scores + labels + regions -> labeling")
     p.add_argument("--regions", required=True)
     p.add_argument("--scores", default=None)
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--summary", action="store_true",
                    help="append an energy/sweeps summary record")
-    _add_config_flags(p)
 
-    p = sub.add_parser("eval", help="labeling + ground truth -> IoU report")
+    p = sub.add_parser("eval", parents=common, help="labeling + ground truth -> IoU report")
     p.add_argument("--regions", required=True)
     p.add_argument("--labeling", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--out", default=None)
-    _add_config_flags(p)
 
-    p = sub.add_parser("pipeline", help="run all stages")
+    p = sub.add_parser("pipeline", parents=common, help="run all stages")
     p.add_argument("--regions", required=True)
     p.add_argument("--detections", required=True)
     p.add_argument("--gt", default=None)
     p.add_argument("--out", required=True, help="output directory")
-    _add_config_flags(p)
 
     return parser
 

@@ -27,6 +27,9 @@ def stage_seed(seed: int, stage: str) -> int:
 
 @dataclass
 class PipelineConfig:
+    """Every parameter of a run. Each construction checks every field, so a direct
+    call, :meth:`from_dict`, ``dataclasses.replace`` and the CLI raise alike."""
+
     k: int = 20
     mu: float = 0.99
     det_threshold: float = 0.5
@@ -46,7 +49,7 @@ class PipelineConfig:
     seed: int = 0
     no_context: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Check each field's type, and its range against its module's contract.
 
         Each field must have its default's type: a bool field a bool, an int

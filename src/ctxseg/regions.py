@@ -211,21 +211,15 @@ class SparseMatrix:
 
     @classmethod
     def from_entries(cls, row, col, data, shape) -> "SparseMatrix":
-        """Entries in any order; repeats of a position are summed in input order.
-
-        SciPy sums repeats in the same order on rows of up to 16 entries; on
-        longer rows its unstable sort may reorder them.
-        """
+        """Entries in any order; a position given twice raises ValueError."""
         row, col = np.asarray(row, dtype=np.intp), np.asarray(col, dtype=np.intp)
         data = np.asarray(data, dtype=float)
         order = np.lexsort((col, row))
         row, col, data = row[order], col[order], data[order]
-        first = np.ones(len(row), dtype=bool)
-        first[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
-        if not first.all():
-            summed = data[first]
-            np.add.at(summed, np.cumsum(first)[~first] - 1, data[~first])
-            row, col, data = row[first], col[first], summed
+        repeats = np.flatnonzero((row[1:] == row[:-1]) & (col[1:] == col[:-1]))
+        if repeats.size:
+            i = repeats[0]
+            raise ValueError(f"position ({row[i]}, {col[i]}) repeats an earlier entry")
         return cls(row, col, data, (int(shape[0]), int(shape[1])))
 
     @classmethod
@@ -263,9 +257,9 @@ def load_class_pairs(path, key: str, n: int, width: int
                      ) -> dict[tuple[int, int], SparseMatrix]:
     """Read :func:`dump_class_pairs` records back as sorted ``{(m, n): matrix}``.
 
-    Entries of ``width`` 2 read as 1.0; repeated entries add up. A missing
-    field, a class that is not a nonnegative integer, a class pair read
-    before, a non-finite value, or an index that is not an integer in [0, n)
+    Entries of ``width`` 2 read as 1.0. A missing field, a class that is not
+    a nonnegative integer, a class pair read before, a non-finite value, an
+    index that is not an integer in [0, n), or a position (i, j) given twice
     raises :class:`IngestError` at its file:line.
     """
     out = {}
@@ -290,7 +284,10 @@ def load_class_pairs(path, key: str, n: int, width: int
         if pair in out:
             raise IngestError(f"{where}: class pair {pair} repeats an earlier record")
         values = entries[:, 2] if width > 2 else np.ones(len(index))
-        out[pair] = SparseMatrix.from_entries(index[:, 0], index[:, 1], values, (n, n))
+        try:
+            out[pair] = SparseMatrix.from_entries(index[:, 0], index[:, 1], values, (n, n))
+        except ValueError as exc:
+            raise IngestError(f"{where}: {exc}") from None
     return dict(sorted(out.items()))
 
 

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,8 +9,9 @@ import time
 import pytest
 
 import ctxseg
-from ctxseg import propagation, regions
+from ctxseg import cli, propagation, regions
 from ctxseg.cli import main
+from ctxseg.pipeline import PipelineConfig
 
 
 def run(argv):
@@ -139,6 +142,10 @@ MALFORMED_STAGE_FILES = [
                  id="scores-fractional-class"),
     pytest.param("scores", {"m": 1, "n": 2, "scores": [[1, 0, 0.5]]},
                  "class pair (1, 2) repeats an earlier record", id="scores-repeated-pair"),
+    pytest.param("links", {"m": 1, "n": 3, "links": [[0, 1], [2, 0], [0, 1]]},
+                 "position (0, 1) repeats an earlier entry", id="links-repeated-entry"),
+    pytest.param("scores", {"m": 1, "n": 3, "scores": [[0, 1, 0.5], [0, 1, 0.25]]},
+                 "position (0, 1) repeats an earlier entry", id="scores-repeated-entry"),
     pytest.param("hypotheses", {"entries": GOOD_HYPOTHESIS["entries"]},
                  "missing or invalid field", id="hypotheses-missing-key"),
     pytest.param("hypotheses", dict(GOOD_HYPOTHESIS, seed_confidence=NAN),
@@ -424,6 +431,44 @@ def test_config_file_field_of_wrong_type_rejected(dataset, tmp_path, capsys,
     assert f"ctxseg pipeline: error: {message}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"k": 5\n', "malformed JSON (Expecting ',' delimiter: line 2 column 1 (char 8))"),
+    (b'{"k": "\xff"}', "malformed JSON ('utf-8' codec can't decode byte 0xff in position 7"),
+    (b'[["k", 5]]', "config is not a JSON object"),
+], ids=["malformed-json", "not-utf-8", "not-an-object"])
+def test_unreadable_config_file_rejected_naming_it(dataset, tmp_path, capsys, content, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(content)
+    code = run(["graph", "--regions", str(dataset / "regions.jsonl"),
+                "--out", str(tmp_path / "g.json"), "--config", str(cfg_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"ctxseg graph: error: {cfg_path}: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_flag_overrides_invalid_config_file_value(dataset, tmp_path):
+    # the file and the flags merge before the config is built and checked
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"k": 0}))
+    assert run(["graph", "--regions", str(dataset / "regions.jsonl"),
+                "--out", str(tmp_path / "g.json"), "--config", str(cfg_path), "--k", "5"]) == 0
+    assert json.loads(read(tmp_path / "g.json"))["k"] == 5
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_subcommand_takes_each_config_flag_once(command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(cli._COMMANDS)
+    actions = sub.choices[command]._actions
+    assert [a.dest for a in actions if "--config" in a.option_strings] == ["config"]
+    for f in dataclasses.fields(PipelineConfig):
+        flags = [a.option_strings for a in actions if a.dest == f.name]
+        assert flags == [["--" + f.name.replace("_", "-")]]
 
 
 def test_config_file_and_flag_precedence(dataset, tmp_path):

@@ -342,8 +342,9 @@ class TestBuildPairwise:
                 row, col = rng.integers(0, n, k), rng.integers(0, n, k)
                 if kind == 2:  # on or below the diagonal: (b, a) entries only
                     row, col = np.maximum(row, col), np.minimum(row, col)
-                scores[(m, nn)] = LinkScoreMatrix(
-                    SparseMatrix.from_entries(row, col, rng.uniform(-2.0, 2.0, k), (n, n)))
+                _, first = np.unique(row * n + col, return_index=True)  # each position once
+                scores[(m, nn)] = LinkScoreMatrix(SparseMatrix.from_entries(
+                    row[first], col[first], rng.uniform(-2.0, 2.0, k)[first], (n, n)))
         beta, lam = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.5, 2.0))
         forward = {}
         for pair, mat in scores.items():

@@ -14,18 +14,18 @@ def test_config_json_roundtrip():
 
 @pytest.mark.parametrize("field, value, message", [
     ("no_context", 0, "no_context must be a bool, got 0"),
+    ("no_context", "false", "no_context must be a bool, got 'false'"),
     ("seed", 3.0, "seed must be an int, got 3.0"),
     ("mu", True, "mu must be a number, got True"),
     ("lambda_pair", "1", "lambda_pair must be a number, got '1'"),
 ])
 def test_config_rejects_wrong_types(field, value, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        PipelineConfig(**{field: value}).validate()
+        PipelineConfig(**{field: value})
 
 
 def test_config_keeps_int_given_for_float():
     cfg = PipelineConfig(lambda_pair=2)
-    cfg.validate()
     assert type(cfg.lambda_pair) is int
 
 
@@ -37,9 +37,10 @@ def test_config_rejects_unknown_fields():
 def test_config_validation_messages():
     for field, value in [("mu", 1.5), ("det_threshold", -0.1), ("rho", 0.0),
                          ("k", 0), ("p_floor", 0.0)]:
-        cfg = PipelineConfig(**{field: value})
         with pytest.raises(ValueError, match=field):
-            cfg.validate()
+            PipelineConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(PipelineConfig(), **{field: value})
 
 
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(PipelineConfig)
@@ -50,7 +51,7 @@ FLOAT_FIELDS = [f.name for f in dataclasses.fields(PipelineConfig)
 @pytest.mark.parametrize("field", FLOAT_FIELDS)
 def test_config_rejects_non_finite_floats(field, bad):
     with pytest.raises(ValueError, match=f"^{field} must be finite$"):
-        PipelineConfig(**{field: bad}).validate()
+        PipelineConfig(**{field: bad})
 
 
 def test_stage_seeds_differ_by_stage_and_seed():

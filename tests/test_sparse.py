@@ -43,16 +43,23 @@ def random_values(rng, size):
 
 
 def random_entries(rng, n, max_row=16):
-    """Entries in random order, up to ``max_row`` a row, positions repeating.
+    """Entries in random order, up to ``max_row`` a row, each position once.
 
-    Rows left empty are common. SciPy sums repeats in input order only on
-    rows of at most 16 entries (longer rows go through an unstable sort).
+    Rows left empty are common. A position drawn more than once holds the sum
+    of its draws, added in draw order.
     """
     counts = rng.integers(0, max_row + 1, n) * (rng.random(n) < 0.6)
     row = np.repeat(np.arange(n), counts)
     col = rng.integers(0, max(1, min(n, 4 if rng.random() < 0.5 else n)), len(row))
     order = rng.permutation(len(row))
-    return row[order], col[order], random_values(rng, len(row))
+    row, col, data = row[order], col[order], random_values(rng, len(row))
+    _, first, position = np.unique(row * n + col, return_index=True, return_inverse=True)
+    later = np.ones(len(row), dtype=bool)
+    later[first] = False
+    summed = data[first]
+    np.add.at(summed, position[later], data[later])
+    drawn = np.argsort(first)
+    return row[first][drawn], col[first][drawn], summed[drawn]
 
 
 def random_dense(rng, n, m=None):
@@ -64,6 +71,8 @@ def random_dense(rng, n, m=None):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_from_entries_sums_repeats_as_scipy_does(seed):
+    # SciPy sums a repeated position; from_entries refuses it. Given each
+    # position once, the two store the same entries
     rng = np.random.default_rng(seed)
     n = SIZES[seed % len(SIZES)]
     row, col, data = random_entries(rng, n)
@@ -71,11 +80,17 @@ def test_from_entries_sums_repeats_as_scipy_does(seed):
     assert_same(M, sparse.csr_matrix((data, (row, col)), shape=(n, n)))
     assert np.array_equal(bits(M.toarray()),
                           bits(sparse.csr_matrix((data, (row, col)), shape=(n, n)).toarray()))
+    if len(row):
+        i = int(rng.integers(len(row)))
+        with pytest.raises(ValueError,
+                           match=fr"^position \({row[i]}, {col[i]}\) repeats an earlier entry$"):
+            SparseMatrix.from_entries(np.append(row, row[i]), np.append(col, col[i]),
+                                      np.append(data, 1.0), (n, n))
 
 
 def test_from_entries_keeps_stored_zeros():
-    M = SparseMatrix.from_entries([1, 0, 1], [0, 1, 0], [2.0, 0.0, -2.0], (2, 2))
-    S = sparse.csr_matrix(([2.0, 0.0, -2.0], ([1, 0, 1], [0, 1, 0])), shape=(2, 2))
+    M = SparseMatrix.from_entries([1, 0], [0, 1], [2.0, 0.0], (2, 2))
+    S = sparse.csr_matrix(([2.0, 0.0], ([1, 0], [0, 1])), shape=(2, 2))
     assert_same(M, S)
     assert M.nnz == 2
 
