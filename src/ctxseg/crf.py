@@ -40,8 +40,9 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from .maxflow import MaxFlowGraph
 from .propagation import LinkScoreMatrix
-from .qpbo import solve_binary_pairwise
+from .qpbo import cut_labels, network_arcs
 from .regions import VideoSequence
 
 log = logging.getLogger(__name__)
@@ -387,7 +388,10 @@ def qpbo_fuse(problem: CrfProblem, current: np.ndarray,
     free = np.flatnonzero(current != proposal)
     if free.size == 0:
         return current.copy()
-    z = solve_binary_pairwise(*_fusion_terms(problem, current, proposal, free))
+    # the binary terms are freed once their arcs exist, and the arc arrays
+    # once the network has sorted them
+    z = cut_labels(MaxFlowGraph(*network_arcs(*_fusion_terms(problem, current, proposal,
+                                                             free))))
     fused = current.copy()
     take = free[z == 1]
     fused[take] = proposal[take]
@@ -398,7 +402,7 @@ def _fusion_terms(problem: CrfProblem, current: np.ndarray, proposal: np.ndarray
                   free: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The binary problem of a fusion over the free variables, in their order:
     unary (f, 2) and the edges (E', 2) and tables (E', 2, 2) of the edges with
-    two free ends, as ``solve_binary_pairwise`` takes them."""
+    two free ends, as ``network_arcs`` takes them."""
     n, L = problem.unary.shape
     pos = np.full(n, -1)
     pos[free] = np.arange(free.size)

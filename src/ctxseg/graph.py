@@ -53,37 +53,21 @@ def _assemble(n: int, k: int, i: np.ndarray, j: np.ndarray,
     return SimilarityGraph(n=n, k=k, affinity=W, degrees=degrees, operator=L)
 
 
-def build_knn_graph(seq: VideoSequence, k: int) -> SimilarityGraph:
-    """k-nearest-neighbor similarity graph over all regions of a sequence.
+def _proposals(G: np.ndarray, k: int) -> np.ndarray:
+    """Sorted distinct keys ``min(a, b) n + max(a, b)`` of the proposals a -> b.
 
-    Each vertex proposes edges to its k largest-inner-product neighbors
-    (ties at the cutoff go to the smaller vertex index); the edge set is the
-    union of the directed proposals. Negative inner products are clamped to
-    zero and zero-weight edges are dropped, so degenerate (all-zero) features
-    end up isolated.
-
-    The Gram matrix is one ``F @ F.T`` (row blocks of it round differently
-    from NumPy's symmetric product); the top k are selected over blocks of
-    ``SELECT_ROWS`` rows, so the selection's temporaries are O(SELECT_ROWS n).
+    ``G`` is the clipped Gram matrix with -1 on its diagonal. Row a proposes
+    its k largest values that are positive; ties at the k-th value go to the
+    smaller index, so no row proposes more than k. Rows are read in blocks of
+    ``SELECT_ROWS``, so the temporaries are O(SELECT_ROWS n) next to the
+    n k keys. No view of ``G`` outlives the call.
     """
-    n = seq.n
-    if n < 2:
-        raise ValueError(f"need at least 2 regions to build a graph, got {n}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k >= n:
-        log.warning("k=%d >= n=%d; truncating to %d", k, n, n - 1)
-        k = n - 1
-
-    F = seq.feature_matrix()
-    G = F @ F.T
-    np.clip(G, 0.0, 1.0, out=G)  # unit features: products in [-1, 1] up to rounding
-    np.fill_diagonal(G, -1.0)  # exclude self from the top-k search
-
-    keys = []
+    n = len(G)
+    keys = np.empty(n * k, dtype=np.int64)
+    count = 0
     for r in range(0, n, SELECT_ROWS):
         block = G[r:r + SELECT_ROWS]
-        kth = np.partition(block, n - k, axis=1)[:, n - k, None]  # k-th largest
+        kth = np.partition(block, n - k, axis=1)[:, [n - k]]  # k-th largest, a copy
         keep = block >= kth
         # a row with more than k such values has ties at the k-th: of the tied
         # values keep the ones with smaller indices
@@ -96,10 +80,47 @@ def build_knn_graph(seq: VideoSequence, k: int) -> SimilarityGraph:
         keep &= block > 0.0
         a, b = np.nonzero(keep)
         a += r
-        keys.append(np.minimum(a, b) * n + np.maximum(a, b))
-    a, b = np.divmod(np.unique(np.concatenate(keys)), n)
-    w = np.maximum(G[a, b], G[b, a])
-    del G  # the n x n Gram is freed before W and the operator are built
+        keys[count:count + a.size] = np.minimum(a, b) * n + np.maximum(a, b)
+        count += a.size
+    keys = keys[:count]
+    keys.sort()
+    first = np.ones(count, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def build_knn_graph(seq: VideoSequence, k: int) -> SimilarityGraph:
+    """k-nearest-neighbor similarity graph over all regions of a sequence.
+
+    Each vertex proposes edges to its k largest-inner-product neighbors
+    (ties at the cutoff go to the smaller vertex index); the edge set is the
+    union of the directed proposals. Negative inner products are clamped to
+    zero and zero-weight edges are dropped, so degenerate (all-zero) features
+    end up isolated.
+
+    The Gram matrix is one ``F @ F.T`` (row blocks of it round differently
+    from NumPy's symmetric product). Next to it live only the selection's
+    O(SELECT_ROWS n) temporaries, the n k proposal keys and the edge arrays.
+    The Gram is freed before W and the operator are built.
+    """
+    n = seq.n
+    if n < 2:
+        raise ValueError(f"need at least 2 regions to build a graph, got {n}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k >= n:
+        log.warning("k=%d >= n=%d; truncating to %d", k, n, n - 1)
+        k = n - 1
+
+    F = seq.feature_matrix()
+    G = F @ F.T
+    del F
+    np.clip(G, 0.0, 1.0, out=G)  # unit features: products in [-1, 1] up to rounding
+    np.fill_diagonal(G, -1.0)  # exclude self from the top-k search
+    a, b = np.divmod(_proposals(G, k), n)
+    w = G[a, b]
+    np.maximum(w, G[b, a], out=w)
+    del G
     return _assemble(n, k, a, b, w)
 
 

@@ -25,10 +25,11 @@ def stage_seed(seed: int, stage: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """Every parameter of a run. Each construction checks every field, so a direct
-    call, :meth:`from_dict`, ``dataclasses.replace`` and the CLI raise alike."""
+    call, :meth:`from_dict`, ``dataclasses.replace`` and the CLI raise alike; the
+    fields cannot be assigned afterwards."""
 
     k: int = 20
     mu: float = 0.99

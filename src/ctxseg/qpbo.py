@@ -10,15 +10,17 @@ with one literal node and one complement node per variable. Every term is
 split in half between the primal and the mirrored complement copy,
 submodular couplings become arcs between literal nodes and nonsubmodular
 ones cross over to complement nodes, so all arc capacities are nonnegative.
-The arcs are written into one preallocated array each of tails, heads and
-capacities, per-variable arcs first and then couplings in edge order. They
-and the edge-sized temporaries of the split live only while the network is
-built, so the max-flow runs next to the network alone. After a max-flow, a
-variable whose two nodes fall on opposite sides of the minimum cut is
-labeled; nodes on the same side leave the variable undecided. Labeled
-variables satisfy weak autarky: overwriting any labeling with them never
-increases the energy, and if every coupling is submodular the full labeling
-is an exact global minimum.
+The solver runs in two steps. ``network_arcs`` writes the arcs into one
+preallocated array each of tails, heads and capacities, per-variable arcs
+first and then couplings in edge order; the edge-sized temporaries of the
+split are dropped before those arrays are made. ``cut_labels`` runs the
+max-flow of the ``MaxFlowGraph`` built from them. A caller that owns the
+terms lets them go once the arcs exist, so neither they nor the arc arrays
+sit next to the sorted network. After a max-flow, a variable whose two nodes
+fall on opposite sides of the minimum cut is labeled; nodes on the same side
+leave the variable undecided. Labeled variables satisfy weak autarky:
+overwriting any labeling with them never increases the energy, and if every
+coupling is submodular the full labeling is an exact global minimum.
 """
 
 from __future__ import annotations
@@ -38,21 +40,14 @@ def solve_binary_pairwise(unary: np.ndarray, edges: np.ndarray,
     each term and ``tables`` is (E, 2, 2), indexed [k, z_a, z_b]. Returns an
     int array with entries 0, 1, or ``UNLABELED`` (-1).
     """
+    return cut_labels(MaxFlowGraph(*network_arcs(unary, edges, tables)))
+
+
+def network_arcs(unary: np.ndarray, edges: np.ndarray, tables: np.ndarray
+                 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The doubled flow network of the energy as ``MaxFlowGraph`` takes it:
+    2n + 2 nodes (source 2n, sink 2n + 1), tails, heads and capacities."""
     unary = np.asarray(unary, dtype=float)
-    n = unary.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=int)
-    source = 2 * n
-    g = _network(unary, edges, tables)
-    g.max_flow(source, source + 1)
-    reach = g.source_side(source)
-
-    u, v = reach[0::2][:n], reach[1::2][:n]
-    return np.where(u & ~v, 0, np.where(v & ~u, 1, UNLABELED))
-
-
-def _network(unary: np.ndarray, edges: np.ndarray, tables: np.ndarray) -> MaxFlowGraph:
-    """The doubled flow network of the energy, source 2n and sink 2n + 1."""
     n = unary.shape[0]
     a, b = edges[:, 0], edges[:, 1]
     A, B, C, D = tables[:, 0, 0], tables[:, 0, 1], tables[:, 1, 0], tables[:, 1, 1]
@@ -67,6 +62,7 @@ def _network(unary: np.ndarray, edges: np.ndarray, tables: np.ndarray) -> MaxFlo
               np.stack([np.where(sub, C - A, D - B), D - C], axis=1).ravel())
     coupled = ~sub | (gap > 0.0)
     a, b, sub, half = a[coupled], b[coupled], sub[coupled], np.abs(gap[coupled]) / 2.0
+    del gap, coupled
 
     source = 2 * n
     sink = 2 * n + 1
@@ -86,4 +82,14 @@ def _network(unary: np.ndarray, edges: np.ndarray, tables: np.ndarray) -> MaxFlo
     tails[k::2], heads[k::2] = 2 * a, 2 * b + ~sub
     tails[k + 1::2], heads[k + 1::2] = 2 * b + sub, 2 * a + 1
     caps[k::2] = caps[k + 1::2] = half
-    return MaxFlowGraph(2 * n + 2, tails, heads, caps)
+    return 2 * n + 2, tails, heads, caps
+
+
+def cut_labels(g: MaxFlowGraph) -> np.ndarray:
+    """Labels of the variables from the minimum cut of a ``network_arcs``
+    network, whose last two nodes are the source and the sink."""
+    source = g.n - 2
+    g.max_flow(source, source + 1)
+    reach = g.source_side(source)
+    u, v = reach[0:source:2], reach[1:source:2]
+    return np.where(u & ~v, 0, np.where(v & ~u, 1, UNLABELED))

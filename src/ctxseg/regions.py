@@ -173,12 +173,20 @@ def _ints(where: str, rec, *keys: str) -> list[int]:
 
 def _iter_records(path):
     """Yield ``("file:line", record)`` for each non-blank line of a stage file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 decodes to a lone surrogate, so its line can be named
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise IngestError(f"{where}: not UTF-8 (byte 0x{byte:02x} "
+                                      f"at column {exc.start + 1})") from None
             line = line.strip()
             if not line:
                 continue
-            where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:

@@ -146,6 +146,10 @@ MALFORMED_STAGE_FILES = [
                  "position (0, 1) repeats an earlier entry", id="links-repeated-entry"),
     pytest.param("scores", {"m": 1, "n": 3, "scores": [[0, 1, 0.5], [0, 1, 0.25]]},
                  "position (0, 1) repeats an earlier entry", id="scores-repeated-entry"),
+    pytest.param("regions", b'{"id": 1, "frame": 0, "caf\xe9": 1}',
+                 "not UTF-8 (byte 0xe9 at column 27)", id="regions-not-utf8"),
+    pytest.param("scores", b"\xff", "not UTF-8 (byte 0xff at column 1)",
+                 id="scores-not-utf8"),
     pytest.param("hypotheses", {"entries": GOOD_HYPOTHESIS["entries"]},
                  "missing or invalid field", id="hypotheses-missing-key"),
     pytest.param("hypotheses", dict(GOOD_HYPOTHESIS, seed_confidence=NAN),
@@ -189,7 +193,8 @@ def test_malformed_stage_file_exits_with_file_and_line(dataset, tmp_path, capsys
             "regions": GOOD_REGION,
             "detections": GOOD_DETECTION}[kind]
     path = tmp_path / f"{kind}.jsonl"
-    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    bad = bad if isinstance(bad, bytes) else json.dumps(bad).encode()  # bytes: as they are
+    path.write_bytes(json.dumps(good).encode() + b"\n" + bad + b"\n")
     labels = tmp_path / "good-labels.jsonl"
     labels.write_text(json.dumps({"id": 0, "class": 0}) + "\n")
     assert run(["graph", "--regions", regions, "--out", str(tmp_path / "g.json")]) == 0

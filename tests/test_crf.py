@@ -519,13 +519,13 @@ class TestFlatGathers:
     def fusion_terms(p, current, proposal, monkeypatch):
         """What qpbo_fuse hands the binary solver, or None if it never calls it."""
         seen = []
-        solve = crf.solve_binary_pairwise
+        network_arcs = crf.network_arcs
 
         def spy(unary, edges, tables):
             seen.append((np.array(unary), np.array(edges), np.array(tables)))
-            return solve(unary, edges, tables)
+            return network_arcs(unary, edges, tables)
 
-        monkeypatch.setattr(crf, "solve_binary_pairwise", spy)
+        monkeypatch.setattr(crf, "network_arcs", spy)
         fused = qpbo_fuse(p, current, proposal)
         monkeypatch.undo()
         assert fused.shape == current.shape

@@ -225,17 +225,38 @@ def test_selection_all_zero_and_partly_zero_features():
 
 
 def test_selection_temporaries_scale_with_the_block():
-    """Beyond the 8 n^2 Gram matrix, the selection holds at most 32 bytes per
-    cell of one row block, and the edge arrays at most 64 bytes per proposal."""
+    """Beyond the 8 n^2 Gram matrix, the build holds at most 12 bytes per cell
+    of one row block and 24 bytes per proposal slot (k per row)."""
     n, k = 1500, 20
     seq = seq_from_features(unit_rows(np.random.default_rng(0), n, 16))
+    build_knn_graph(seq, k)  # first calls may import modules; trace a warm one
     tracemalloc.start()
     try:
         build_knn_graph(seq, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - 8 * n * n <= 32 * B * n + 64 * n * k
+    assert peak - 8 * n * n <= 12 * B * n + 24 * n * k
+
+
+def test_gram_is_freed_before_assembly(monkeypatch):
+    n, k = 600, 10
+    seq = seq_from_features(unit_rows(np.random.default_rng(1), n, 8))
+    build_knn_graph(seq, k)
+    assemble, held = graph._assemble, []
+
+    def spy(*args):
+        held.append(tracemalloc.get_traced_memory()[0] - start)
+        return assemble(*args)
+
+    monkeypatch.setattr(graph, "_assemble", spy)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        build_knn_graph(seq, k)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1 and held[0] < 8 * n * n
 
 
 def graph_with_edges(m, n=200):

@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import maximum_flow
 
-from ctxseg import crf, qpbo
+from ctxseg import crf
 from ctxseg.maxflow import EPS, MaxFlowGraph
 from problem_gen import ListDinic, list_dinic, random_signed_problem
 
@@ -169,7 +169,7 @@ def test_qpbo_networks_match_list_dinic(seed, monkeypatch):
             networks.append((n, tails, heads, caps))
             super().__init__(n, tails, heads, caps)
 
-    monkeypatch.setattr(qpbo, "MaxFlowGraph", Recording)
+    monkeypatch.setattr(crf, "MaxFlowGraph", Recording)
     crf.infer(random_signed_problem(np.random.default_rng(500 + seed), max_n=14))
     assert networks
     for n, tails, heads, caps in networks:

@@ -43,6 +43,17 @@ def test_config_validation_messages():
             dataclasses.replace(PipelineConfig(), **{field: value})
 
 
+def test_config_fields_cannot_be_assigned():
+    # a field assigned after construction would skip the checks
+    cfg = PipelineConfig(seed=7)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.no_context = "false"
+    assert cfg.no_context is False
+    assert dataclasses.replace(cfg, no_context=True).no_context is True
+    with pytest.raises(ValueError, match="^no_context must be a bool, got 'false'$"):
+        dataclasses.replace(cfg, no_context="false")
+
+
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(PipelineConfig)
                 if isinstance(f.default, float)]
 
