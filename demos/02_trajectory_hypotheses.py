@@ -9,8 +9,7 @@ two-detection track.
 
 import numpy as np
 
-from ctxseg.tracking import (TrajectoryParams, annotated_frames,
-                             associate_trajectories)
+from ctxseg.tracking import annotated_frames, associate_trajectories
 from ctxseg.regions import Detection, Region, VideoSequence
 
 print(__doc__)
@@ -31,9 +30,8 @@ for f in range(2, 7):
 detections.append(Detection(0, (150.0, 150.0, 20.0, 20.0), 2, 0.9))
 detections.append(Detection(1, (150.0, 150.0, 20.0, 20.0), 2, 0.85))
 
-params = TrajectoryParams(frame_count=10, iou_threshold=0.5,
-                          min_instances=3, max_miss=2)
-hypotheses = associate_trajectories(detections, params)
+hypotheses = associate_trajectories(detections, frame_count=10, iou_threshold=0.5,
+                                    min_instances=3, max_miss=2)
 
 print(f"{len(detections)} detections -> {len(hypotheses)} retained hypotheses\n")
 for i, h in enumerate(hypotheses):

@@ -8,9 +8,9 @@ unaries with link-derived pairwise costs assigns the final labels.
 """
 
 from .context import build_observed_links, extract_exemplars
-from .crf import (CrfProblem, Labeling, PairwiseTerms, UnaryModel, UnaryTrainConfig,
-                  beta_adaptive, brute_force_oracle, build_pairwise, energy,
-                  infer, qpbo_fuse, train_unary, unary_potentials)
+from .crf import (CrfProblem, Labeling, PairwiseTerms, UnaryModel, beta_adaptive,
+                  brute_force_oracle, build_pairwise, energy, infer, qpbo_fuse,
+                  train_unary, unary_potentials)
 from .evaluation import EvalReport, iou_per_class
 from .graph import SimilarityGraph, build_knn_graph
 from .pipeline import PipelineConfig, PipelineResult, run_pipeline
@@ -21,8 +21,7 @@ from .regions import (Detection, IngestError, Region, VideoSequence,
                       save_sequence)
 from .synthetic import (DetectionModel, ScriptedObject, SynthSpec,
                         ambiguity_scenario, generate)
-from .tracking import (ConstantVelocityTracker, TrajectoryHypothesis,
-                       TrajectoryParams, annotated_frames,
+from .tracking import (TrajectoryHypothesis, annotated_frames,
                        associate_trajectories, iou_box)
 
 __version__ = "0.1.0"

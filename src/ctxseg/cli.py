@@ -134,11 +134,9 @@ def _cmd_infer(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_eval(args, cfg: PipelineConfig) -> int:
-    # no detections here, so no class range to check: the label space is
-    # whatever the two maps mention
     seq = load_sequence(args.regions)
     pred = load_labeling(args.labeling, seq)
-    gt = load_labeling(args.gt, seq)
+    gt = load_ground_truth(args.gt, seq)
     report = evaluation.iou_per_class(pred, gt, seq)
     print(report.format_table())
     if args.out:

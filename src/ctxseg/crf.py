@@ -47,20 +47,11 @@ from .regions import VideoSequence
 
 log = logging.getLogger(__name__)
 
-P_FLOOR = 1e-6
 BRUTE_FORCE_LIMIT = 10 ** 7
 # train_unary's chunk of K steps: K starts at _CHUNK_MIN and grows up to
 # _CHUNK_CELLS / (d + 1) (3855 steps at d = 16, 512 KB of the buffer rows)
 _CHUNK_MIN = 32
 _CHUNK_CELLS = 1 << 16
-
-
-@dataclass
-class UnaryTrainConfig:
-    epochs: int = 100
-    learning_rate: float = 0.5
-    lambda_reg: float = 1e-4
-    seed: int = 0
 
 
 @dataclass
@@ -85,8 +76,9 @@ class UnaryModel:
 
 
 def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
-                cfg: Optional[UnaryTrainConfig] = None,
-                num_classes: Optional[int] = None) -> UnaryModel:
+                num_classes: Optional[int] = None, *, epochs: int = 100,
+                learning_rate: float = 0.5, lambda_reg: float = 1e-4,
+                seed: int = 0) -> UnaryModel:
     """Train one-vs-rest hinge-loss linear classifiers by seeded SGD.
 
     Per class c, each epoch visits the examples in ``rng.permutation`` order
@@ -111,11 +103,9 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
     ValueError: a class in [0, num_classes) without examples, epochs < 0, lr
     not in (0, inf), lambda_reg not in [0, inf). Equal seeds give equal bits.
     """
-    cfg = cfg or UnaryTrainConfig()
-    if not (cfg.epochs >= 0 and 0.0 < cfg.learning_rate < np.inf
-            and 0.0 <= cfg.lambda_reg < np.inf):
-        raise ValueError("need epochs >= 0, learning_rate in (0, inf) and "
-                         f"lambda_reg in [0, inf); got {cfg}")
+    if not (epochs >= 0 and 0.0 < learning_rate < np.inf and 0.0 <= lambda_reg < np.inf):
+        raise ValueError("need epochs >= 0, learning_rate in (0, inf) and lambda_reg in "
+                         f"[0, inf); got {epochs=}, {learning_rate=}, {lambda_reg=}")
     ids = sorted(labeled)
     if not ids:
         raise ValueError("no labeled regions to train on")
@@ -131,7 +121,7 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
         log.warning("all training features are identical; unary model is degenerate")
 
     N, d = X.shape
-    lr, lam = cfg.learning_rate, cfg.lambda_reg
+    lr, lam = learning_rate, lambda_reg
     eps = np.finfo(float).eps
     guard = 2 * (d + 2) * eps
     max_size = max(_CHUNK_MIN, _CHUNK_CELLS // (d + 1))
@@ -141,12 +131,12 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
     A, T = np.empty((2, N + 1, d + 1))  # multipliers, trajectory
     out = np.zeros((L, d + 1))
     for c in range(L):
-        rng = np.random.default_rng([cfg.seed, c])
+        rng = np.random.default_rng([seed, c])
         t = np.where(y == c, 1.0, -1.0)
         signed = t[:, None] * Xa
         A[N] = 0.0
         size = _CHUNK_MIN
-        for epoch in range(cfg.epochs):
+        for epoch in range(epochs):
             order = rng.permutation(N)
             V = signed[order]
             # the per-step formula's operation order: lr * lam first, then times k
@@ -184,7 +174,7 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
 
 
 def unary_potentials(model: UnaryModel, seq: VideoSequence,
-                     p_floor: float = P_FLOOR) -> np.ndarray:
+                     p_floor: float = 1e-6) -> np.ndarray:
     """Negative log-likelihood table (n, L), probabilities floored at p_floor."""
     probs = model.probabilities(seq.feature_matrix())
     return -np.log(np.maximum(probs, p_floor))

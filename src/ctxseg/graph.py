@@ -147,14 +147,15 @@ def dump_graph(graph: SimilarityGraph, path) -> None:
 def load_graph(path) -> SimilarityGraph:
     """Read a ``dump_graph`` file.
 
-    Malformed JSON, a missing ``n`` or ``edges``, an edge that is not
-    ``[i, j, w]`` with integers ``0 <= i < j < n``, a negative or non-finite
-    weight and a repeated pair raise :class:`IngestError` naming the file.
+    Malformed JSON, a byte that is not UTF-8, a missing ``n`` or ``edges``,
+    an edge that is not ``[i, j, w]`` with integers ``0 <= i < j < n``, a
+    negative or non-finite weight and a repeated pair raise
+    :class:`IngestError` naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or a byte that is not UTF-8
             raise IngestError(f"{path}: malformed JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise IngestError(f"{path}: graph is not a JSON object")

@@ -96,18 +96,11 @@ class PipelineConfig:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**data)
 
-    def unary_config(self) -> crf.UnaryTrainConfig:
-        return crf.UnaryTrainConfig(
-            epochs=self.epochs, learning_rate=self.learning_rate,
-            lambda_reg=self.lambda_reg, seed=stage_seed(self.seed, "unary"))
-
 
 def tracks_stage(seq: VideoSequence, cfg: PipelineConfig) -> list[tracking.TrajectoryHypothesis]:
     dets = filter_detections(seq, cfg.det_threshold)
-    params = tracking.TrajectoryParams(
-        frame_count=seq.frame_count, iou_threshold=cfg.iou_threshold,
-        min_instances=cfg.min_instances, max_miss=cfg.max_miss)
-    return tracking.associate_trajectories(dets, params)
+    return tracking.associate_trajectories(dets, seq.frame_count, cfg.iou_threshold,
+                                           cfg.min_instances, cfg.max_miss)
 
 
 def labels_stage(seq: VideoSequence, hyps: list[tracking.TrajectoryHypothesis],
@@ -142,7 +135,9 @@ def crf_label_space(labels: dict[int, int], scores) -> int:
 def infer_stage(seq: VideoSequence, labels: dict[int, int], scores,
                 cfg: PipelineConfig) -> tuple[dict[int, int], crf.Labeling]:
     num_classes = crf_label_space(labels, scores)
-    model = crf.train_unary(labels, seq, cfg.unary_config(), num_classes=num_classes)
+    model = crf.train_unary(labels, seq, num_classes, epochs=cfg.epochs,
+                            learning_rate=cfg.learning_rate, lambda_reg=cfg.lambda_reg,
+                            seed=stage_seed(cfg.seed, "unary"))
     unary = crf.unary_potentials(model, seq, p_floor=cfg.p_floor)
     pairwise = crf.build_pairwise(scores, crf.beta_adaptive(scores), cfg.lambda_pair,
                                   num_classes)

@@ -63,7 +63,7 @@ class VideoSequence:
     """
 
     def __init__(self, regions: Sequence[Region], detections: Sequence[Detection],
-                 frame_count: Optional[int] = None, class_count: Optional[int] = None):
+                 frame_count: Optional[int] = None):
         regions = sorted(regions, key=lambda r: r.region_id)
         seen: set[int] = set()
         for r in regions:
@@ -97,10 +97,8 @@ class VideoSequence:
             if obj.frame < 0:
                 raise IngestError("negative frame index")
 
-        if class_count is None:
-            class_count = max([d.class_id for d in detections], default=0) + 1
-        if any(d.class_id >= class_count or d.class_id < 0 for d in detections):
-            raise IngestError(f"detection class out of range [0, {class_count})")
+        if any(d.class_id < 0 for d in detections):
+            raise IngestError("negative detection class")
         for det in detections:
             if not (0.0 <= det.confidence <= 1.0):
                 raise IngestError(f"detection confidence {det.confidence} not in [0,1]")
@@ -110,7 +108,6 @@ class VideoSequence:
         self.regions: list[Region] = list(regions)
         self.detections: list[Detection] = list(detections)
         self.frame_count = frame_count
-        self.class_count = class_count
         self._index = {r.region_id: i for i, r in enumerate(self.regions)}
 
     @property
@@ -382,15 +379,14 @@ def filter_detections(seq: VideoSequence, det_threshold: float) -> list[Detectio
 
 
 def load_ground_truth(path, seq: VideoSequence) -> dict[int, int]:
-    """Load a region_id -> class map, validating ids and class range."""
+    """Load a region_id -> class map: each id a region of ``seq``, each class >= 0.
+
+    No upper class bound: a class that no detection has still loads."""
     out: dict[int, int] = {}
     for where, rec in _iter_records(path):
         rid, cls = _ints(where, rec, "id", "class")
         if rid not in seq._index:
             raise IngestError(f"{where}: unknown region id {rid}")
-        if cls >= seq.class_count:
-            raise IngestError(
-                f"{where}: class {cls} out of range [0, {seq.class_count})")
         out[rid] = cls
     return out
 

@@ -132,8 +132,7 @@ def generate(spec: SynthSpec) -> tuple[VideoSequence, dict[int, int]]:
             gt[rid] = 0
             rid += 1
 
-    seq = VideoSequence(regions, detections, frame_count=spec.frame_count,
-                        class_count=spec.class_means.shape[0])
+    seq = VideoSequence(regions, detections, frame_count=spec.frame_count)
     return seq, gt
 
 

@@ -55,47 +55,20 @@ class TrajectoryHypothesis:
         return sum(1 for e in self.entries if e.source == SOURCE_DETECTION)
 
 
-class ConstantVelocityTracker:
-    """Box predictor with velocity from the last two accepted boxes.
+def _predict(prev: Optional[tuple[int, Box]], last: tuple[int, Box], frame: int) -> Box:
+    """Box expected at ``frame``, moving at the velocity from ``prev`` to ``last``.
 
-    ``begin`` resets all state at a seed box; ``accept`` re-seeds at a matched
-    detection; ``predict`` returns the box expected at a frame. Box size is
-    held at the last accepted size. With a single accepted box the velocity
-    is zero.
+    Without ``prev`` the velocity is zero. Box size is held at ``last``'s.
     """
-
-    def __init__(self):
-        self._prev: Optional[tuple[int, Box]] = None
-        self._last: Optional[tuple[int, Box]] = None
-
-    def begin(self, frame: int, box: Box) -> None:
-        self._prev = None
-        self._last = (frame, box)
-
-    def accept(self, frame: int, box: Box) -> None:
-        self._prev = self._last
-        self._last = (frame, box)
-
-    def predict(self, frame: int) -> Box:
-        if self._last is None:
-            raise RuntimeError("tracker used before begin()")
-        f1, b1 = self._last
-        if self._prev is not None:
-            f0, b0 = self._prev
-            vx = (b1[0] - b0[0]) / (f1 - f0)
-            vy = (b1[1] - b0[1]) / (f1 - f0)
-        else:
-            vx = vy = 0.0
-        dt = frame - f1
-        return (b1[0] + vx * dt, b1[1] + vy * dt, b1[2], b1[3])
-
-
-@dataclass
-class TrajectoryParams:
-    frame_count: int
-    iou_threshold: float = 0.5
-    min_instances: int = 3
-    max_miss: int = 5
+    f1, b1 = last
+    if prev is not None:
+        f0, b0 = prev
+        vx = (b1[0] - b0[0]) / (f1 - f0)
+        vy = (b1[1] - b0[1]) / (f1 - f0)
+    else:
+        vx = vy = 0.0
+    dt = frame - f1
+    return (b1[0] + vx * dt, b1[1] + vy * dt, b1[2], b1[3])
 
 
 def _rank_key(d: Detection):
@@ -103,38 +76,45 @@ def _rank_key(d: Detection):
     return (-d.confidence, d.frame, d.bbox[0], d.bbox[1], d.class_id)
 
 
-def associate_trajectories(dets: list[Detection],
-                           params: TrajectoryParams) -> list[TrajectoryHypothesis]:
+def associate_trajectories(dets: list[Detection], frame_count: int,
+                           iou_threshold: float = 0.5, min_instances: int = 3,
+                           max_miss: int = 5) -> list[TrajectoryHypothesis]:
     """Greedy confidence-ranked association of thresholded detections.
 
     Repeats until fewer than ``min_instances`` detections remain unconsumed:
     seed at the highest-confidence detection, track toward both video ends,
     and in each visited frame absorb the highest-IoU same-class detection
     whose IoU with the predicted box strictly exceeds ``iou_threshold``
-    (re-seeding the tracker there); otherwise keep the predicted box. A
-    direction stops at the video boundary or after ``max_miss`` consecutive
-    prediction-only frames. Hypotheses with enough detection-sourced entries
-    are retained; either way the consumed detections never return.
+    (predictions then extrapolate from it and the box accepted before it);
+    otherwise keep the predicted box. A direction stops at the video boundary
+    or after ``max_miss`` consecutive prediction-only frames. Hypotheses with
+    enough detection-sourced entries are retained; either way the consumed
+    detections never return.
+
+    ValueError: ``min_instances`` or ``max_miss`` below 1.
     """
+    if min_instances < 1:
+        raise ValueError(f"min_instances must be >= 1, got {min_instances}")
+    if max_miss < 1:
+        raise ValueError(f"max_miss must be >= 1, got {max_miss}")
     pool = sorted(dets, key=_rank_key)
-    tracker = ConstantVelocityTracker()
     retained: list[TrajectoryHypothesis] = []
-    while len(pool) >= params.min_instances:
+    while len(pool) >= min_instances:
         seed = pool.pop(0)
         entries = {seed.frame: TrajectoryEntry(seed.frame, seed.bbox, SOURCE_DETECTION)}
         for direction in (1, -1):
-            tracker.begin(seed.frame, seed.bbox)
+            prev, last = None, (seed.frame, seed.bbox)
             misses = 0
             f = seed.frame + direction
-            while 0 <= f < params.frame_count and misses < params.max_miss:
-                pred = tracker.predict(f)
+            while 0 <= f < frame_count and misses < max_miss:
+                pred = _predict(prev, last, f)
                 best = None
                 best_key = None
                 for d in pool:
                     if d.frame != f or d.class_id != seed.class_id:
                         continue
                     ov = iou_box(pred, d.bbox)
-                    if ov <= params.iou_threshold:
+                    if ov <= iou_threshold:
                         continue
                     key = (-ov, -d.confidence, d.bbox[0], d.bbox[1])
                     if best_key is None or key < best_key:
@@ -142,7 +122,7 @@ def associate_trajectories(dets: list[Detection],
                 if best is not None:
                     entries[f] = TrajectoryEntry(f, best.bbox, SOURCE_DETECTION)
                     pool.remove(best)
-                    tracker.accept(f, best.bbox)
+                    prev, last = last, (f, best.bbox)
                     misses = 0
                 else:
                     entries[f] = TrajectoryEntry(f, pred, SOURCE_TRACKER)
@@ -152,7 +132,7 @@ def associate_trajectories(dets: list[Detection],
             class_id=seed.class_id,
             entries=[entries[f] for f in sorted(entries)],
             seed_confidence=seed.confidence)
-        if hyp.instance_count >= params.min_instances:
+        if hyp.instance_count >= min_instances:
             retained.append(hyp)
     return retained
 

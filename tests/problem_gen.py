@@ -187,7 +187,8 @@ def random_unary_data(rng, n, d, num_classes, spread=1.0):
     return means[y] + spread * rng.standard_normal((n, d)), y
 
 
-def loop_train_unary(X, y, num_classes, cfg, steps=None):
+def loop_train_unary(X, y, num_classes, *, epochs, learning_rate, lambda_reg, seed,
+                     steps=None):
     """Reference one-vs-rest hinge SGD, one Python step per example visit.
 
     Same draws and arithmetic as ``crf.train_unary`` on regions whose sorted
@@ -198,19 +199,19 @@ def loop_train_unary(X, y, num_classes, cfg, steps=None):
     weights = np.zeros((num_classes, d))
     biases = np.zeros(num_classes)
     for c in range(num_classes):
-        rng = np.random.default_rng([cfg.seed, c])
+        rng = np.random.default_rng([seed, c])
         t = np.where(y == c, 1.0, -1.0)
         w = np.zeros(d)
         b = 0.0
         step = 0
-        for _ in range(cfg.epochs):
+        for _ in range(epochs):
             for i in rng.permutation(N):
                 if steps is not None:
                     steps.append((np.append(w, b), t[i] * np.append(X[i], 1.0),
                                   t[i] * (w @ X[i] + b)))
-                eta = cfg.learning_rate / (1.0 + cfg.learning_rate * cfg.lambda_reg * step)
+                eta = learning_rate / (1.0 + learning_rate * lambda_reg * step)
                 step += 1
-                decay = 1.0 - eta * cfg.lambda_reg
+                decay = 1.0 - eta * lambda_reg
                 if t[i] * (w @ X[i] + b) < 1.0:
                     w = decay * w + eta * t[i] * X[i]
                     b = b + eta * t[i]

@@ -21,8 +21,7 @@ from ctxseg.propagation import propagate_column_pass, propagate_row_pass, resolv
 from ctxseg.qpbo import UNLABELED, solve_binary_pairwise
 from ctxseg.regions import Detection, Region, SparseMatrix, VideoSequence
 from ctxseg.synthetic import AMBIGUITY_MU
-from ctxseg.tracking import (SOURCE_DETECTION, TrajectoryParams,
-                             associate_trajectories, iou_box)
+from ctxseg.tracking import SOURCE_DETECTION, associate_trajectories, iou_box
 
 CALIBRATED_MATCH_RATE = 0.972  # 486/500, pre-release run, generator seed 12345
 
@@ -194,13 +193,13 @@ def test_criterion_6_trajectory_semantics():
     half = [Detection(0, (0, 0, 10, 10), 1, 0.9),
             Detection(1, half_box, 1, 0.8),
             Detection(2, (0, 0, 10, 10), 1, 0.7)]
-    hyps = associate_trajectories(half, TrajectoryParams(frame_count=3, iou_threshold=0.5))
+    hyps = associate_trajectories(half, 3, iou_threshold=0.5)
     assert hyps == []  # the borderline middle link breaks the 3-instance chain
 
     # worked example: 3-frame chain, seeded at the highest confidence
     chain = [Detection(f, (1.0 * f, 0, 10, 10), 1, c)
              for f, c in [(0, 0.9), (1, 0.8), (2, 0.7)]]
-    hyps = associate_trajectories(chain, TrajectoryParams(frame_count=3))
+    hyps = associate_trajectories(chain, 3)
     assert len(hyps) == 1
     assert hyps[0].seed_confidence == 0.9
     assert hyps[0].instance_count == 3
@@ -208,7 +207,7 @@ def test_criterion_6_trajectory_semantics():
 
     # worked example: two detections cannot form a hypothesis
     two = [Detection(0, (0, 0, 10, 10), 1, 0.9), Detection(1, (0, 0, 10, 10), 1, 0.8)]
-    assert associate_trajectories(two, TrajectoryParams(frame_count=2)) == []
+    assert associate_trajectories(two, 2) == []
 
     # worked example: two spatially disjoint tracks stay separate
     a = [Detection(f, (1.0 * f, 0, 10, 10), 1, 0.9 - 0.01 * f) for f in range(3)]
@@ -216,7 +215,7 @@ def test_criterion_6_trajectory_semantics():
     for da in a:
         for db in b:
             assert iou_box(da.bbox, db.bbox) <= 0.5
-    hyps = associate_trajectories(a + b, TrajectoryParams(frame_count=3))
+    hyps = associate_trajectories(a + b, 3)
     assert len(hyps) == 2
     assert all(h.instance_count == 3 for h in hyps)
     print("PASS [criterion 6] trajectory association semantics")
@@ -266,7 +265,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
 def test_criterion_9_iou_metric_examples():
     regions = [Region(i, 0, np.array([1.0, 0.0]), a)
                for i, a in enumerate([10, 10, 20])]
-    seq = VideoSequence(regions, [], frame_count=1, class_count=3)
+    seq = VideoSequence(regions, [], frame_count=1)
     identical = iou_per_class({0: 1, 1: 1, 2: 0}, {0: 1, 1: 1, 2: 0}, seq)
     assert identical.per_class_iou[1] == 1.0 and identical.mean_iou == 1.0
     disjoint = iou_per_class({0: 1, 1: 0, 2: 0}, {0: 0, 1: 1, 2: 0}, seq)

@@ -258,6 +258,8 @@ def _drop(key):
 # (damage to a good graph.json document, message after "<file>: ")
 MALFORMED_GRAPHS = [
     pytest.param("truncated", "malformed JSON", id="truncated"),
+    pytest.param("not-utf8", "malformed JSON ('utf-8' codec can't decode byte 0xff",
+                 id="not-utf8"),
     pytest.param(lambda doc: [doc], "graph is not a JSON object", id="not-an-object"),
     pytest.param(_drop("n"), "missing or invalid field", id="missing-n"),
     pytest.param(_drop("edges"), "missing or invalid field", id="missing-edges"),
@@ -293,6 +295,8 @@ def test_malformed_graph_exits_with_file_name(dataset, tmp_path, capsys, damage,
     text = path.read_text()
     if damage == "truncated":
         path.write_text(text[:len(text) // 2])
+    elif damage == "not-utf8":
+        path.write_bytes(b"\xff")
     else:
         path.write_text(json.dumps(damage(json.loads(text))))
     links = tmp_path / "links.jsonl"
@@ -379,6 +383,26 @@ def test_eval_bad_ground_truth_exits_with_file_and_line(dataset, tmp_path, capsy
     err = capsys.readouterr().err
     assert f"ctxseg eval: error: {gt}:2: {message}" in err
     assert "Traceback" not in err
+
+
+def test_pipeline_and_eval_accept_the_same_ground_truth(dataset, tmp_path):
+    """Without its class-3 detections, seed 7 still has class-3 regions in its
+    ground truth: ``pipeline --gt`` loads the file as ``eval --gt`` does and
+    reports class 3 at IoU 0 as eval does."""
+    detections = tmp_path / "detections.jsonl"
+    with open(dataset / "detections.jsonl", encoding="utf-8") as fh:
+        detections.write_text("".join(line for line in fh if json.loads(line)["class"] != 3))
+    regions_path, gt = str(dataset / "regions.jsonl"), str(dataset / "gt.jsonl")
+    out = tmp_path / "run"
+    assert run(["pipeline", "--regions", regions_path, "--detections", str(detections),
+                "--gt", gt, "--out", str(out), "--seed", "7"]) == 0
+    report = tmp_path / "report.json"
+    assert run(["eval", "--regions", regions_path, "--labeling", str(out / "labeling.jsonl"),
+                "--gt", gt, "--out", str(report)]) == 0
+    assert read(out / "report.json") == read(report)
+    record = json.loads(read(report))
+    assert record["per_class"]["3"] == 0.0
+    assert record["mean"] == pytest.approx(0.5909, abs=5e-5)
 
 
 def test_eval_unknown_labeling_id_exits_with_file_and_line(dataset, tmp_path, capsys):

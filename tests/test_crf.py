@@ -13,7 +13,7 @@ from problem_gen import (as_dict, broadcast_energy, broadcast_fusion_terms,
                          unary_sequence)
 
 from ctxseg import crf
-from ctxseg.crf import (CrfProblem, PairwiseTerms, UnaryModel, UnaryTrainConfig, beta_adaptive,
+from ctxseg.crf import (CrfProblem, PairwiseTerms, UnaryModel, beta_adaptive,
                         brute_force_oracle, build_pairwise, energy, infer,
                         qpbo_fuse, train_unary, unary_potentials)
 from ctxseg.propagation import LinkScoreMatrix
@@ -44,7 +44,7 @@ class TestTrainUnary:
     def test_separable_features_full_accuracy(self):
         seq = seq_with_features([[1.0, 0.0], [-1.0, 0.0]] * 5)
         labeled = {i: i % 2 for i in range(10)}
-        model = train_unary(labeled, seq, UnaryTrainConfig(epochs=100, seed=1))
+        model = train_unary(labeled, seq, epochs=100, seed=1)
         pred = model.probabilities(seq.feature_matrix()).argmax(axis=1)
         assert np.array_equal(pred, [i % 2 for i in range(10)])
 
@@ -61,9 +61,8 @@ class TestTrainUnary:
         F /= np.linalg.norm(F, axis=1, keepdims=True)
         seq = seq_with_features(F.tolist())
         labeled = {i: i % 3 for i in range(12)}
-        cfg = UnaryTrainConfig(epochs=30, seed=9)
-        m1 = train_unary(labeled, seq, cfg)
-        m2 = train_unary(labeled, seq, cfg)
+        m1 = train_unary(labeled, seq, epochs=30, seed=9)
+        m2 = train_unary(labeled, seq, epochs=30, seed=9)
         assert np.array_equal(m1.weights, m2.weights)
         assert np.array_equal(m1.biases, m2.biases)
 
@@ -106,14 +105,14 @@ def golden_unary_cases():
 
 
 def unary_fit(X, y, num_classes, cfg):
-    model = train_unary(dict(enumerate(np.asarray(y).tolist())), unary_sequence(X), cfg,
-                        num_classes=num_classes)
+    model = train_unary(dict(enumerate(np.asarray(y).tolist())), unary_sequence(X),
+                        num_classes, **cfg)
     return model.weights, model.biases
 
 
 def assert_matches_loop(X, y, num_classes, cfg):
     weights, biases = unary_fit(X, y, num_classes, cfg)
-    ref_w, ref_b = loop_train_unary(X, y, num_classes, cfg)
+    ref_w, ref_b = loop_train_unary(X, y, num_classes, **cfg)
     assert weights.tobytes() == ref_w.tobytes()
     assert biases.tobytes() == ref_b.tobytes()
 
@@ -135,9 +134,9 @@ def oracle_dataset(seed):
     elif seed % 4 == 3:
         X = rng.integers(-2, 3, size=X.shape) / 3.0
         lambda_reg = 0.0
-    cfg = UnaryTrainConfig(epochs=int(rng.integers(1, 25)),
-                           learning_rate=float(rng.choice([0.1, 0.3, 0.5, 2.0])),
-                           lambda_reg=lambda_reg, seed=seed)
+    cfg = dict(epochs=int(rng.integers(1, 25)),
+               learning_rate=float(rng.choice([0.1, 0.3, 0.5, 2.0])),
+               lambda_reg=lambda_reg, seed=seed)
     return X, y, L, cfg
 
 
@@ -149,8 +148,8 @@ class TestGoldenUnary:
     def test_matches_record(self, case):
         X, y = random_unary_data(np.random.default_rng(case["seed"]), case["n"], case["d"],
                                  case["num_classes"], case["spread"])
-        cfg = UnaryTrainConfig(epochs=case["epochs"], learning_rate=case["learning_rate"],
-                               lambda_reg=case["lambda_reg"], seed=case["seed"])
+        cfg = dict(epochs=case["epochs"], learning_rate=case["learning_rate"],
+                   lambda_reg=case["lambda_reg"], seed=case["seed"])
         weights, biases = unary_fit(X, y, case["num_classes"], cfg)
         assert [[float(v).hex() for v in row] for row in weights] == case["weights"]
         assert [float(v).hex() for v in biases] == case["biases"]
@@ -159,7 +158,7 @@ class TestGoldenUnary:
     def test_matches_per_example_loop(self, seed):
         X, y, L, cfg = oracle_dataset(seed)
         weights, biases = unary_fit(X, y, L, cfg)
-        ref_w, ref_b = loop_train_unary(X, y, L, cfg)
+        ref_w, ref_b = loop_train_unary(X, y, L, **cfg)
         assert weights.tobytes() == ref_w.tobytes()
         assert biases.tobytes() == ref_b.tobytes()
 
@@ -170,8 +169,8 @@ class TestGoldenUnary:
         bound on the weights still only grows at violations."""
         X, y, L, cfg = oracle_dataset(seed)
         rng = np.random.default_rng(3000 + seed)
-        cfg.learning_rate = float(rng.choice([30.0, 50.0, 4.0]))
-        cfg.lambda_reg = float(rng.choice([0.1, 1.0]))
+        cfg["learning_rate"] = float(rng.choice([30.0, 50.0, 4.0]))
+        cfg["lambda_reg"] = float(rng.choice([0.1, 1.0]))
         assert_matches_loop(X, y, L, cfg)
 
     @pytest.mark.parametrize("seed", range(60))
@@ -188,9 +187,9 @@ class TestGoldenUnary:
         if L > 1:  # class L - 1 has exactly one example
             y = rng.permutation(np.append(np.arange(n - 1) % (L - 1), L - 1))
         X = rng.standard_normal((n, d)) * float(rng.choice([0.1, 1.0, 10.0]))
-        cfg = UnaryTrainConfig(epochs=int(rng.choice([1, 1, 2, 3, 8])),
-                               learning_rate=float(rng.choice([0.1, 0.5, 2.0, 30.0])),
-                               lambda_reg=float(rng.choice([0.0, 1e-4, 1e-2, 0.1])), seed=seed)
+        cfg = dict(epochs=int(rng.choice([1, 1, 2, 3, 8])),
+                   learning_rate=float(rng.choice([0.1, 0.5, 2.0, 30.0])),
+                   lambda_reg=float(rng.choice([0.0, 1e-4, 1e-2, 0.1])), seed=seed)
         assert_matches_loop(X, y, L, cfg)
 
     @pytest.mark.parametrize("seed,scale", [(0, 1e3), (80, 1e3), (0, 1e-8), (4, 1e-8)])
@@ -208,11 +207,11 @@ class TestGoldenUnary:
         n = int(rng.integers(4, 40))
         X = rng.integers(-2, 3, size=(n, 15)) / 3.0 * scale
         y = rng.permutation(np.arange(n) % 2)
-        cfg = UnaryTrainConfig(epochs=int(rng.integers(1, 12)), learning_rate=0.5,
-                               lambda_reg=0.0, seed=seed)
+        cfg = dict(epochs=int(rng.integers(1, 12)), learning_rate=0.5,
+                   lambda_reg=0.0, seed=seed)
         assert_matches_loop(X, y, 2, cfg)
         steps = []
-        loop_train_unary(X, y, 2, cfg, steps)
+        loop_train_unary(X, y, 2, **cfg, steps=steps)
         wb, v, per_step = (np.array(a) for a in zip(*steps))
         if np.array_equal(np.vecdot(wb, v), per_step):
             pytest.skip("batched margins round as w @ x + b at every step on this BLAS")
@@ -223,8 +222,8 @@ class TestGoldenUnary:
         ("lambda_reg", -0.01), ("lambda_reg", float("inf")), ("lambda_reg", float("nan"))])
     def test_invalid_config_rejected(self, field, value):
         X = np.eye(3)
-        cfg = UnaryTrainConfig(epochs=3, learning_rate=50.0, lambda_reg=0.1)
-        setattr(cfg, field, value)
+        cfg = dict(epochs=3, learning_rate=50.0, lambda_reg=0.1)
+        cfg[field] = value
         with pytest.raises(ValueError, match=f"{field}.*got .*{field}={value}"):
             unary_fit(X, [0, 1, 1], 2, cfg)
 
@@ -237,14 +236,14 @@ class TestGoldenUnary:
         steps of epoch two update as worked out below."""
         X = np.eye(3)
         y = [0, 0, 1]
-        cfg = UnaryTrainConfig(epochs=2, learning_rate=0.5, lambda_reg=0.0, seed=3)
+        cfg = dict(epochs=2, learning_rate=0.5, lambda_reg=0.0, seed=3)
         weights, biases = unary_fit(X, y, 2, cfg)
         # class 0, epoch two order (0, 2, 1): tie; margin 0 -> w2 = -1, b = 0;
         # margin 1/2 -> w1 = 1, b = 1/2.  class 1, order (1, 2, 0): tie;
         # margin 0 -> w2 = 1, b = 0; margin 1/2 -> w0 = -1, b = -1/2.
         assert weights.tolist() == [[0.5, 1.0, -1.0], [-1.0, -0.5, 1.0]]
         assert biases.tolist() == [0.5, -0.5]
-        ref_w, ref_b = loop_train_unary(X, np.array(y), 2, cfg)
+        ref_w, ref_b = loop_train_unary(X, np.array(y), 2, **cfg)
         assert weights.tobytes() == ref_w.tobytes() and biases.tobytes() == ref_b.tobytes()
 
 

@@ -8,7 +8,7 @@ from ctxseg.regions import Region, VideoSequence
 def seq_with_areas(areas):
     regions = [Region(i, 0, np.array([1.0, 0.0]), a, None)
                for i, a in enumerate(areas)]
-    return VideoSequence(regions, [], frame_count=1, class_count=5)
+    return VideoSequence(regions, [], frame_count=1)
 
 
 def test_perfect_prediction_scores_one():

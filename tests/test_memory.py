@@ -42,7 +42,8 @@ def ctx_problem():
     links = pipeline.links_stage(seq, frames, labels, cfg)
     scores = pipeline.propagate_stage(links, pipeline.graph_stage(seq, cfg), cfg)
     L = pipeline.crf_label_space(labels, scores)
-    model = crf.train_unary(labels, seq, cfg.unary_config(), num_classes=L)
+    model = crf.train_unary(labels, seq, L, epochs=cfg.epochs, learning_rate=cfg.learning_rate,
+                            lambda_reg=cfg.lambda_reg, seed=pipeline.stage_seed(cfg.seed, "unary"))
     unary = crf.unary_potentials(model, seq, p_floor=cfg.p_floor)
     return scores, crf.beta_adaptive(scores), cfg.lambda_pair, unary
 

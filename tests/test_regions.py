@@ -6,7 +6,7 @@ import pytest
 from ctxseg.cli import main
 from ctxseg.context import dump_links, load_links
 from ctxseg.propagation import dump_scores, load_scores
-from ctxseg.regions import (IngestError, VideoSequence, filter_detections,
+from ctxseg.regions import (Detection, IngestError, VideoSequence, filter_detections,
                             load_ground_truth, load_labeling, load_sequence,
                             save_labeling, save_sequence)
 from ctxseg.tracking import dump_hypotheses, load_hypotheses
@@ -69,6 +69,13 @@ def test_frame_beyond_declared_count(tmp_path):
     p = write_jsonl(tmp_path / "r.jsonl", [region_rec(0, frame=5)])
     with pytest.raises(IngestError, match="frame"):
         VideoSequence(load_sequence(p).regions, [], frame_count=5)
+
+
+def test_negative_detection_class_rejected(tmp_path):
+    seq = load_sequence(write_jsonl(tmp_path / "r.jsonl", [region_rec(0)]))
+    det = Detection(0, (0.0, 0.0, 10.0, 10.0), -1, 0.9)
+    with pytest.raises(IngestError, match="^negative detection class$"):
+        VideoSequence(seq.regions, [det])
 
 
 def test_nonpositive_area_rejected(tmp_path):
@@ -147,10 +154,14 @@ def test_ground_truth_unknown_id(tmp_path):
 
 
 def test_ground_truth_class_out_of_range(tmp_path):
+    """A class that no detection has loads: the label space comes from the
+    labels, not the detections. A negative class is still refused."""
     r = write_jsonl(tmp_path / "r.jsonl", [region_rec(0)])
+    seq = load_sequence(r)  # no detections
     g = write_jsonl(tmp_path / "g.jsonl", [{"id": 0, "class": 3}])
-    seq = load_sequence(r)  # no detections -> class_count 1
-    with pytest.raises(IngestError, match="class 3"):
+    assert load_ground_truth(g, seq) == {0: 3}
+    g = write_jsonl(tmp_path / "neg.jsonl", [{"id": 0, "class": -1}])
+    with pytest.raises(IngestError, match=r"neg.jsonl:1: negative class -1"):
         load_ground_truth(g, seq)
 
 
@@ -173,7 +184,6 @@ def test_ingest_idempotent_bitwise(tmp_path):
     save_sequence(seq1, tmp_path / "r2.jsonl", tmp_path / "d2.jsonl")
     seq2 = load_sequence(tmp_path / "r2.jsonl", tmp_path / "d2.jsonl")
     assert seq1.frame_count == seq2.frame_count
-    assert seq1.class_count == seq2.class_count
     for a, b in zip(seq1.regions, seq2.regions):
         assert a.region_id == b.region_id and a.frame == b.frame
         assert a.area == b.area and a.bbox == b.bbox

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from ctxseg.regions import Detection, Region, VideoSequence
-from ctxseg.tracking import (SOURCE_DETECTION, SOURCE_TRACKER,
-                             ConstantVelocityTracker, TrajectoryEntry,
-                             TrajectoryHypothesis, TrajectoryParams,
-                             annotated_frames, associate_trajectories,
-                             dump_hypotheses, iou_box, load_hypotheses)
+from ctxseg.tracking import (SOURCE_DETECTION, SOURCE_TRACKER, TrajectoryEntry,
+                             TrajectoryHypothesis, _predict, annotated_frames,
+                             associate_trajectories, dump_hypotheses, iou_box,
+                             load_hypotheses)
 
 
 class TestIouBox:
@@ -32,21 +31,13 @@ class TestIouBox:
 
 class TestDefaultTracker:
     def test_zero_initial_velocity(self):
-        trk = ConstantVelocityTracker()
-        trk.begin(0, (10, 10, 5, 5))
-        assert trk.predict(1) == (10, 10, 5, 5)
+        assert _predict(None, (0, (10, 10, 5, 5)), 1) == (10, 10, 5, 5)
 
     def test_linear_extrapolation(self):
-        trk = ConstantVelocityTracker()
-        trk.begin(0, (0, 0, 5, 5))
-        trk.accept(1, (4, 0, 5, 5))
-        assert trk.predict(2) == (8, 0, 5, 5)
+        assert _predict((0, (0, 0, 5, 5)), (1, (4, 0, 5, 5)), 2) == (8, 0, 5, 5)
 
     def test_backward_extrapolation(self):
-        trk = ConstantVelocityTracker()
-        trk.begin(10, (0, 0, 5, 5))
-        trk.accept(9, (4, 0, 5, 5))
-        assert trk.predict(8) == (8, 0, 5, 5)
+        assert _predict((10, (0, 0, 5, 5)), (9, (4, 0, 5, 5)), 8) == (8, 0, 5, 5)
 
 
 def chain_dets(cls, frames, confs, x0=0.0, step=1.0, size=10.0, y=0.0):
@@ -58,7 +49,7 @@ def chain_dets(cls, frames, confs, x0=0.0, step=1.0, size=10.0, y=0.0):
 class TestAssociate:
     def test_three_frame_chain_single_hypothesis(self):
         dets = chain_dets(1, [0, 1, 2], [0.9, 0.8, 0.7])
-        hyps = associate_trajectories(dets, TrajectoryParams(frame_count=3))
+        hyps = associate_trajectories(dets, 3)
         assert len(hyps) == 1
         h = hyps[0]
         assert h.class_id == 1
@@ -69,7 +60,7 @@ class TestAssociate:
 
     def test_two_instances_not_retained(self):
         dets = chain_dets(1, [0, 1], [0.9, 0.8])
-        hyps = associate_trajectories(dets, TrajectoryParams(frame_count=2))
+        hyps = associate_trajectories(dets, 2)
         assert hyps == []
 
     def test_two_disjoint_tracks_two_hypotheses(self):
@@ -79,7 +70,7 @@ class TestAssociate:
         for da in a:
             for db in b:
                 assert iou_box(da.bbox, db.bbox) <= 0.5
-        hyps = associate_trajectories(a + b, TrajectoryParams(frame_count=3))
+        hyps = associate_trajectories(a + b, 3)
         assert len(hyps) == 2
         assert sorted(h.entries[0].bbox[0] for h in hyps) == [0.0, 100.0]
         assert all(h.instance_count == 3 for h in hyps)
@@ -87,14 +78,14 @@ class TestAssociate:
     def test_class_gate_blocks_association(self):
         a = chain_dets(1, [0, 1, 2], [0.9, 0.85, 0.8])
         b = chain_dets(2, [0, 1, 2], [0.7, 0.65, 0.6])  # same boxes, other class
-        hyps = associate_trajectories(a + b, TrajectoryParams(frame_count=3))
+        hyps = associate_trajectories(a + b, 3)
         assert sorted(h.class_id for h in hyps) == [1, 2]
 
     def test_gap_filled_by_tracker_entries(self):
         dets = [Detection(0, (0, 0, 10, 10), 1, 0.9),
                 Detection(1, (1, 0, 10, 10), 1, 0.8),
                 Detection(3, (3, 0, 10, 10), 1, 0.7)]
-        hyps = associate_trajectories(dets, TrajectoryParams(frame_count=4))
+        hyps = associate_trajectories(dets, 4)
         assert len(hyps) == 1
         by_frame = {e.frame: e for e in hyps[0].entries}
         assert by_frame[2].source == SOURCE_TRACKER
@@ -102,7 +93,7 @@ class TestAssociate:
 
     def test_direction_stops_after_max_miss(self):
         dets = chain_dets(1, [0, 1, 2], [0.9, 0.8, 0.7])
-        hyps = associate_trajectories(dets, TrajectoryParams(frame_count=50, max_miss=2))
+        hyps = associate_trajectories(dets, 50, max_miss=2)
         frames = [e.frame for e in hyps[0].entries]
         assert max(frames) == 4  # two tracker frames past the last detection
         trailing = [e for e in hyps[0].entries if e.frame > 2]
@@ -114,7 +105,7 @@ class TestAssociate:
         for t in range(4):  # four overlapping same-class tracks
             dets += chain_dets(1, [0, 1, 2, 3, 4],
                                list(rng.uniform(0.5, 1.0, 5)), x0=30.0 * t)
-        hyps = associate_trajectories(dets, TrajectoryParams(frame_count=5))
+        hyps = associate_trajectories(dets, 5)
         used = [e.bbox for h in hyps for e in h.entries if e.source == SOURCE_DETECTION]
         assert len(used) == len(set(used))
         assert len(used) <= len(dets)
@@ -125,20 +116,26 @@ class TestAssociate:
         for t in range(3):
             dets += chain_dets(1, [0, 1, 2, 3], list(rng.uniform(0.5, 1.0, 4)),
                                x0=25.0 * t)
-        p = TrajectoryParams(frame_count=4)
-        h1 = associate_trajectories(list(dets), p)
-        h2 = associate_trajectories(list(dets), p)
+        h1 = associate_trajectories(list(dets), 4)
+        h2 = associate_trajectories(list(dets), 4)
         assert h1 == h2
 
     def test_frames_strictly_increasing(self):
         dets = chain_dets(2, [0, 1, 2, 3, 4], [0.6, 0.9, 0.7, 0.8, 0.65])
-        hyps = associate_trajectories(dets, TrajectoryParams(frame_count=5))
+        hyps = associate_trajectories(dets, 5)
         for h in hyps:
             f = [e.frame for e in h.entries]
             assert all(b > a for a, b in zip(f, f[1:]))
 
     def test_empty_input(self):
-        assert associate_trajectories([], TrajectoryParams(frame_count=5)) == []
+        assert associate_trajectories([], 5) == []
+
+    @pytest.mark.parametrize("name", ["min_instances", "max_miss"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_count_below_one_rejected(self, name, value):
+        dets = chain_dets(1, [0, 1, 2], [0.9, 0.8, 0.7])
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+            associate_trajectories(dets, 3, **{name: value})
 
 
 def region(rid, frame, bbox, area=100):
@@ -198,7 +195,7 @@ class TestAnnotatedFrames:
 
 def test_hypotheses_dump_roundtrip(tmp_path):
     dets = chain_dets(1, [0, 1, 2], [0.9, 0.8, 0.7])
-    hyps = associate_trajectories(dets, TrajectoryParams(frame_count=5))
+    hyps = associate_trajectories(dets, 5)
     path = tmp_path / "hyps.jsonl"
     dump_hypotheses(hyps, path)
     assert load_hypotheses(path) == hyps
