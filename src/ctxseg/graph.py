@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import FIELD_ERRORS, IngestError, SparseMatrix, VideoSequence
+from .regions import IngestError, SparseMatrix, VideoSequence, _entries, _int
 
 log = logging.getLogger(__name__)
 
@@ -145,13 +145,10 @@ def dump_graph(graph: SimilarityGraph, path) -> None:
 
 
 def load_graph(path) -> SimilarityGraph:
-    """Read a ``dump_graph`` file.
-
-    Malformed JSON, a byte that is not UTF-8, a missing ``n`` or ``edges``,
-    an edge that is not ``[i, j, w]`` with integers ``0 <= i < j < n``, a
-    negative or non-finite weight and a repeated pair raise
-    :class:`IngestError` naming the file.
-    """
+    """Read a ``dump_graph`` file; :class:`IngestError` names the file for
+    malformed JSON or UTF-8, an ``n`` or ``k`` (0 if absent) or ``edges`` that
+    the readers in ``regions`` refuse, a negative weight, an edge without
+    i < j and a repeated pair."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -159,16 +156,8 @@ def load_graph(path) -> SimilarityGraph:
             raise IngestError(f"{path}: malformed JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise IngestError(f"{path}: graph is not a JSON object")
-    try:
-        n, k = doc["n"], int(doc.get("k", 0))
-        edges = np.array(doc["edges"], dtype=float)
-        if edges.size and edges.shape[1:] != (3,):
-            raise ValueError("edges must be [i, j, w] rows")
-    except FIELD_ERRORS as exc:
-        raise IngestError(f"{path}: missing or invalid field ({exc})") from None
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise IngestError(f"{path}: n must be a nonnegative integer, got {n!r}")
-    edges = edges.reshape(-1, 3)
+    n, k = _int(str(path), "n", doc.get("n")), _int(str(path), "k", doc.get("k", 0))
+    edges = _entries(str(path), "edges", doc.get("edges"), n, 3)
     ends, w = edges[:, :2], edges[:, 2]
 
     def refuse(bad, what):
@@ -176,9 +165,7 @@ def load_graph(path) -> SimilarityGraph:
             p = int(np.flatnonzero(bad)[0])
             raise IngestError(f"{path}: edge {p} {edges[p].tolist()}: {what}")
 
-    refuse((ends != np.floor(ends)).any(axis=1), "is not [i, j, w] with integer i, j")
-    refuse(~(np.isfinite(w) & (w >= 0.0)), "weight is negative or not finite")
-    refuse(((ends < 0) | (ends >= n)).any(axis=1), f"index out of range [0, {n})")
+    refuse(w < 0.0, "weight is negative")
     i, j = ends.astype(np.int64).T
     refuse(i >= j, "needs i < j")
     repeat = np.ones(len(i), dtype=bool)

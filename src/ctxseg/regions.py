@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -55,6 +56,33 @@ class Detection:
     confidence: float
 
 
+def _check_region(r: Region, seen: set[int], dim: int, at: str = "") -> None:
+    """Refuse an id in ``seen`` (then add it) or negative, an area or a bbox extent
+    <= 0, or a feature not ``dim`` long. A loader passes ``at``, "file:line: "."""
+    if r.region_id in seen:
+        raise IngestError(f"{at}duplicate region id {r.region_id}")
+    seen.add(r.region_id)
+    if r.region_id < 0:
+        raise IngestError(f"{at}negative region id {r.region_id}")
+    if r.area <= 0:
+        raise IngestError(f"{at}region {r.region_id}: area must be positive")
+    if r.bbox is not None and (r.bbox[2] <= 0 or r.bbox[3] <= 0):
+        raise IngestError(f"{at}region {r.region_id}: bbox extents must be positive")
+    if r.feature.shape != (dim,):
+        raise IngestError(f"{at}region {r.region_id}: feature dimension "
+                          f"{r.feature.shape[0]} != {dim}")
+
+
+def _check_detection(d: Detection, at: str = "") -> None:
+    """Refuse a negative class, a confidence outside [0, 1] or a bbox extent <= 0."""
+    if d.class_id < 0:
+        raise IngestError(f"{at}negative detection class")
+    if not (0.0 <= d.confidence <= 1.0):
+        raise IngestError(f"{at}detection confidence {d.confidence} not in [0,1]")
+    if d.bbox[2] <= 0 or d.bbox[3] <= 0:
+        raise IngestError(f"{at}detection bbox extents must be positive")
+
+
 class VideoSequence:
     """Immutable, validated container for one video's regions and detections.
 
@@ -66,26 +94,12 @@ class VideoSequence:
                  frame_count: Optional[int] = None):
         regions = sorted(regions, key=lambda r: r.region_id)
         seen: set[int] = set()
+        dim = regions[0].feature.shape[0] if regions else 0
         for r in regions:
-            if r.region_id in seen:
-                raise IngestError(f"duplicate region id {r.region_id}")
-            seen.add(r.region_id)
-            if r.region_id < 0:
-                raise IngestError(f"negative region id {r.region_id}")
-            if r.area <= 0:
-                raise IngestError(f"region {r.region_id}: area must be positive")
-            if r.bbox is not None and (r.bbox[2] <= 0 or r.bbox[3] <= 0):
-                raise IngestError(f"region {r.region_id}: bbox extents must be positive")
+            _check_region(r, seen, dim)
 
-        d = regions[0].feature.shape[0] if regions else 0
-        for r in regions:
-            if r.feature.shape != (d,):
-                raise IngestError(
-                    f"region {r.region_id}: feature dimension {r.feature.shape[0]} != {d}")
-
-        max_frame = max(
-            [r.frame for r in regions] + [d.frame for d in detections],
-            default=-1)
+        frames = [r.frame for r in regions] + [d.frame for d in detections]
+        max_frame = max(frames, default=-1)
         if frame_count is None:
             frame_count = max_frame + 1
         if frame_count <= 0:
@@ -93,17 +107,11 @@ class VideoSequence:
         if max_frame >= frame_count:
             raise IngestError(
                 f"frame index {max_frame} out of range for frame_count {frame_count}")
-        for obj in list(regions) + list(detections):
-            if obj.frame < 0:
-                raise IngestError("negative frame index")
+        if min(frames, default=0) < 0:
+            raise IngestError("negative frame index")
 
-        if any(d.class_id < 0 for d in detections):
-            raise IngestError("negative detection class")
         for det in detections:
-            if not (0.0 <= det.confidence <= 1.0):
-                raise IngestError(f"detection confidence {det.confidence} not in [0,1]")
-            if det.bbox[2] <= 0 or det.bbox[3] <= 0:
-                raise IngestError("detection bbox extents must be positive")
+            _check_detection(det)
 
         self.regions: list[Region] = list(regions)
         self.detections: list[Detection] = list(detections)
@@ -131,41 +139,78 @@ class VideoSequence:
         return np.stack([r.feature for r in self.regions])
 
 
-def normalize_feature(raw: np.ndarray) -> np.ndarray:
-    """L2-normalize a feature; all-zero vectors are kept as they are.
+# One reader per kind of value in a stage file: _int for an integer, _float
+# for a number; _ints, _floats and _entries read many of them at once.
 
-    Vectors already unit within 1e-9 pass through untouched so that a
-    save/load cycle is bitwise idempotent.
-    """
-    nrm = float(np.linalg.norm(raw))
-    if nrm == 0.0 or abs(nrm - 1.0) < 1e-9:
-        return raw
-    return raw / nrm
-
-
-# what converting a record's fields can raise: a missing key, a wrong type,
-# a bad literal, or int() of an Infinity
-FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+def _int(where: str, key: str, value) -> int:
+    """A nonnegative int; an integral float reads as its int. Anything else
+    (missing, a fraction, non-finite, negative, a boolean, a string) raises."""
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise IngestError(f"{where}: missing or invalid field "
+                          f"({key} must be an integer, got {value!r})")
+    if value < 0:
+        raise IngestError(f"{where}: negative {key} {value}")
+    return value
 
 
 def _ints(where: str, rec, *keys: str) -> list[int]:
-    """The fields ``keys`` of the record at ``where``, each a nonnegative integer.
+    return [_int(where, key, rec.get(key)) for key in keys]
 
-    An integral float reads as its int. A missing field, a fraction, a
-    non-finite or negative number, a boolean or a string raises IngestError.
-    """
+
+def _float(where: str, key: str, value) -> float:
+    """An int or a float, never a boolean, a string or null, and finite (an
+    int past the largest float is not)."""
+    if type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+    if type(value) is not float:
+        raise IngestError(f"{where}: missing or invalid field "
+                          f"({key}: {value!r} is not a number)")
+    if value - value != 0.0:  # inf - inf and nan - nan are nan
+        raise IngestError(f"{where}: {key} holds a non-finite value")
+    return value
+
+
+def _floats(where: str, key: str, values, size: Optional[int] = None) -> list[float]:
+    """A list of ``size`` numbers (one or more if None), each by :func:`_float`;
+    a list of finite floats, as the writers produce, is returned as it is."""
+    if type(values) is not list or (len(values) != size if size else not values):
+        raise IngestError(f"{where}: missing or invalid field "
+                          f"({key} must be a list of {size or 'one or more'} numbers)")
+    for v in values:
+        if type(v) is not float or v - v != 0.0:
+            return [_float(where, key, v) for v in values]
+    return values
+
+
+def _entries(where: str, key: str, rows, n: int, width: int) -> np.ndarray:
+    """Rows ``[i, j]`` or ``[i, j, v]`` as a (rows, width) float array: i and j
+    by :func:`_int` and in [0, n), v by :func:`_float`. A whole-array screen
+    passes what the writers produce; else each leaf is read by its rule."""
+    if type(rows) is not list:
+        raise IngestError(f"{where}: missing or invalid field ({key} must be a list)")
+    try:
+        a = np.array(rows, dtype=float).reshape(len(rows), width)
+        index = a[:, :2]
+        if (set(map(type, chain.from_iterable(rows))) <= {int, float} and np.isfinite(a).all()
+                and (index == np.floor(index)).all() and ((index >= 0) & (index < n)).all()):
+            return a
+    except (TypeError, ValueError, OverflowError):  # a row not a list, or of another width
+        pass
     out = []
-    for key in keys:
-        value = rec.get(key)
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        if not isinstance(value, int) or isinstance(value, bool):
+    for row in rows:
+        if type(row) is not list or len(row) != width:
             raise IngestError(f"{where}: missing or invalid field "
-                              f"({key} must be an integer, got {value!r})")
-        if value < 0:
-            raise IngestError(f"{where}: negative {key} {value}")
-        out.append(value)
-    return out
+                              f"({key} rows must hold {width} numbers, got {row!r})")
+        ij = [_int(where, "region index", v) for v in row[:2]]
+        if max(ij) >= n:
+            raise IngestError(f"{where}: region index {max(ij)} out of range [0, {n})")
+        out.append(ij + [_float(where, key, v) for v in row[2:]])
+    return np.array(out, dtype=float).reshape(len(rows), width)
 
 
 def _iter_records(path):
@@ -186,8 +231,9 @@ def _iter_records(path):
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestError(f"{where}: malformed JSON ({exc.msg})") from None
+            except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
+                msg = getattr(exc, "msg", exc)
+                raise IngestError(f"{where}: malformed JSON ({msg})") from None
             if not isinstance(rec, dict):
                 raise IngestError(f"{where}: record is not an object")
             yield where, rec
@@ -260,95 +306,56 @@ def dump_class_pairs(matrices: Mapping[tuple[int, int], SparseMatrix], path,
 
 def load_class_pairs(path, key: str, n: int, width: int
                      ) -> dict[tuple[int, int], SparseMatrix]:
-    """Read :func:`dump_class_pairs` records back as sorted ``{(m, n): matrix}``.
-
-    Entries of ``width`` 2 read as 1.0. A missing field, a class that is not
-    a nonnegative integer, a class pair read before, a non-finite value, an
-    index that is not an integer in [0, n), or a position (i, j) given twice
-    raises :class:`IngestError` at its file:line.
-    """
+    """Read :func:`dump_class_pairs` records back as sorted ``{(m, n): matrix}``;
+    entries of ``width`` 2 read as 1.0. A class or row that :func:`_ints` or
+    :func:`_entries` refuse, a class pair read before, or a position (i, j)
+    given twice raises :class:`IngestError` at its file:line."""
     out = {}
     for where, rec in _iter_records(path):
         pair = tuple(_ints(where, rec, "m", "n"))
-        try:
-            entries = np.array(rec[key], dtype=float)
-            if entries.size and entries.shape[1:] != (width,):
-                raise ValueError(f"{key} rows must hold {width} numbers")
-        except FIELD_ERRORS as exc:
-            raise IngestError(f"{where}: missing or invalid field ({exc})") from None
-        entries = entries.reshape(-1, width)
-        if not np.isfinite(entries).all():
-            raise IngestError(f"{where}: {key} hold a non-finite value")
-        index = entries[:, :2]
-        bad = index[index != np.floor(index)]
-        if bad.size:
-            raise IngestError(f"{where}: region index {bad[0]} is not an integer")
-        bad = index[(index < 0) | (index >= n)]
-        if bad.size:
-            raise IngestError(f"{where}: region index {int(bad[0])} out of range [0, {n})")
+        entries = _entries(where, key, rec.get(key), n, width)
         if pair in out:
             raise IngestError(f"{where}: class pair {pair} repeats an earlier record")
-        values = entries[:, 2] if width > 2 else np.ones(len(index))
+        values = entries[:, 2] if width > 2 else np.ones(len(entries))
         try:
-            out[pair] = SparseMatrix.from_entries(index[:, 0], index[:, 1], values, (n, n))
+            out[pair] = SparseMatrix.from_entries(entries[:, 0], entries[:, 1], values, (n, n))
         except ValueError as exc:
             raise IngestError(f"{where}: {exc}") from None
     return dict(sorted(out.items()))
 
 
-def _parse_box(raw, where: str) -> Box:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise IngestError(f"{where}: bbox must be [x, y, w, h]")
-    try:
-        box = (float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]))
-    except FIELD_ERRORS as exc:
-        raise IngestError(f"{where}: invalid bbox ({exc})") from None
-    if not all(math.isfinite(v) for v in box):
-        raise IngestError(f"{where}: bbox holds a non-finite value")
-    return box
-
-
 def load_sequence(regions_path, detections_path=None) -> VideoSequence:
     """Load and validate a sequence from JSON-lines files.
 
-    Features are L2-normalized; all-zero features are admitted as they are.
-    Raises :class:`IngestError` with the offending file
-    and line number on malformed input.
+    Features are L2-normalized, but an all-zero one is kept as it is, and so
+    is one already unit within 1e-9, so a save/load cycle is bitwise
+    idempotent. Raises :class:`IngestError` at the offending file:line.
     """
     regions: list[Region] = []
-    dim: Optional[int] = None
+    seen: set[int] = set()
     for where, rec in _iter_records(regions_path):
         rid, frame, area = _ints(where, rec, "id", "frame", "area")
-        try:
-            feat = np.asarray(rec["feature"], dtype=np.float64)
-        except FIELD_ERRORS as exc:
-            raise IngestError(f"{where}: missing or invalid field ({exc})") from None
-        if feat.ndim != 1 or feat.size == 0:
-            raise IngestError(f"{where}: feature must be a non-empty flat list")
-        if not np.isfinite(feat).all():
-            raise IngestError(f"{where}: feature holds a non-finite value")
-        if dim is None:
-            dim = feat.size
-        elif feat.size != dim:
-            raise IngestError(
-                f"{where}: feature dimension {feat.size} != {dim} "
-                f"(set by first record)")
-        bbox = _parse_box(rec["bbox"], where) if rec.get("bbox") is not None else None
-        regions.append(Region(rid, frame, normalize_feature(feat), area, bbox))
+        feat = np.array(_floats(where, "feature", rec.get("feature")), dtype=float)
+        norm = math.sqrt(feat.dot(feat))  # the bits of np.linalg.norm, without its checks
+        if norm != 0.0 and abs(norm - 1.0) >= 1e-9:
+            feat = feat / norm
+        box = rec.get("bbox")
+        region = Region(rid, frame, feat, area,
+                        None if box is None else tuple(_floats(where, "bbox", box, 4)))
+        _check_region(region, seen, regions[0].feature.size if regions else feat.size,
+                      f"{where}: ")
+        regions.append(region)
     if not regions:
         raise IngestError(f"{regions_path}: no region records")
 
     detections: list[Detection] = []
     if detections_path is not None:
         for where, rec in _iter_records(detections_path):
-            bbox = _parse_box(rec.get("bbox"), where)
+            bbox = tuple(_floats(where, "bbox", rec.get("bbox"), 4))
             frame, class_id = _ints(where, rec, "frame", "class")
-            try:
-                det = Detection(frame, bbox, class_id, float(rec["confidence"]))
-            except FIELD_ERRORS as exc:
-                raise IngestError(f"{where}: missing or invalid field ({exc})") from None
-            if not math.isfinite(det.confidence):
-                raise IngestError(f"{where}: confidence is not finite")
+            det = Detection(frame, bbox, class_id,
+                            _float(where, "confidence", rec.get("confidence")))
+            _check_detection(det, f"{where}: ")
             detections.append(det)
 
     return VideoSequence(regions, detections)

@@ -11,12 +11,11 @@ the loop terminates.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .regions import (FIELD_ERRORS, Box, Detection, IngestError, VideoSequence,
-                      _ints, _iter_records, _parse_box, write_records)
+from .regions import (Box, Detection, IngestError, VideoSequence, _float, _floats,
+                      _ints, _iter_records, write_records)
 
 log = logging.getLogger(__name__)
 
@@ -192,14 +191,13 @@ def load_hypotheses(path) -> list[TrajectoryHypothesis]:
     out: list[TrajectoryHypothesis] = []
     for where, rec in _iter_records(path):
         [class_id] = _ints(where, rec, "class")
+        seed_confidence = _float(where, "seed_confidence", rec.get("seed_confidence", 0.0))
         try:
-            seed_confidence = float(rec.get("seed_confidence", 0.0))
             raw = [(e, e["bbox"], str(e["source"])) for e in rec["entries"]]
-        except FIELD_ERRORS as exc:
+        except (KeyError, TypeError) as exc:  # a missing key, or an entry not an object
             raise IngestError(f"{where}: missing or invalid field ({exc})") from None
-        if not math.isfinite(seed_confidence):
-            raise IngestError(f"{where}: seed_confidence is not finite")
-        entries = [TrajectoryEntry(*_ints(where, e, "frame"), _parse_box(box, where), source)
+        entries = [TrajectoryEntry(*_ints(where, e, "frame"),
+                                   tuple(_floats(where, "bbox", box, 4)), source)
                    for e, box, source in raw]
         out.append(TrajectoryHypothesis(class_id, entries, seed_confidence))
     return out

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import ctxseg
-from ctxseg import cli, propagation, regions
+from ctxseg import cli, graph, propagation, regions
 from ctxseg.cli import main
 from ctxseg.pipeline import PipelineConfig
 
@@ -118,23 +118,26 @@ MALFORMED_STAGE_FILES = [
     pytest.param("links", {"m": 1, "n": 2, "links": [[0, 1000000]]},
                  "region index 1000000 out of range [0, {n})", id="links-index-range"),
     pytest.param("links", {"m": 1, "n": 2, "links": [[0, NAN]]},
-                 "links hold a non-finite value", id="links-nan"),
+                 "missing or invalid field (region index must be an integer, got nan)",
+                 id="links-nan"),
     pytest.param("links", {"m": 1, "n": 2, "links": [0, 1]},
                  "missing or invalid field", id="links-flat-list"),
     pytest.param("links", {"m": 1, "n": 3, "links": [[0.5, 1.7]]},
-                 "region index 0.5 is not an integer", id="links-fractional-index"),
+                 "missing or invalid field (region index must be an integer, got 0.5)",
+                 id="links-fractional-index"),
     pytest.param("links", {"m": -2, "n": 1, "links": [[0, 1]]},
                  "negative m -2", id="links-negative-class"),
     pytest.param("scores", {"n": 2, "scores": [[0, 1, 0.5]]},
                  "missing or invalid field", id="scores-missing-key"),
     pytest.param("scores", {"m": 1, "n": 2, "scores": [[0, 1, NAN]]},
-                 "scores hold a non-finite value", id="scores-nan"),
+                 "scores holds a non-finite value", id="scores-nan"),
     pytest.param("scores", {"m": 1, "n": 2, "scores": [[-1, 1, 0.5]]},
-                 "region index -1 out of range [0, {n})", id="scores-index-range"),
+                 "negative region index -1", id="scores-index-range"),
     pytest.param("scores", {"m": 1, "n": 2, "scores": [[0, 1]]},
                  "missing or invalid field", id="scores-short-row"),
     pytest.param("scores", {"m": 1, "n": 3, "scores": [[0.5, 1.7, 0.3]]},
-                 "region index 0.5 is not an integer", id="scores-fractional-index"),
+                 "missing or invalid field (region index must be an integer, got 0.5)",
+                 id="scores-fractional-index"),
     pytest.param("scores", {"m": -1, "n": 1, "scores": [[0, 1, 0.5]]},
                  "negative m -1", id="scores-negative-class"),
     pytest.param("scores", {"m": 1.9, "n": 1, "scores": [[0, 1, 0.5]]},
@@ -153,7 +156,7 @@ MALFORMED_STAGE_FILES = [
     pytest.param("hypotheses", {"entries": GOOD_HYPOTHESIS["entries"]},
                  "missing or invalid field", id="hypotheses-missing-key"),
     pytest.param("hypotheses", dict(GOOD_HYPOTHESIS, seed_confidence=NAN),
-                 "seed_confidence is not finite", id="hypotheses-nan-confidence"),
+                 "seed_confidence holds a non-finite value", id="hypotheses-nan-confidence"),
     pytest.param("hypotheses", dict(GOOD_HYPOTHESIS, entries=[
         {"frame": 0, "bbox": [0, 0, NAN, 5], "source": "det"}]),
                  "bbox holds a non-finite value", id="hypotheses-nan-bbox"),
@@ -173,11 +176,52 @@ MALFORMED_STAGE_FILES = [
                  "missing or invalid field (class must be an integer, got '1')",
                  id="detections-string-class"),
     pytest.param("regions", dict(GOOD_REGION, id=1, bbox=[HUGE, 0, 5, 5]),
-                 "invalid bbox (int too large to convert to float)",
+                 "bbox holds a non-finite value",
                  id="regions-huge-bbox"),
     pytest.param("detections", dict(GOOD_DETECTION, bbox=[0, HUGE, 5, 5]),
-                 "invalid bbox (int too large to convert to float)",
+                 "bbox holds a non-finite value",
                  id="detections-huge-bbox"),
+    # a number is a JSON int or float, never a string or a boolean
+    pytest.param("links", {"m": 1, "n": 3, "links": [["0", "1"]]},
+                 "missing or invalid field (region index must be an integer, got '0')",
+                 id="links-string-index"),
+    pytest.param("links", {"m": 1, "n": 3, "links": [[True, 2]]},
+                 "missing or invalid field (region index must be an integer, got True)",
+                 id="links-boolean-index"),
+    pytest.param("scores", {"m": 1, "n": 3, "scores": [[0, 1, "0.25"]]},
+                 "missing or invalid field (scores: '0.25' is not a number)",
+                 id="scores-string-score"),
+    pytest.param("regions", dict(GOOD_REGION, id=1, feature=["1.0", 0.5]),
+                 "missing or invalid field (feature: '1.0' is not a number)",
+                 id="regions-string-feature"),
+    pytest.param("regions", dict(GOOD_REGION, id=1, feature=[0.5, True]),
+                 "missing or invalid field (feature: True is not a number)",
+                 id="regions-boolean-feature"),
+    pytest.param("regions", dict(GOOD_REGION, id=1, bbox=["1", 2, 3, 4]),
+                 "missing or invalid field (bbox: '1' is not a number)",
+                 id="regions-string-bbox"),
+    pytest.param("detections", dict(GOOD_DETECTION, confidence="0.9"),
+                 "missing or invalid field (confidence: '0.9' is not a number)",
+                 id="detections-string-confidence"),
+    pytest.param("detections", dict(GOOD_DETECTION, confidence=True),
+                 "missing or invalid field (confidence: True is not a number)",
+                 id="detections-boolean-confidence"),
+    pytest.param("hypotheses", dict(GOOD_HYPOTHESIS, seed_confidence="0.5"),
+                 "missing or invalid field (seed_confidence: '0.5' is not a number)",
+                 id="hypotheses-string-seed-confidence"),
+    # the region and detection value rules, read from a file
+    pytest.param("regions", dict(GOOD_REGION, id=1, area=0),
+                 "region 1: area must be positive", id="regions-zero-area"),
+    pytest.param("regions", dict(GOOD_REGION, id=1, bbox=[0, 0, 0, 5]),
+                 "region 1: bbox extents must be positive", id="regions-zero-bbox-width"),
+    pytest.param("regions", dict(GOOD_REGION, id=1, bbox=[0, 0, 5, 0]),
+                 "region 1: bbox extents must be positive", id="regions-zero-bbox-height"),
+    pytest.param("regions", GOOD_REGION, "duplicate region id 0", id="regions-repeated-id"),
+    pytest.param("detections", dict(GOOD_DETECTION, confidence=1.5),
+                 "detection confidence 1.5 not in [0,1]", id="detections-confidence-range"),
+    # an integer literal longer than Python's int() reads (4300 digits by default)
+    pytest.param("regions", b'{"id": ' + b"9" * 5000 + b', "frame": 0}',
+                 "malformed JSON (Exceeds the limit", id="regions-id-past-digit-limit"),
 ]
 
 
@@ -263,27 +307,46 @@ MALFORMED_GRAPHS = [
     pytest.param(lambda doc: [doc], "graph is not a JSON object", id="not-an-object"),
     pytest.param(_drop("n"), "missing or invalid field", id="missing-n"),
     pytest.param(_drop("edges"), "missing or invalid field", id="missing-edges"),
-    pytest.param(lambda doc: dict(doc, n=2.5), "n must be a nonnegative integer",
+    pytest.param(lambda doc: dict(doc, n=2.5), "n must be an integer, got 2.5",
                  id="fractional-n"),
     pytest.param(_set_edge(lambda doc: [0, 1]), "missing or invalid field", id="short-edge"),
     pytest.param(_set_edge(lambda doc: [0, "x", 0.5]), "missing or invalid field",
                  id="string-index"),
-    pytest.param(_set_edge(lambda doc: [0.5, 1, 0.5]), "is not [i, j, w] with integer i, j",
+    pytest.param(_set_edge(lambda doc: [0.5, 1, 0.5]),
+                 "missing or invalid field (region index must be an integer, got 0.5)",
                  id="fractional-index"),
     pytest.param(_set_edge(lambda doc: [0, 1, float("nan")]),
-                 "weight is negative or not finite", id="nan-weight"),
+                 "edges holds a non-finite value", id="nan-weight"),
     pytest.param(_set_edge(lambda doc: [0, 1, float("inf")]),
-                 "weight is negative or not finite", id="infinite-weight"),
-    pytest.param(_set_edge(lambda doc: [0, 1, -0.5]), "weight is negative or not finite",
+                 "edges holds a non-finite value", id="infinite-weight"),
+    pytest.param(_set_edge(lambda doc: [0, 1, -0.5]), "weight is negative",
                  id="negative-weight"),
-    pytest.param(_set_edge(lambda doc: [-1, 1, 0.5]), "index out of range",
+    pytest.param(_set_edge(lambda doc: [-1, 1, 0.5]), "negative region index -1",
                  id="negative-index"),
-    pytest.param(_set_edge(lambda doc: [0, doc["n"], 0.5]), "index out of range",
+    pytest.param(_set_edge(lambda doc: [0, doc["n"], 0.5]), "out of range [0, ",
                  id="index-n"),
     pytest.param(_set_edge(lambda doc: [1, 0, 0.5]), "needs i < j", id="descending-pair"),
     pytest.param(_set_edge(lambda doc: [1, 1, 0.5]), "needs i < j", id="self-loop"),
     pytest.param(_set_edge(lambda doc: doc["edges"][0]), "repeats an earlier pair",
                  id="duplicate-pair"),
+    pytest.param(_set_edge(lambda doc: ["0", 1, 0.5]),
+                 "missing or invalid field (region index must be an integer, got '0')",
+                 id="string-first-index"),
+    pytest.param(_set_edge(lambda doc: ["0", 1, "0.5"]),
+                 "missing or invalid field (region index must be an integer, got '0')",
+                 id="string-index-and-weight"),
+    pytest.param(_set_edge(lambda doc: [0, 1, "0.5"]),
+                 "missing or invalid field (edges: '0.5' is not a number)", id="string-weight"),
+    pytest.param(_set_edge(lambda doc: [True, 2, 0.5]),
+                 "missing or invalid field (region index must be an integer, got True)",
+                 id="boolean-index"),
+    pytest.param(lambda doc: dict(doc, k=3.7), "k must be an integer, got 3.7",
+                 id="fractional-k"),
+    pytest.param(lambda doc: dict(doc, k=-5), "negative k -5", id="negative-k"),
+    pytest.param(lambda doc: dict(doc, k=True), "k must be an integer, got True",
+                 id="boolean-k"),
+    pytest.param(lambda doc: dict(doc, k="7"), "k must be an integer, got '7'",
+                 id="string-k"),
 ]
 
 
@@ -308,6 +371,22 @@ def test_malformed_graph_exits_with_file_name(dataset, tmp_path, capsys, damage,
     assert f"ctxseg propagate: error: {path}: " in err and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "s.jsonl").exists()
+
+
+def test_graph_integral_floats_read_as_ints(dataset, tmp_path):
+    """``n``, ``k`` and edge indices written as integral floats load as their
+    ints, as every other integer field does, and dump the same bytes."""
+    path = tmp_path / "graph.json"
+    assert run(["graph", "--regions", str(dataset / "regions.jsonl"),
+                "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    floats = tmp_path / "floats.json"
+    floats.write_text(json.dumps(dict(doc, n=float(doc["n"]), k=float(doc["k"]), edges=[
+        [float(i), float(j), w] for i, j, w in doc["edges"]])))
+    g = graph.load_graph(floats)
+    assert type(g.n) is int and g.n == doc["n"] and type(g.k) is int
+    graph.dump_graph(g, tmp_path / "again.json")
+    assert read(tmp_path / "again.json") == read(path)
 
 
 def test_chained_stages_reproduce_pipeline_byte_for_byte(dataset, tmp_path):

@@ -144,15 +144,19 @@ def test_dump_and_reload_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
     F = rng.standard_normal((10, 4))
     F /= np.linalg.norm(F, axis=1, keepdims=True)
-    g1 = build_knn_graph(seq_from_features(F), k=3)
-    path = tmp_path / "graph.json"
-    dump_graph(g1, path)
-    g2 = load_graph(path)
-    assert g2.n == g1.n
-    assert np.array_equal(g1.affinity.toarray(), g2.affinity.toarray())
-    assert np.array_equal(g1.operator.toarray(), g2.operator.toarray())
-    dump_graph(g2, tmp_path / "again.json")
-    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    # and weights at the ends of the float range, which the reader must take back
+    extremes = graph._assemble(6, 1, np.array([0, 2, 4]), np.array([1, 3, 5]),
+                               np.array([-0.0, 5e-324, 1.7976931348623157e308]))
+    for g1 in (build_knn_graph(seq_from_features(F), k=3), extremes):
+        path = tmp_path / "graph.json"
+        dump_graph(g1, path)
+        g2 = load_graph(path)
+        assert g2.n == g1.n
+        assert np.array_equal(g1.affinity.toarray(), g2.affinity.toarray())
+        assert g1.affinity.data.tobytes() == g2.affinity.data.tobytes()
+        assert np.array_equal(g1.operator.toarray(), g2.operator.toarray())
+        dump_graph(g2, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def upper_entries(g):

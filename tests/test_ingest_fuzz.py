@@ -1,14 +1,14 @@
 """Seeded fuzz over malformed stage files read by the ``ctxseg`` subcommands.
 
-Valid regions, hypotheses, labels, links and scores files come from one
-synthetic run; each case damages one of them (a truncated line, a dropped
-field, a value of the wrong type, NaN or Infinity, a region index, id or
-class out of range, a fraction where an integer belongs, or an empty file)
-and runs the subcommand that reads it. A damaged record must end the run
-with exit code 1 and ``<file>:<line>: ...`` on stderr, never a traceback. An
-empty file must be rejected naming the file where the stage needs records
-(regions, labels); an empty links, scores or hypotheses file is what the
-writers produce for "none" and must run.
+Valid regions, hypotheses, labels, links, scores and detections files come
+from one synthetic run; each case damages one of them (a truncated line, a
+dropped field, a value of the wrong type, NaN or Infinity, a region index,
+id, frame or class out of range, a fraction where an integer belongs, a
+number written as a string or as a boolean, or an empty file) and runs the
+subcommand that reads it. A damaged record must end the run with exit code 1
+and ``<file>:<line>: ...`` on stderr, never a traceback. An empty file must be
+rejected naming the file where the stage needs records (regions, labels); an
+empty links, scores, hypotheses or detections file means "none" and must run.
 """
 
 import json
@@ -19,9 +19,10 @@ import pytest
 from ctxseg.cli import main
 
 FUZZ_SEED = 20240
-KINDS = ("regions", "hypotheses", "labels", "links", "scores")
+# new kinds and mutations go last, so the earlier cases keep their draws
+KINDS = ("regions", "hypotheses", "labels", "links", "scores", "detections")
 MUTATIONS = ("truncate", "drop", "retype", "non_finite", "out_of_range", "empty",
-             "fractional")
+             "fractional", "string", "boolean")
 # fields a record may omit: dropping them must not fail
 OPTIONAL = {"regions": {"bbox"}, "hypotheses": {"seed_confidence"}}
 # string leaves, free text that any value converts to
@@ -58,6 +59,8 @@ def command(kind, path, files, graph, out):
         "links": ["propagate", "--links", path, "--graph", graph, "--out", out],
         "scores": ["infer", "--regions", files["regions"], "--scores", path,
                    "--labels", files["labels"], "--out", out],
+        "detections": ["tracks", "--regions", files["regions"], "--detections", path,
+                       "--out", out],
     }[kind]
 
 
@@ -94,6 +97,8 @@ def out_of_range(kind, record, n):
         return [([("id",), ("class",)], [-1])]
     if kind == "regions":
         return [([("id",), ("frame",)], [-1])]
+    if kind == "detections":
+        return [([("frame",), ("class",)], [-1])]
     return [([("class",)] + [("entries", e, "frame") for e in range(len(record["entries"]))],
              [-1])]
 
@@ -127,6 +132,10 @@ def mutate(kind, mutation, lines, n, rng):
             path = numeric[int(rng.integers(len(numeric)))]
             if mutation == "retype":
                 value = ["x", None, [], {}][int(rng.integers(4))]
+            elif mutation == "string":
+                value = "1"
+            elif mutation == "boolean":
+                value = True
             else:
                 value = [float("nan"), float("inf"), -float("inf")][int(rng.integers(3))]
             put(record, path, value)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-from ctxseg.propagation import (dense_two_pass_limit, dump_scores, load_scores,
-                                predict_all_links, propagate_column_pass,
+from ctxseg.propagation import (LinkScoreMatrix, dense_two_pass_limit, dump_scores,
+                                load_scores, predict_all_links, propagate_column_pass,
                                 propagate_row_pass, resolvent)
 from ctxseg.regions import SparseMatrix
 
@@ -248,10 +248,18 @@ def test_scores_dump_roundtrip(tmp_path):
     rng = np.random.default_rng(31)
     L = sp(random_operator(rng, 12))
     observed = {(0, 1): sp(random_links(rng, 12, 4))}
-    scores = predict_all_links(observed, L, 0.9, 1e-9)
-    path = tmp_path / "scores.jsonl"
-    dump_scores(scores, path)
-    loaded = load_scores(path, 12)
-    assert set(loaded) == set(scores)
-    for pair in scores:
-        assert np.array_equal(loaded[pair].scores.toarray(), scores[pair].scores.toarray())
+    # and stored values at the ends of the float range, which the reader must take back
+    extremes = SparseMatrix.from_entries([0, 3, 11], [5, 3, 0],
+                                         [-0.0, 5e-324, 1.7976931348623157e308], (12, 12))
+    for scores in (predict_all_links(observed, L, 0.9, 1e-9),
+                   {(2, 1): LinkScoreMatrix(extremes)}):
+        path = tmp_path / "scores.jsonl"
+        dump_scores(scores, path)
+        loaded = load_scores(path, 12)
+        assert set(loaded) == set(scores)
+        for pair in scores:
+            want, got = scores[pair].scores, loaded[pair].scores
+            assert np.array_equal(got.toarray(), want.toarray())
+            assert got.data.tobytes() == want.data.tobytes()
+        dump_scores(loaded, tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()

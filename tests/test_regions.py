@@ -110,7 +110,7 @@ def test_non_finite_bbox_rejected_with_location(tmp_path, bad):
 def test_non_finite_confidence_rejected_with_location(tmp_path, bad):
     r = write_jsonl(tmp_path / "r.jsonl", [region_rec(0)])
     d = write_jsonl(tmp_path / "d.jsonl", [det_rec(conf=bad)])
-    with pytest.raises(IngestError, match=r"d\.jsonl:1: confidence is not finite"):
+    with pytest.raises(IngestError, match=r"d\.jsonl:1: confidence holds a non-finite value"):
         load_sequence(r, d)
 
 
