@@ -90,18 +90,17 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
     The bias is weight column d (multiplier and input 1.0, so exact). Row 0 of
     an epoch's (N+1, d+1) buffer A holds the weights, row k+1 step k's decay.
     In chunks of K steps, ``np.multiply.accumulate`` of A's rows into T gives
-    the weights before each step, rounded as step-by-step decays are, and one
-    ``np.vecdot`` with the rows ``t [x, 1]`` all K margins. At the first
-    violation k, ``A[k+1] = T[k+1] + eta t [x, 1]`` and the next chunk starts
-    there; K doubles after a chunk without one and halves after an early one.
-    ``2 (d + 2) eps M max_i ||[x_i, 1]||_1``, M >= max(|w_j|, |b|) over the
-    chunk, bounds both summation orders' rounding error: a margin that close
-    to 1 is decided again by ``w @ x + b``. M grows only at a violation, by
-    ``max_j |eta t [x, 1]_j|`` (times 1 + 4 eps), as decays after step 0 (at
-    w = 0) lie in [0, 1]. So every bit is the loop's. Extra memory is O(N d).
+    the weights before each step, rounded as step-by-step decays are. A
+    margin is ``np.vecdot`` of those weights with ``t x``, plus ``b t``: the
+    loop's dot ``w @ x`` (the same NumPy dot; ``t`` only flips signs), then
+    its add and sign, so the first margin below 1 is the loop's first
+    violation k. There ``A[k+1] = T[k+1] + eta t [x, 1]`` and the next chunk
+    starts; K doubles after a chunk without a violation and halves after an
+    early one. So every bit is the loop's. Extra memory is O(N d).
 
-    ValueError: a class in [0, num_classes) without examples, epochs < 0, lr
-    not in (0, inf), lambda_reg not in [0, inf). Equal seeds give equal bits.
+    ValueError: a label outside [0, num_classes), a class in [0, num_classes)
+    without examples, epochs < 0, lr not in (0, inf), lambda_reg not in
+    [0, inf). Equal seeds give equal bits.
     """
     if not (epochs >= 0 and 0.0 < learning_rate < np.inf and 0.0 <= lambda_reg < np.inf):
         raise ValueError("need epochs >= 0, learning_rate in (0, inf) and lambda_reg in "
@@ -112,8 +111,10 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
     X = np.stack([seq.region(rid).feature for rid in ids])
     y = np.array([labeled[rid] for rid in ids])
     L = num_classes if num_classes is not None else int(y.max()) + 1
-
-    missing = np.flatnonzero(np.bincount(y, minlength=L)[:L] == 0)
+    bad = np.flatnonzero((y < 0) | (y >= L))
+    if bad.size:
+        raise ValueError(f"region {ids[bad[0]]} has class {y[bad[0]]}, not in [0, {L})")
+    missing = np.flatnonzero(np.bincount(y, minlength=L) == 0)
     if missing.size:
         raise ValueError(f"classes without training examples: {missing.size}, "
                          f"the first {missing[:5].tolist()}")
@@ -122,13 +123,10 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
 
     N, d = X.shape
     lr, lam = learning_rate, lambda_reg
-    eps = np.finfo(float).eps
-    guard = 2 * (d + 2) * eps
     max_size = max(_CHUNK_MIN, _CHUNK_CELLS // (d + 1))
     Xa = np.hstack([X, np.ones((N, 1))])
-    x1 = float(np.abs(Xa).sum(axis=1).max())  # max_i ||[x_i, 1]||_1
-    xmax = np.abs(Xa).max(axis=1)  # max_j |[x_i, 1]_j|
     A, T = np.empty((2, N + 1, d + 1))  # multipliers, trajectory
+    Tw, Tb = T[:, :d], T[:, d]  # weights and bias before each step
     out = np.zeros((L, d + 1))
     for c in range(L):
         rng = np.random.default_rng([seed, c])
@@ -137,8 +135,8 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
         A[N] = 0.0
         size = _CHUNK_MIN
         for epoch in range(epochs):
-            order = rng.permutation(N)
-            V = signed[order]
+            V = signed[rng.permutation(N)]
+            Vx, Vt = V[:, :d], V[:, d]  # t x and t
             # the per-step formula's operation order: lr * lam first, then times k
             eta = lr / (1.0 + lr * lam * np.arange(epoch * N, (epoch + 1) * N, dtype=float))
             decay = 1.0 - eta * lam
@@ -146,26 +144,22 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
             A[0] = A[N]
             A[1:, :d] = decay[:, None]
             A[1:, d] = 1.0
-            bound = float(np.abs(A[0]).max())
             s = 0
             while s < N:
                 e = min(s + size, N)
-                traj = np.multiply.accumulate(A[s:e + 1], axis=0, out=T[s:e + 1])
-                margin = np.vecdot(traj[:-1], V[s:e])
-                tol = guard * x1 * bound
-                # below 1 - tol both orders violate; within tol of 1, w @ x + b decides
-                for j in (margin <= 1.0 + tol).nonzero()[0].tolist():
-                    i = order[s + j]
-                    if margin[j] < 1.0 - tol or t[i] * (traj[j, :d] @ X[i] + traj[j, d]) < 1.0:
-                        break
-                else:  # no violation in the chunk
+                np.multiply.accumulate(A[s:e + 1], axis=0, out=T[s:e + 1])
+                # t (w @ x + b), as w @ (t x) is w @ x with its sign flipped
+                margin = np.vecdot(Tw[s:e], Vx[s:e])
+                margin += Tb[s:e] * Vt[s:e]
+                below = margin < 1.0
+                j = int(below.argmax())
+                if not below[j]:  # no violation in the chunk
                     A[e] = T[e]
                     size = min(2 * size, max_size)
                     s = e
                     continue
                 k = s + j
                 np.add(T[k + 1], U[k], out=A[k + 1])
-                bound = (bound + float(eta[k] * xmax[i])) * (1.0 + 4 * eps)
                 if 2 * j < e - s:
                     size = max(size // 2, _CHUNK_MIN)
                 s = k + 1
@@ -213,11 +207,15 @@ def build_pairwise(scores: Mapping[tuple[int, int], LinkScoreMatrix], beta: floa
     """Pairwise cells from link scores.
 
     Each stored (a, b) score with a < b of class pair (m, n) gives edge
-    (a, b) the cell (m, n). Scores with a >= b are ignored.
+    (a, b) the cell (m, n). Scores with a >= b are ignored. ValueError: beta
+    not positive, a class pair outside [0, num_classes).
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     L = num_classes
+    for m, n in scores:
+        if not (0 <= m < L and 0 <= n < L):
+            raise ValueError(f"class pair {(m, n)} has a class outside [0, {L})")
     mats = [(m * L + n, mat.scores) for (m, n), mat in scores.items()]
     size = max((S.shape[1] for _, S in mats), default=1)
     fwds = [S.row < S.col for _, S in mats]

@@ -18,7 +18,6 @@ from .regions import IngestError, SparseMatrix, VideoSequence, _entries, _int
 log = logging.getLogger(__name__)
 
 SELECT_ROWS = 64     # rows per block of the top-k selection
-DUMP_EDGES = 4096    # edges per block written by dump_graph
 
 
 @dataclass
@@ -125,23 +124,13 @@ def build_knn_graph(seq: VideoSequence, k: int) -> SimilarityGraph:
 
 
 def dump_graph(graph: SimilarityGraph, path) -> None:
-    """Write ``{"n":, "k":, "edges": [[i, j, w]...]}`` sorted by (i, j).
-
-    The bytes are those of ``json.dump`` of the whole document. Blocks of
-    ``DUMP_EDGES`` edges go through ``json.dumps``, which uses the C encoder
-    (``json.dump`` runs the pure-Python one), and no list of all edges is built.
-    """
+    """Write ``{"n":, "k":, "edges": [[i, j, w]...]}`` sorted by (i, j), plus a
+    newline."""
     W = graph.affinity
     upper = W.row < W.col
-    i, j, w = W.row[upper], W.col[upper], W.data[upper]
-    head = json.dumps({"n": graph.n, "k": graph.k, "edges": []})[:-2]
+    edges = zip(W.row[upper].tolist(), W.col[upper].tolist(), W.data[upper].tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head)
-        for s in range(0, len(i), DUMP_EDGES):
-            at = slice(s, s + DUMP_EDGES)
-            block = zip(i[at].tolist(), j[at].tolist(), w[at].tolist())
-            fh.write((", " if s else "") + json.dumps(list(block))[1:-1])
-        fh.write("]}\n")
+        fh.write(json.dumps({"n": graph.n, "k": graph.k, "edges": list(edges)}) + "\n")
 
 
 def load_graph(path) -> SimilarityGraph:

@@ -187,13 +187,11 @@ def random_unary_data(rng, n, d, num_classes, spread=1.0):
     return means[y] + spread * rng.standard_normal((n, d)), y
 
 
-def loop_train_unary(X, y, num_classes, *, epochs, learning_rate, lambda_reg, seed,
-                     steps=None):
+def loop_train_unary(X, y, num_classes, *, epochs, learning_rate, lambda_reg, seed):
     """Reference one-vs-rest hinge SGD, one Python step per example visit.
 
     Same draws and arithmetic as ``crf.train_unary`` on regions whose sorted
-    ids give rows of X in order; returns (weights, biases). If ``steps`` is a
-    list, each step appends ``([w, b], t [x, 1], t (w @ x + b))`` before it.
+    ids give rows of X in order; returns (weights, biases).
     """
     N, d = X.shape
     weights = np.zeros((num_classes, d))
@@ -206,9 +204,6 @@ def loop_train_unary(X, y, num_classes, *, epochs, learning_rate, lambda_reg, se
         step = 0
         for _ in range(epochs):
             for i in rng.permutation(N):
-                if steps is not None:
-                    steps.append((np.append(w, b), t[i] * np.append(X[i], 1.0),
-                                  t[i] * (w @ X[i] + b)))
                 eta = learning_rate / (1.0 + learning_rate * lambda_reg * step)
                 step += 1
                 decay = 1.0 - eta * lambda_reg

@@ -71,6 +71,12 @@ class TestTrainUnary:
         with pytest.raises(ValueError, match=r"\[1\]"):
             train_unary({0: 0, 1: 2}, seq, num_classes=3)
 
+    @pytest.mark.parametrize("label,num_classes", [(2, 2), (5, 2), (-1, 2), (-1, None)])
+    def test_label_out_of_range_rejected(self, label, num_classes):
+        seq = seq_with_features([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=rf"region 2 has class {label}, not in \[0, "):
+            train_unary({0: 0, 1: 1, 2: label}, seq, num_classes=num_classes)
+
     def test_many_missing_classes_counted_not_listed(self):
         seq = seq_with_features([[1.0, 0.0], [-1.0, 0.0]])
         start = time.perf_counter()
@@ -120,8 +126,7 @@ def assert_matches_loop(X, y, num_classes, cfg):
 def oracle_dataset(seed):
     """Random training set; by seed mod 4, also features spanning 1e-6..1e6,
     near-duplicate rows (last-bit changes), or features on a grid of thirds
-    without decay, whose margins often land on the hinge up to rounding, where
-    the summation order decides a step unless the replay falls back to ``@``."""
+    without decay, whose margins often land on the hinge up to rounding."""
     rng = np.random.default_rng(1000 + seed)
     n, d, L = int(rng.integers(5, 300)), int(rng.integers(1, 24)), int(rng.integers(2, 6))
     X, y = random_unary_data(rng, n, d, L, spread=float(rng.uniform(0.05, 2.0)))
@@ -193,16 +198,9 @@ class TestGoldenUnary:
         assert_matches_loop(X, y, L, cfg)
 
     @pytest.mark.parametrize("seed,scale", [(0, 1e3), (80, 1e3), (0, 1e-8), (4, 1e-8)])
-    def test_near_tie_tolerance_size(self, seed, scale):
+    def test_near_tie_matches_loop(self, seed, scale):
         """Features on a grid of thirds times ``scale``, no decay, d = 15: many
-        margins are exactly 1 in real arithmetic and off by rounding, and at
-        d = 15 OpenBLAS's ddot adds the batched margins (16 terms, one block)
-        in another order than ``w @ x + b`` (15 terms, then b). At scale 1e3
-        (||x||_1 >> 1) the orders disagree by more than the tolerance without
-        its ``max ||x||_1`` factor; at 1e-8 (||x||_1 << 1) by more than the
-        tolerance without the bias term. Either cut changes the weights. Where
-        the two orders round alike at every step (another BLAS), the test
-        cannot see either cut and is skipped after the loop comparison."""
+        margins are exactly 1 in real arithmetic and off by rounding."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 40))
         X = rng.integers(-2, 3, size=(n, 15)) / 3.0 * scale
@@ -210,11 +208,33 @@ class TestGoldenUnary:
         cfg = dict(epochs=int(rng.integers(1, 12)), learning_rate=0.5,
                    lambda_reg=0.0, seed=seed)
         assert_matches_loop(X, y, 2, cfg)
-        steps = []
-        loop_train_unary(X, y, 2, **cfg, steps=steps)
-        wb, v, per_step = (np.array(a) for a in zip(*steps))
-        if np.array_equal(np.vecdot(wb, v), per_step):
-            pytest.skip("batched margins round as w @ x + b at every step on this BLAS")
+
+    @pytest.mark.parametrize("d", [1, 2, 15, 16, 17, 64])
+    def test_strided_vecdot_is_the_loops_dot(self, d):
+        """The margins rest on this: ``np.vecdot`` of trajectory rows (stride
+        d + 1) against the first d columns of the rows ``t [x, 1]`` gives each
+        row's ``t (w @ x)`` bit for bit, at every magnitude."""
+        rng = np.random.default_rng(d)
+        t = rng.choice([-1.0, 1.0], size=200)
+        for scale in 10.0 ** np.arange(-8, 4):
+            traj = rng.standard_normal((200, d + 1)) * scale
+            X = rng.standard_normal((200, d)) * 10.0 ** rng.uniform(-8, 3, (200, 1))
+            V = t[:, None] * np.hstack([X, np.ones((200, 1))])
+            per_row = [ti * (w @ x) for ti, w, x in zip(t, traj[:, :d], X)]
+            assert np.vecdot(traj[:, :d], V[:, :d]).tobytes() == np.array(per_row).tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_chunk_size_does_not_change_weights(self, seed, monkeypatch):
+        """Chunks of one step, and chunks of a whole epoch, train the weights
+        of the default chunk policy."""
+        X, y, L, cfg = oracle_dataset(seed)
+        want = unary_fit(X, y, L, cfg)
+        for chunk_min, chunk_cells in [(1, 1), (len(X), 1)]:
+            monkeypatch.setattr(crf, "_CHUNK_MIN", chunk_min)
+            monkeypatch.setattr(crf, "_CHUNK_CELLS", chunk_cells)
+            got = unary_fit(X, y, L, cfg)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
 
     @pytest.mark.parametrize("field,value", [
         ("epochs", -1), ("learning_rate", 0.0), ("learning_rate", -0.5),
@@ -318,6 +338,12 @@ class TestBuildPairwise:
         assert pw.edges.shape == (0, 2)
         assert pw.keys.shape == pw.costs.shape == (0,)
         assert pw.num_classes == 3
+
+    @pytest.mark.parametrize("pair", [(0, 3), (2, 0), (-1, 1), (1, 2)])
+    def test_class_pair_out_of_range_rejected(self, pair):
+        scores = scores_from_entries({pair: [(0, 1, 1.0)]}, 2)
+        with pytest.raises(ValueError, match=rf"class pair \({pair[0]}, {pair[1]}\)"):
+            build_pairwise(scores, 1.0, 1.0, num_classes=2)
 
     def test_diagonal_scores_ignored(self):
         scores = scores_from_entries({(0, 1): [(1, 1, 1.0)]}, 3)

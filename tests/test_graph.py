@@ -271,8 +271,7 @@ def graph_with_edges(m, n=200):
     return graph._assemble(n, 7, i[pick], j[pick], rng.uniform(0.0, 1.0, m))
 
 
-@pytest.mark.parametrize("m", [0, 1, graph.DUMP_EDGES - 1, graph.DUMP_EDGES,
-                               graph.DUMP_EDGES + 1])
+@pytest.mark.parametrize("m", [0, 1, 5000])
 def test_dump_writes_the_bytes_of_json_dump(tmp_path, m):
     g = graph_with_edges(m)
     dump_graph(g, tmp_path / "graph.json")
