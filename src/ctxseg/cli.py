@@ -62,8 +62,6 @@ def _load_seq(args):
 
 
 def _cmd_synth(args, cfg: PipelineConfig) -> int:
-    if args.scenario != "ambiguity":
-        raise ValueError(f"unknown scenario {args.scenario!r}")
     spec = synthetic.ambiguity_scenario(seed=pipeline.stage_seed(cfg.seed, "synth"))
     seq, gt = synthetic.generate(spec)
     os.makedirs(args.out, exist_ok=True)
@@ -77,7 +75,7 @@ def _cmd_synth(args, cfg: PipelineConfig) -> int:
 
 def _cmd_tracks(args, cfg: PipelineConfig) -> int:
     seq = _load_seq(args)
-    hyps = pipeline.tracks_stage(seq, cfg)
+    hyps = pipeline.tracks_stage(seq)
     tracking.dump_hypotheses(hyps, args.out)
     print(f"wrote {len(hyps)} trajectory hypotheses to {args.out}")
     return 0
@@ -94,8 +92,8 @@ def _cmd_graph(args, cfg: PipelineConfig) -> int:
 def _cmd_context(args, cfg: PipelineConfig) -> int:
     seq = _load_seq(args)
     hyps = tracking.load_hypotheses(args.hypotheses)
-    frames, labels = pipeline.labels_stage(seq, hyps, cfg)
-    links = pipeline.links_stage(seq, frames, labels, cfg)
+    frames, labels = tracking.annotated_frames(hyps, seq)
+    links = pipeline.links_stage(seq, frames, labels)
     ctx.dump_links(links, args.out)
     save_labeling(labels, args.labels_out)
     print(f"wrote {len(links)} class-pair link matrices to {args.out}; "
@@ -183,8 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = [_config_parser()]
 
-    p = sub.add_parser("synth", parents=common, help="generate a synthetic dataset")
-    p.add_argument("--scenario", default="ambiguity")
+    p = sub.add_parser("synth", parents=common, help="generate the synthetic ambiguity dataset")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("tracks", parents=common, help="detections -> trajectory hypotheses")

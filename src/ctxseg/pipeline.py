@@ -1,5 +1,8 @@
 """End-to-end orchestration: one config object and one function per stage.
 
+The config holds the settings a run varies; every other stage setting is
+the default of the function that uses it.
+
 Every stage consumes and produces the plain data types of the owning
 modules, so the CLI can run the pipeline in memory or as file-chained
 subcommands with identical results. All randomness derives from the single
@@ -27,26 +30,13 @@ def stage_seed(seed: int, stage: str) -> int:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every parameter of a run. Each construction checks every field, so a direct
+    """The settings a run varies. Each construction checks every field, so a direct
     call, :meth:`from_dict`, ``dataclasses.replace`` and the CLI raise alike; the
     fields cannot be assigned afterwards."""
 
     k: int = 20
     mu: float = 0.99
-    det_threshold: float = 0.5
-    iou_threshold: float = 0.5
-    min_instances: int = 3
-    max_miss: int = 5
-    rho: float = 0.5
-    temporal_window: int = 0
-    include_bg_pairs: bool = False
     lambda_pair: float = 1.0
-    p_floor: float = 1e-6
-    prune_eps: float = 1e-8
-    epochs: int = 100
-    learning_rate: float = 0.5
-    lambda_reg: float = 1e-4
-    max_sweeps: int = 10
     seed: int = 0
     no_context: bool = False
 
@@ -70,19 +60,7 @@ class PipelineConfig:
         checks = [
             (self.k >= 1, "k must be >= 1"),
             (0.0 < self.mu < 1.0, "mu must lie in (0, 1)"),
-            (0.0 <= self.det_threshold <= 1.0, "det_threshold must lie in [0, 1]"),
-            (0.0 <= self.iou_threshold <= 1.0, "iou_threshold must lie in [0, 1]"),
-            (self.min_instances >= 1, "min_instances must be >= 1"),
-            (self.max_miss >= 1, "max_miss must be >= 1"),
-            (0.0 < self.rho <= 1.0, "rho must lie in (0, 1]"),
-            (self.temporal_window >= 0, "temporal_window must be >= 0"),
             (self.lambda_pair >= 0.0, "lambda_pair must be >= 0"),
-            (self.p_floor > 0.0, "p_floor must be positive"),
-            (self.prune_eps >= 0.0, "prune_eps must be >= 0"),
-            (self.epochs >= 1, "epochs must be >= 1"),
-            (self.learning_rate > 0.0, "learning_rate must be positive"),
-            (self.lambda_reg >= 0.0, "lambda_reg must be >= 0"),
-            (self.max_sweeps >= 1, "max_sweeps must be >= 1"),
         ]
         for ok, message in checks:
             if not ok:
@@ -97,23 +75,14 @@ class PipelineConfig:
         return cls(**data)
 
 
-def tracks_stage(seq: VideoSequence, cfg: PipelineConfig) -> list[tracking.TrajectoryHypothesis]:
-    dets = filter_detections(seq, cfg.det_threshold)
-    return tracking.associate_trajectories(dets, seq.frame_count, cfg.iou_threshold,
-                                           cfg.min_instances, cfg.max_miss)
+def tracks_stage(seq: VideoSequence) -> list[tracking.TrajectoryHypothesis]:
+    return tracking.associate_trajectories(filter_detections(seq), seq.frame_count)
 
 
-def labels_stage(seq: VideoSequence, hyps: list[tracking.TrajectoryHypothesis],
-                 cfg: PipelineConfig) -> tuple[frozenset[int], dict[int, int]]:
-    return tracking.annotated_frames(hyps, seq, cfg.rho)
-
-
-def links_stage(seq: VideoSequence, frames: frozenset[int], labels: dict[int, int],
-                cfg: PipelineConfig) -> dict[tuple[int, int], SparseMatrix]:
+def links_stage(seq: VideoSequence, frames: frozenset[int],
+                labels: dict[int, int]) -> dict[tuple[int, int], SparseMatrix]:
     num_classes = max(labels.values(), default=0) + 1
-    exemplars = ctx.extract_exemplars(
-        labels, frames, seq, temporal_window=cfg.temporal_window,
-        include_bg_pairs=cfg.include_bg_pairs)
+    exemplars = ctx.extract_exemplars(labels, frames, seq)
     return ctx.build_observed_links(exemplars, seq.n, num_classes)
 
 
@@ -123,7 +92,7 @@ def graph_stage(seq: VideoSequence, cfg: PipelineConfig) -> graph.SimilarityGrap
 
 def propagate_stage(links, g: graph.SimilarityGraph,
                     cfg: PipelineConfig) -> dict[tuple[int, int], propagation.LinkScoreMatrix]:
-    return propagation.predict_all_links(links, g.operator, cfg.mu, cfg.prune_eps)
+    return propagation.predict_all_links(links, g.operator, cfg.mu)
 
 
 def crf_label_space(labels: dict[int, int], scores) -> int:
@@ -135,13 +104,11 @@ def crf_label_space(labels: dict[int, int], scores) -> int:
 def infer_stage(seq: VideoSequence, labels: dict[int, int], scores,
                 cfg: PipelineConfig) -> tuple[dict[int, int], crf.Labeling]:
     num_classes = crf_label_space(labels, scores)
-    model = crf.train_unary(labels, seq, num_classes, epochs=cfg.epochs,
-                            learning_rate=cfg.learning_rate, lambda_reg=cfg.lambda_reg,
-                            seed=stage_seed(cfg.seed, "unary"))
-    unary = crf.unary_potentials(model, seq, p_floor=cfg.p_floor)
+    model = crf.train_unary(labels, seq, num_classes, seed=stage_seed(cfg.seed, "unary"))
+    unary = crf.unary_potentials(model, seq)
     pairwise = crf.build_pairwise(scores, crf.beta_adaptive(scores), cfg.lambda_pair,
                                   num_classes)
-    labeling = crf.infer(crf.CrfProblem(unary, pairwise), max_sweeps=cfg.max_sweeps)
+    labeling = crf.infer(crf.CrfProblem(unary, pairwise))
     pred = {seq.regions[i].region_id: int(labeling.assignment[i]) for i in range(seq.n)}
     return pred, labeling
 
@@ -161,13 +128,13 @@ class PipelineResult:
 def run_pipeline(seq: VideoSequence, cfg: PipelineConfig,
                  gt: Optional[dict[int, int]] = None) -> PipelineResult:
     """All stages in memory; context stages are skipped under ``no_context``."""
-    hyps = tracks_stage(seq, cfg)
-    frames, labels = labels_stage(seq, hyps, cfg)
+    hyps = tracks_stage(seq)
+    frames, labels = tracking.annotated_frames(hyps, seq)
     if cfg.no_context:
         g, links, scores = None, {}, {}
     else:
         g = graph_stage(seq, cfg)
-        links = links_stage(seq, frames, labels, cfg)
+        links = links_stage(seq, frames, labels)
         scores = propagate_stage(links, g, cfg)
     pred, labeling = infer_stage(seq, labels, scores, cfg)
     report = evaluation.iou_per_class(pred, gt, seq) if gt else None

@@ -112,7 +112,7 @@ def propagate_column_pass(P_rows: SparseMatrix, R: np.ndarray,
 
 
 def predict_all_links(observed: dict[tuple[int, int], SparseMatrix],
-                      op: SparseMatrix, mu: float, prune_eps: float
+                      op: SparseMatrix, mu: float, prune_eps: float = 1e-8
                       ) -> dict[tuple[int, int], LinkScoreMatrix]:
     """Run both passes for every class pair with at least one observed link.
 

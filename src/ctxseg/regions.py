@@ -6,7 +6,7 @@ Every stage file holds one JSON object per line, written by :func:`write_records
   "bbox": [x, y, w, h]}`` (bbox optional)
 * detections: ``{"frame": int, "bbox": [x, y, w, h], "class": int,
   "confidence": float}``
-* ground truth / labelings: ``{"id": int, "class": int}``; ``infer
+* ground truth / labelings: ``{"id": int, "class": int}``, one per id; ``infer
   --summary`` appends one ``{"energy": float, "sweeps": int}`` record
 * hypotheses: ``{"class": int, "seed_confidence": float, "entries":
   [{"frame": int, "bbox": [x, y, w, h], "source": "det" | "trk"}...]}``
@@ -378,7 +378,7 @@ def save_sequence(seq: VideoSequence, regions_path, detections_path=None) -> Non
             for d in seq.detections))
 
 
-def filter_detections(seq: VideoSequence, det_threshold: float) -> list[Detection]:
+def filter_detections(seq: VideoSequence, det_threshold: float = 0.5) -> list[Detection]:
     """Detections with confidence strictly exceeding the threshold, order kept."""
     if not (0.0 <= det_threshold <= 1.0):
         raise ValueError(f"det_threshold {det_threshold} not in [0,1]")
@@ -386,7 +386,7 @@ def filter_detections(seq: VideoSequence, det_threshold: float) -> list[Detectio
 
 
 def load_ground_truth(path, seq: VideoSequence) -> dict[int, int]:
-    """Load a region_id -> class map: each id a region of ``seq``, each class >= 0.
+    """Load a region_id -> class map: each id a region of ``seq``, once; each class >= 0.
 
     No upper class bound: a class that no detection has still loads."""
     out: dict[int, int] = {}
@@ -394,6 +394,8 @@ def load_ground_truth(path, seq: VideoSequence) -> dict[int, int]:
         rid, cls = _ints(where, rec, "id", "class")
         if rid not in seq._index:
             raise IngestError(f"{where}: unknown region id {rid}")
+        if rid in out:
+            raise IngestError(f"{where}: region id {rid} repeats an earlier record")
         out[rid] = cls
     return out
 
@@ -401,7 +403,8 @@ def load_ground_truth(path, seq: VideoSequence) -> dict[int, int]:
 def load_labeling(path, seq: Optional[VideoSequence] = None) -> dict[int, int]:
     """Load a labeling file, skipping summary records (no id and no class).
 
-    Classes must be >= 0; given ``seq``, every id must name one of its regions.
+    Classes must be >= 0 and no id may repeat; given ``seq``, every id must name
+    one of its regions.
     """
     out: dict[int, int] = {}
     for where, rec in _iter_records(path):
@@ -410,6 +413,8 @@ def load_labeling(path, seq: Optional[VideoSequence] = None) -> dict[int, int]:
         rid, cls = _ints(where, rec, "id", "class")
         if seq is not None and rid not in seq._index:
             raise IngestError(f"{where}: unknown region id {rid}")
+        if rid in out:
+            raise IngestError(f"{where}: region id {rid} repeats an earlier record")
         out[rid] = cls
     return out
 

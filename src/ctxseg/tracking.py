@@ -192,12 +192,18 @@ def load_hypotheses(path) -> list[TrajectoryHypothesis]:
     for where, rec in _iter_records(path):
         [class_id] = _ints(where, rec, "class")
         seed_confidence = _float(where, "seed_confidence", rec.get("seed_confidence", 0.0))
-        try:
-            raw = [(e, e["bbox"], str(e["source"])) for e in rec["entries"]]
-        except (KeyError, TypeError) as exc:  # a missing key, or an entry not an object
-            raise IngestError(f"{where}: missing or invalid field ({exc})") from None
-        entries = [TrajectoryEntry(*_ints(where, e, "frame"),
-                                   tuple(_floats(where, "bbox", box, 4)), source)
-                   for e, box, source in raw]
+        raw = rec.get("entries")
+        if type(raw) is not list or any(type(e) is not dict for e in raw):
+            raise IngestError(f"{where}: missing or invalid field "
+                              "(entries must be a list of objects)")
+        entries = []
+        for e in raw:
+            source = e.get("source")
+            if source not in (SOURCE_DETECTION, SOURCE_TRACKER):
+                raise IngestError(f"{where}: missing or invalid field (source must be "
+                                  f"{SOURCE_DETECTION!r} or {SOURCE_TRACKER!r}, got {source!r})")
+            entries.append(TrajectoryEntry(*_ints(where, e, "frame"),
+                                           tuple(_floats(where, "bbox", e.get("bbox"), 4)),
+                                           source))
         out.append(TrajectoryHypothesis(class_id, entries, seed_confidence))
     return out

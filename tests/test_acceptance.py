@@ -224,8 +224,7 @@ def test_criterion_6_trajectory_semantics():
 def test_criterion_7_end_to_end_ablation(tmp_path):
     t0 = time.time()
     data = tmp_path / "data"
-    assert cli_main(["synth", "--scenario", "ambiguity", "--seed", "7",
-                     "--out", str(data)]) == 0
+    assert cli_main(["synth", "--seed", "7", "--out", str(data)]) == 0
     base = ["pipeline", "--regions", str(data / "regions.jsonl"),
             "--detections", str(data / "detections.jsonl"),
             "--gt", str(data / "gt.jsonl"), "--seed", "7",
@@ -245,8 +244,7 @@ def test_criterion_7_end_to_end_ablation(tmp_path):
 
 def test_criterion_8_pipeline_determinism(tmp_path):
     data = tmp_path / "data"
-    assert cli_main(["synth", "--scenario", "ambiguity", "--seed", "7",
-                     "--out", str(data)]) == 0
+    assert cli_main(["synth", "--seed", "7", "--out", str(data)]) == 0
     outs = []
     for name in ("a", "b", "c"):
         out = tmp_path / name

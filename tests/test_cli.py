@@ -21,8 +21,7 @@ def run(argv):
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
-    assert run(["synth", "--scenario", "ambiguity", "--seed", "7",
-                "--out", str(out)]) == 0
+    assert run(["synth", "--seed", "7", "--out", str(out)]) == 0
     return out
 
 
@@ -165,6 +164,32 @@ MALFORMED_STAGE_FILES = [
     pytest.param("labels", {"id": 1, "class": True},
                  "missing or invalid field (class must be an integer, got True)",
                  id="labels-boolean-class"),
+    pytest.param("labels", {"id": 0, "class": 1},
+                 "region id 0 repeats an earlier record", id="labels-repeated-id"),
+    pytest.param("hypotheses", dict(GOOD_HYPOTHESIS, entries={}),
+                 "missing or invalid field (entries must be a list of objects)",
+                 id="hypotheses-dict-entries"),
+    pytest.param("hypotheses", dict(GOOD_HYPOTHESIS, entries={"frame": 0}),
+                 "missing or invalid field (entries must be a list of objects)",
+                 id="hypotheses-nonempty-dict-entries"),
+    pytest.param("hypotheses", dict(GOOD_HYPOTHESIS, entries=""),
+                 "missing or invalid field (entries must be a list of objects)",
+                 id="hypotheses-string-entries"),
+    pytest.param("hypotheses", dict(GOOD_HYPOTHESIS, entries=[[0, [0, 0, 5, 5], "det"]]),
+                 "missing or invalid field (entries must be a list of objects)",
+                 id="hypotheses-entry-not-object"),
+    pytest.param("hypotheses", dict(GOOD_HYPOTHESIS, entries=[
+        {"frame": 0, "bbox": [0, 0, 5, 5], "source": None}]),
+                 "missing or invalid field (source must be 'det' or 'trk', got None)",
+                 id="hypotheses-null-source"),
+    pytest.param("hypotheses", dict(GOOD_HYPOTHESIS, entries=[
+        {"frame": 0, "bbox": [0, 0, 5, 5], "source": 7}]),
+                 "missing or invalid field (source must be 'det' or 'trk', got 7)",
+                 id="hypotheses-number-source"),
+    pytest.param("hypotheses", dict(GOOD_HYPOTHESIS, entries=[
+        {"frame": 0, "bbox": [0, 0, 5, 5], "source": "x"}]),
+                 "missing or invalid field (source must be 'det' or 'trk', got 'x')",
+                 id="hypotheses-unknown-source"),
     pytest.param("hypotheses", dict(GOOD_HYPOTHESIS, entries=[
         {"frame": 1.5, "bbox": [0, 0, 5, 5], "source": "det"}]),
                  "missing or invalid field (frame must be an integer, got 1.5)",
@@ -451,7 +476,8 @@ def test_eval_reads_ground_truth_once(dataset, monkeypatch):
     ({"id": 0, "class": -1}, "negative class -1"),
     ({"id": 0}, "missing or invalid field"),
     ({"id": 0, "class": 1.7}, "missing or invalid field (class must be an integer, got 1.7)"),
-], ids=["unknown-id", "negative-class", "missing-class", "fractional-class"])
+    ({"id": 0, "class": 1}, "region id 0 repeats an earlier record"),
+], ids=["unknown-id", "negative-class", "missing-class", "fractional-class", "repeated-id"])
 def test_eval_bad_ground_truth_exits_with_file_and_line(dataset, tmp_path, capsys,
                                                         bad, message):
     gt = tmp_path / "gt.jsonl"
@@ -511,15 +537,17 @@ def test_no_context_ablation_scores_lower(dataset, tmp_path):
 
 
 def test_config_file_with_unknown_field_rejected(dataset, tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"k": 5, "literal_alg1": True}))
-    code = run(["pipeline", "--regions", str(dataset / "regions.jsonl"),
-                "--detections", str(dataset / "detections.jsonl"),
-                "--out", str(tmp_path / "o"), "--config", str(cfg_path)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "ctxseg pipeline: error: unknown config fields: ['literal_alg1']" in err
-    assert not (tmp_path / "o").exists()
+    # stage settings that are their functions' defaults are not config fields
+    for name in ("literal_alg1", "rho", "epochs", "prune_eps", "max_sweeps"):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"k": 5, name: 1}))
+        code = run(["pipeline", "--regions", str(dataset / "regions.jsonl"),
+                    "--detections", str(dataset / "detections.jsonl"),
+                    "--out", str(tmp_path / "o"), "--config", str(cfg_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"ctxseg pipeline: error: unknown config fields: ['{name}']" in err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -615,10 +643,10 @@ def test_invalid_config_value_rejected(dataset, tmp_path, capsys):
 def test_non_finite_config_flag_rejected(tmp_path, capsys):
     code = run(["pipeline", "--regions", str(tmp_path / "r.jsonl"),
                 "--detections", str(tmp_path / "d.jsonl"), "--out", str(tmp_path / "o"),
-                "--learning-rate", "inf"])
+                "--lambda-pair", "inf"])
     assert code == 1
     err = capsys.readouterr().err
-    assert "ctxseg pipeline: error: learning_rate must be finite" in err
+    assert "ctxseg pipeline: error: lambda_pair must be finite" in err
     assert "Traceback" not in err
 
 

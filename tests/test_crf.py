@@ -169,7 +169,7 @@ class TestGoldenUnary:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_first_decay_below_minus_one_matches_loop(self, seed):
-        """learning_rate * lambda_reg > 2 (PipelineConfig allows it) makes the
+        """learning_rate * lambda_reg > 2 (train_unary allows it) makes the
         first decay 1 - lr lam < -1; the weights are zero at that step, so the
         bound on the weights still only grows at violations."""
         X, y, L, cfg = oracle_dataset(seed)

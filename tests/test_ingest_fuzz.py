@@ -25,7 +25,8 @@ MUTATIONS = ("truncate", "drop", "retype", "non_finite", "out_of_range", "empty"
              "fractional", "string", "boolean")
 # fields a record may omit: dropping them must not fail
 OPTIONAL = {"regions": {"bbox"}, "hypotheses": {"seed_confidence"}}
-# string leaves, free text that any value converts to
+# string leaves the numeric mutations skip (a source is "det" or "trk"); kept
+# out so the existing cases keep their draws
 TEXT = {"source"}
 
 

@@ -22,7 +22,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ctxseg import crf, pipeline, synthetic
+from ctxseg import crf, pipeline, synthetic, tracking
 from ctxseg.pipeline import PipelineConfig
 
 MIB = 2 ** 20
@@ -38,13 +38,12 @@ def ctx_problem():
     seq, _ = synthetic.generate(dataclasses.replace(
         base, frame_count=2 * span, objects=objects, background_regions_per_frame=4))
     cfg = PipelineConfig(mu=0.95, seed=200)
-    frames, labels = pipeline.labels_stage(seq, pipeline.tracks_stage(seq, cfg), cfg)
-    links = pipeline.links_stage(seq, frames, labels, cfg)
+    frames, labels = tracking.annotated_frames(pipeline.tracks_stage(seq), seq)
+    links = pipeline.links_stage(seq, frames, labels)
     scores = pipeline.propagate_stage(links, pipeline.graph_stage(seq, cfg), cfg)
     L = pipeline.crf_label_space(labels, scores)
-    model = crf.train_unary(labels, seq, L, epochs=cfg.epochs, learning_rate=cfg.learning_rate,
-                            lambda_reg=cfg.lambda_reg, seed=pipeline.stage_seed(cfg.seed, "unary"))
-    unary = crf.unary_potentials(model, seq, p_floor=cfg.p_floor)
+    model = crf.train_unary(labels, seq, L, seed=pipeline.stage_seed(cfg.seed, "unary"))
+    unary = crf.unary_potentials(model, seq)
     return scores, crf.beta_adaptive(scores), cfg.lambda_pair, unary
 
 

@@ -213,8 +213,7 @@ def test_import_and_pipeline_run_leave_scipy_unloaded(tmp_path):
 import sys
 import ctxseg, ctxseg.cli
 out = {str(tmp_path)!r}
-assert ctxseg.cli.main(["synth", "--scenario", "ambiguity", "--seed", "7",
-                        "--out", out + "/data"]) == 0
+assert ctxseg.cli.main(["synth", "--seed", "7", "--out", out + "/data"]) == 0
 assert ctxseg.cli.main(["pipeline", "--regions", out + "/data/regions.jsonl",
                         "--detections", out + "/data/detections.jsonl",
                         "--gt", out + "/data/gt.jsonl", "--out", out + "/run"]) == 0
