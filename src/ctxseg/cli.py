@@ -2,16 +2,14 @@
 
 Subcommands run the pipeline stage by stage over JSON-lines files or end to
 end; ``pipeline`` also writes every intermediate dump so a run is byte-for-
-byte reproducible by chaining the individual stages. Config precedence is
-built-in defaults, then ``--config`` JSON, then explicit flags, merged into
-one dict that one ``PipelineConfig.from_dict`` call builds and checks.
+byte reproducible by chaining the individual stages. Every subcommand takes
+one flag per ``PipelineConfig`` field, defaulting to the field's default.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -25,35 +23,16 @@ from .regions import (IngestError, load_ground_truth, load_labeling,
 
 
 def _config_parser() -> argparse.ArgumentParser:
-    """``--config`` and one flag per PipelineConfig field, for every subcommand."""
+    """One flag per PipelineConfig field, for every subcommand."""
     parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("--config", help="JSON file with PipelineConfig fields")
-    defaults = PipelineConfig()
     for f in dataclasses.fields(PipelineConfig):
         flag = "--" + f.name.replace("_", "-")
-        value = getattr(defaults, f.name)
-        if isinstance(value, bool):
-            parser.add_argument(flag, action="store_true", default=None,
-                                help=f"(default {value})")
+        if isinstance(f.default, bool):
+            parser.add_argument(flag, action="store_true", help=f"(default {f.default})")
         else:
-            parser.add_argument(flag, type=type(value), default=None,
-                                help=f"(default {value})")
+            parser.add_argument(flag, type=type(f.default), default=f.default,
+                                help=f"(default {f.default})")
     return parser
-
-
-def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    data: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except ValueError as exc:  # JSONDecodeError, or a byte that is not UTF-8
-                raise ValueError(f"{args.config}: malformed JSON ({exc})") from None
-        if not isinstance(data, dict):
-            raise ValueError(f"{args.config}: config is not a JSON object")
-    data.update((f.name, getattr(args, f.name)) for f in dataclasses.fields(PipelineConfig)
-                if getattr(args, f.name) is not None)
-    return PipelineConfig.from_dict(data)
 
 
 def _load_seq(args):
@@ -232,7 +211,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve_config(args)
+        cfg = PipelineConfig(**{f.name: getattr(args, f.name)
+                                for f in dataclasses.fields(PipelineConfig)})
         return _COMMANDS[args.command](args, cfg)
     except Exception as exc:  # surface stage failures with a diagnostic
         print(f"ctxseg {args.command}: error: {exc}", file=sys.stderr)

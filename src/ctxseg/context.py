@@ -24,7 +24,11 @@ def extract_exemplars(labels: Mapping[int, int], frames: AbstractSet[int],
 
     ``labels`` maps region ids (of regions in annotated frames) to classes.
     Pairs of two background regions are skipped unless ``include_bg_pairs``.
+
+    ValueError: ``temporal_window`` below 0.
     """
+    if not temporal_window >= 0:
+        raise ValueError("temporal_window must be >= 0")
     by_frame: dict[int, list[tuple[int, int]]] = {}  # frame -> [(vertex, class)]
     for rid in sorted(labels):
         r = seq.region(rid)

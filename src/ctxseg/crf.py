@@ -169,7 +169,12 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
 
 def unary_potentials(model: UnaryModel, seq: VideoSequence,
                      p_floor: float = 1e-6) -> np.ndarray:
-    """Negative log-likelihood table (n, L), probabilities floored at p_floor."""
+    """Negative log-likelihood table (n, L), probabilities floored at p_floor.
+
+    ValueError: ``p_floor`` not in (0, inf).
+    """
+    if not 0.0 < p_floor < np.inf:
+        raise ValueError("p_floor must be positive and finite")
     probs = model.probabilities(seq.feature_matrix())
     return -np.log(np.maximum(probs, p_floor))
 
@@ -441,7 +446,11 @@ def infer(problem: CrfProblem, max_sweeps: int = 10) -> Labeling:
     Each sweep offers every class as a constant proposal in order; a fuse is
     kept only when it strictly lowers the energy, and sweeping stops after a
     full pass without improvement or ``max_sweeps``.
+
+    ValueError: ``max_sweeps`` below 1.
     """
+    if not max_sweeps >= 1:
+        raise ValueError("max_sweeps must be >= 1")
     x = np.argmin(problem.unary, axis=1)
     e = energy(problem, x)
     trace = [e]

@@ -31,8 +31,8 @@ def stage_seed(seed: int, stage: str) -> int:
 @dataclass(frozen=True)
 class PipelineConfig:
     """The settings a run varies. Each construction checks every field, so a direct
-    call, :meth:`from_dict`, ``dataclasses.replace`` and the CLI raise alike; the
-    fields cannot be assigned afterwards."""
+    call, ``dataclasses.replace`` and the CLI raise alike; the fields cannot be
+    assigned afterwards."""
 
     k: int = 20
     mu: float = 0.99
@@ -65,14 +65,6 @@ class PipelineConfig:
         for ok, message in checks:
             if not ok:
                 raise ValueError(message)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**data)
 
 
 def tracks_stage(seq: VideoSequence) -> list[tracking.TrajectoryHypothesis]:

@@ -385,31 +385,11 @@ def filter_detections(seq: VideoSequence, det_threshold: float = 0.5) -> list[De
     return [d for d in seq.detections if d.confidence > det_threshold]
 
 
-def load_ground_truth(path, seq: VideoSequence) -> dict[int, int]:
-    """Load a region_id -> class map: each id a region of ``seq``, once; each class >= 0.
-
-    No upper class bound: a class that no detection has still loads."""
+def _region_classes(records, seq: Optional[VideoSequence]) -> dict[int, int]:
+    """A region_id -> class map from ``(where, record)`` pairs: each class >= 0, no
+    id twice, and given ``seq`` each id one of its regions."""
     out: dict[int, int] = {}
-    for where, rec in _iter_records(path):
-        rid, cls = _ints(where, rec, "id", "class")
-        if rid not in seq._index:
-            raise IngestError(f"{where}: unknown region id {rid}")
-        if rid in out:
-            raise IngestError(f"{where}: region id {rid} repeats an earlier record")
-        out[rid] = cls
-    return out
-
-
-def load_labeling(path, seq: Optional[VideoSequence] = None) -> dict[int, int]:
-    """Load a labeling file, skipping summary records (no id and no class).
-
-    Classes must be >= 0 and no id may repeat; given ``seq``, every id must name
-    one of its regions.
-    """
-    out: dict[int, int] = {}
-    for where, rec in _iter_records(path):
-        if "id" not in rec and "class" not in rec:
-            continue
+    for where, rec in records:
         rid, cls = _ints(where, rec, "id", "class")
         if seq is not None and rid not in seq._index:
             raise IngestError(f"{where}: unknown region id {rid}")
@@ -417,6 +397,20 @@ def load_labeling(path, seq: Optional[VideoSequence] = None) -> dict[int, int]:
             raise IngestError(f"{where}: region id {rid} repeats an earlier record")
         out[rid] = cls
     return out
+
+
+def load_ground_truth(path, seq: VideoSequence) -> dict[int, int]:
+    """Load a region_id -> class map: each id a region of ``seq``, once; each class >= 0.
+
+    No upper class bound: a class that no detection has still loads."""
+    return _region_classes(_iter_records(path), seq)
+
+
+def load_labeling(path, seq: Optional[VideoSequence] = None) -> dict[int, int]:
+    """Load a labeling file, skipping summary records (no id and no class); the
+    rest load as ground truth does, the ids checked against ``seq`` if given."""
+    return _region_classes(((where, rec) for where, rec in _iter_records(path)
+                            if "id" in rec or "class" in rec), seq)
 
 
 def save_labeling(labels: Mapping[int, int], path, summary: Optional[dict] = None) -> None:

@@ -90,8 +90,11 @@ def associate_trajectories(dets: list[Detection], frame_count: int,
     enough detection-sourced entries are retained; either way the consumed
     detections never return.
 
-    ValueError: ``min_instances`` or ``max_miss`` below 1.
+    ValueError: ``iou_threshold`` outside [0, 1], or ``min_instances`` or
+    ``max_miss`` below 1.
     """
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ValueError("iou_threshold must lie in [0, 1]")
     if min_instances < 1:
         raise ValueError(f"min_instances must be >= 1, got {min_instances}")
     if max_miss < 1:
@@ -146,7 +149,11 @@ def annotated_frames(hyps: list[TrajectoryHypothesis], seq: VideoSequence,
     class id). Unmatched regions in covered frames are labeled background 0.
     Regions without a bbox in a covered frame are skipped with a warning and
     stay unlabeled.
+
+    ValueError: ``rho`` outside (0, 1].
     """
+    if not 0.0 < rho <= 1.0:
+        raise ValueError("rho must lie in (0, 1]")
     by_frame: dict[int, list[tuple[TrajectoryHypothesis, TrajectoryEntry]]] = {}
     for h in hyps:
         for e in h.entries:

@@ -477,7 +477,10 @@ def test_eval_reads_ground_truth_once(dataset, monkeypatch):
     ({"id": 0}, "missing or invalid field"),
     ({"id": 0, "class": 1.7}, "missing or invalid field (class must be an integer, got 1.7)"),
     ({"id": 0, "class": 1}, "region id 0 repeats an earlier record"),
-], ids=["unknown-id", "negative-class", "missing-class", "fractional-class", "repeated-id"])
+    # a labeling skips its summary record; ground truth has none to skip
+    ({"energy": 1.0, "sweeps": 2}, "missing or invalid field (id must be an integer, got None)"),
+], ids=["unknown-id", "negative-class", "missing-class", "fractional-class", "repeated-id",
+        "summary-record"])
 def test_eval_bad_ground_truth_exits_with_file_and_line(dataset, tmp_path, capsys,
                                                         bad, message):
     gt = tmp_path / "gt.jsonl"
@@ -536,92 +539,22 @@ def test_no_context_ablation_scores_lower(dataset, tmp_path):
     assert not (bare / "scores.jsonl").exists()
 
 
-def test_config_file_with_unknown_field_rejected(dataset, tmp_path, capsys):
-    # stage settings that are their functions' defaults are not config fields
-    for name in ("literal_alg1", "rho", "epochs", "prune_eps", "max_sweeps"):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"k": 5, name: 1}))
-        code = run(["pipeline", "--regions", str(dataset / "regions.jsonl"),
-                    "--detections", str(dataset / "detections.jsonl"),
-                    "--out", str(tmp_path / "o"), "--config", str(cfg_path)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert f"ctxseg pipeline: error: unknown config fields: ['{name}']" in err
-        assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("field, value, message", [
-    ("no_context", "false", "no_context must be a bool, got 'false'"),
-    ("k", True, "k must be an int, got True"),
-    ("k", 5.5, "k must be an int, got 5.5"),
-], ids=["string-bool", "bool-int", "fractional-int"])
-def test_config_file_field_of_wrong_type_rejected(dataset, tmp_path, capsys,
-                                                  field, value, message):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({field: value}))
-    code = run(["pipeline", "--regions", str(dataset / "regions.jsonl"),
-                "--detections", str(dataset / "detections.jsonl"),
-                "--out", str(tmp_path / "o"), "--config", str(cfg_path)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert f"ctxseg pipeline: error: {message}" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("content, message", [
-    (b'{"k": 5\n', "malformed JSON (Expecting ',' delimiter: line 2 column 1 (char 8))"),
-    (b'{"k": "\xff"}', "malformed JSON ('utf-8' codec can't decode byte 0xff in position 7"),
-    (b'[["k", 5]]', "config is not a JSON object"),
-], ids=["malformed-json", "not-utf-8", "not-an-object"])
-def test_unreadable_config_file_rejected_naming_it(dataset, tmp_path, capsys, content, message):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_bytes(content)
-    code = run(["graph", "--regions", str(dataset / "regions.jsonl"),
-                "--out", str(tmp_path / "g.json"), "--config", str(cfg_path)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert f"ctxseg graph: error: {cfg_path}: {message}" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "g.json").exists()
-
-
-def test_flag_overrides_invalid_config_file_value(dataset, tmp_path):
-    # the file and the flags merge before the config is built and checked
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"k": 0}))
-    assert run(["graph", "--regions", str(dataset / "regions.jsonl"),
-                "--out", str(tmp_path / "g.json"), "--config", str(cfg_path), "--k", "5"]) == 0
-    assert json.loads(read(tmp_path / "g.json"))["k"] == 5
-
-
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
-def test_every_subcommand_takes_each_config_flag_once(command):
+def test_every_subcommand_takes_each_config_flag_once(command, capsys):
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted(sub.choices) == sorted(cli._COMMANDS)
+    flags = [["--" + f.name.replace("_", "-")] for f in dataclasses.fields(PipelineConfig)]
+    assert [a.option_strings for a in cli._config_parser()._actions] == flags
     actions = sub.choices[command]._actions
-    assert [a.dest for a in actions if "--config" in a.option_strings] == ["config"]
-    for f in dataclasses.fields(PipelineConfig):
-        flags = [a.option_strings for a in actions if a.dest == f.name]
-        assert flags == [["--" + f.name.replace("_", "-")]]
-
-
-def test_config_file_and_flag_precedence(dataset, tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"k": 5, "seed": 3}))
-    out1 = tmp_path / "o1"
-    out2 = tmp_path / "o2"
-    base = ["pipeline", "--regions", str(dataset / "regions.jsonl"),
-            "--detections", str(dataset / "detections.jsonl")]
-    # config file applies; flag overrides the file
-    assert run([*base, "--out", str(out1), "--config", str(cfg_path)]) == 0
-    assert run([*base, "--out", str(out2), "--config", str(cfg_path),
-                "--k", "20"]) == 0
-    g1 = json.loads(read(out1 / "graph.json"))
-    g2 = json.loads(read(out2 / "graph.json"))
-    assert len(g1["edges"]) < len(g2["edges"])
-    assert g1["k"] == 5 and g2["k"] == 20
+    for f, flag in zip(dataclasses.fields(PipelineConfig), flags):
+        assert [a.option_strings for a in actions if a.dest == f.name] == [flag]
+    # the run settings come only as flags: there is no config file
+    required = [tok for a in actions if a.required for tok in (a.option_strings[0], "x")]
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([command, *required, "--config", "cfg.json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config cfg.json" in capsys.readouterr().err
 
 
 def test_missing_input_fails_with_diagnostic(tmp_path, capsys):

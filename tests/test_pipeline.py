@@ -1,15 +1,17 @@
 import dataclasses
-import json
+import re
+from types import SimpleNamespace
 
 import pytest
 
+from ctxseg import context, crf, pipeline, propagation, synthetic, tracking
 from ctxseg.pipeline import PipelineConfig, stage_seed
+from ctxseg.regions import filter_detections
 
 
 def test_config_json_roundtrip():
     cfg = PipelineConfig(k=7, mu=0.8, lambda_pair=2.5, seed=42, no_context=True)
-    back = PipelineConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
-    assert back == cfg
+    assert PipelineConfig(**dataclasses.asdict(cfg)) == cfg
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -27,11 +29,6 @@ def test_config_rejects_wrong_types(field, value, message):
 def test_config_keeps_int_given_for_float():
     cfg = PipelineConfig(lambda_pair=2)
     assert type(cfg.lambda_pair) is int
-
-
-def test_config_rejects_unknown_fields():
-    with pytest.raises(ValueError, match="unknown"):
-        PipelineConfig.from_dict({"k": 5, "bogus": 1})
 
 
 def test_config_validation_messages():
@@ -69,3 +66,57 @@ def test_stage_seeds_differ_by_stage_and_seed():
     assert stage_seed(7, "unary") != stage_seed(7, "synth")
     assert stage_seed(7, "unary") != stage_seed(8, "unary")
     assert stage_seed(7, "unary") == stage_seed(7, "unary")
+
+
+@pytest.fixture(scope="module")
+def stage_inputs():
+    seq, _ = synthetic.generate(synthetic.ambiguity_scenario(7))
+    hyps = pipeline.tracks_stage(seq)
+    frames, labels = tracking.annotated_frames(hyps, seq)
+    L = pipeline.crf_label_space(labels, {})
+    model = crf.train_unary(labels, seq, L)
+    unary = crf.unary_potentials(model, seq)
+    return SimpleNamespace(
+        seq=seq, hyps=hyps, frames=frames, labels=labels, model=model,
+        links=pipeline.links_stage(seq, frames, labels),
+        op=pipeline.graph_stage(seq, PipelineConfig()).operator,
+        problem=crf.CrfProblem(unary, crf.build_pairwise({}, 1.0, 1.0, L)))
+
+
+NAN, INF = float("nan"), float("inf")
+SETTING_CALLS = {
+    "iou_threshold": lambda s, v: tracking.associate_trajectories(
+        filter_detections(s.seq), s.seq.frame_count, iou_threshold=v),
+    "rho": lambda s, v: tracking.annotated_frames(s.hyps, s.seq, rho=v),
+    "temporal_window": lambda s, v: context.extract_exemplars(
+        s.labels, s.frames, s.seq, temporal_window=v),
+    "p_floor": lambda s, v: crf.unary_potentials(s.model, s.seq, p_floor=v),
+    "prune_eps": lambda s, v: propagation.predict_all_links(s.links, s.op, 0.5, prune_eps=v),
+    "max_sweeps": lambda s, v: crf.infer(s.problem, max_sweeps=v),
+}
+
+
+OUT_OF_RANGE = [
+    ("iou_threshold", NAN, "iou_threshold must lie in [0, 1]"),
+    ("iou_threshold", -1.0, "iou_threshold must lie in [0, 1]"),
+    ("iou_threshold", 1.5, "iou_threshold must lie in [0, 1]"),
+    ("rho", NAN, "rho must lie in (0, 1]"),
+    ("rho", 0.0, "rho must lie in (0, 1]"),
+    ("temporal_window", -1, "temporal_window must be >= 0"),
+    ("p_floor", NAN, "p_floor must be positive"),
+    ("p_floor", INF, "p_floor must be positive"),
+    ("p_floor", 0.0, "p_floor must be positive"),
+    ("prune_eps", INF, "prune_eps must be >= 0"),
+    ("prune_eps", NAN, "prune_eps must be >= 0"),
+    ("prune_eps", -1e-8, "prune_eps must be >= 0"),
+    ("max_sweeps", 0, "max_sweeps must be >= 1"),
+    ("max_sweeps", -3, "max_sweeps must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("setting, value, message", OUT_OF_RANGE,
+                         ids=[f"{setting}={value}" for setting, value, _ in OUT_OF_RANGE])
+def test_stage_setting_out_of_range_rejected(stage_inputs, setting, value, message):
+    # a library caller can pass any stage setting; none runs on a value outside its range
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        SETTING_CALLS[setting](stage_inputs, value)
