@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import IngestError, SparseMatrix, VideoSequence, _entries, _int
+from .regions import (IngestError, SparseMatrix, VideoSequence, _entries, _int,
+                      write_rows)
 
 log = logging.getLogger(__name__)
 
@@ -128,9 +129,9 @@ def dump_graph(graph: SimilarityGraph, path) -> None:
     newline."""
     W = graph.affinity
     upper = W.row < W.col
-    edges = zip(W.row[upper].tolist(), W.col[upper].tolist(), W.data[upper].tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"n": graph.n, "k": graph.k, "edges": list(edges)}) + "\n")
+        write_rows(fh, {"n": graph.n, "k": graph.k}, "edges",
+                   (W.row[upper], W.col[upper], W.data[upper]))
 
 
 def load_graph(path) -> SimilarityGraph:

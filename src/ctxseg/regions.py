@@ -1,6 +1,8 @@
 """Per-video input handling, and the JSON-lines format of every stage file.
 
-Every stage file holds one JSON object per line, written by :func:`write_records`:
+Every stage file holds one JSON object per line, written by :func:`write_records`,
+or, when it ends in a list of rows (graph edges, links, scores), by
+:func:`write_rows` a block of ``WRITE_ROWS`` rows at a time:
 
 * regions:    ``{"id": int, "frame": int, "feature": [float...], "area": int,
   "bbox": [x, y, w, h]}`` (bbox optional)
@@ -31,6 +33,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 Box = tuple[float, float, float, float]
+
+WRITE_ROWS = 4096    # rows per block of a stage file's row list
 
 
 class IngestError(ValueError):
@@ -246,6 +250,18 @@ def write_records(path, records) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def write_rows(fh, head: dict, key: str, columns: Sequence[np.ndarray]) -> None:
+    """Write the line ``json.dumps({**head, key: rows}) + "\n"``, where row r is
+    ``[c[r] for c in columns]``, one block of ``WRITE_ROWS`` rows at a time, so
+    no more than a block of rows is ever held as Python objects."""
+    doc = json.dumps({**head, key: []})  # ends in "[]}"
+    fh.write(doc[:-2])
+    for start in range(0, len(columns[0]), WRITE_ROWS):
+        block = zip(*(c[start:start + WRITE_ROWS].tolist() for c in columns))
+        fh.write((", " if start else "") + json.dumps(list(block))[1:-1])
+    fh.write(doc[-2:] + "\n")
+
+
 @dataclass(eq=False)
 class SparseMatrix:
     """A float matrix kept as its stored entries, sorted by (row, col).
@@ -296,12 +312,10 @@ def dump_class_pairs(matrices: Mapping[tuple[int, int], SparseMatrix], path,
 
     Pairs and entries are sorted; a ``width`` of 3 also writes the values.
     """
-    def records():
+    with open(path, "w", encoding="utf-8") as fh:
         for (m, n) in sorted(matrices):
             M = matrices[(m, n)]
-            columns = [c.tolist() for c in (M.row, M.col, M.data)[:width]]
-            yield {"m": m, "n": n, key: list(zip(*columns))}
-    write_records(path, records())
+            write_rows(fh, {"m": m, "n": n}, key, (M.row, M.col, M.data)[:width])
 
 
 def load_class_pairs(path, key: str, n: int, width: int
@@ -415,5 +429,5 @@ def load_labeling(path, seq: Optional[VideoSequence] = None) -> dict[int, int]:
 
 def save_labeling(labels: Mapping[int, int], path, summary: Optional[dict] = None) -> None:
     """Write region labels as JSON lines, optionally followed by a summary record."""
-    records = [{"id": int(rid), "class": int(labels[rid])} for rid in sorted(labels)]
-    write_records(path, records if summary is None else records + [summary])
+    records = ({"id": int(rid), "class": int(labels[rid])} for rid in sorted(labels))
+    write_records(path, records if summary is None else chain(records, [summary]))

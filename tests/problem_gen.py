@@ -24,12 +24,20 @@ that ``maxflow.MaxFlowGraph`` runs over arrays, and ``loop_knn_edges`` is
 the per-row k-NN selection that ``graph.build_knn_graph`` runs over row
 blocks; tests hold the library to their bits. ``normalized_operator``
 builds the graph operator of a given affinity matrix.
+
+``tiled_sequence`` generates the benchmark's inputs: the ambiguity scenario
+repeated in time with clutter. ``dumps_rows`` is the line
+``regions.write_rows`` writes, made by one ``json.dumps`` of the whole
+document; the graph, links and scores dumps are held to its bytes.
 """
 
+import dataclasses
+import json
 from collections import deque
 
 import numpy as np
 
+from ctxseg import synthetic
 from ctxseg.crf import CrfProblem, PairwiseTerms, beta_adaptive, build_pairwise
 from ctxseg.graph import _assemble
 from ctxseg.maxflow import EPS
@@ -335,3 +343,24 @@ def list_dinic(n, tails, heads, caps, s, t):
     g = ListDinic(n, tails, heads, caps)
     flow = g.max_flow(s, t)
     return flow, g.cap, g.source_side(s)
+
+
+def tiled_sequence(seed, repeats, background):
+    """Sequence and ground truth of ``ambiguity_scenario(seed)`` repeated
+    ``repeats`` times in time with ``background`` clutter regions per frame:
+    (200, 2, 4) is the ``ctx-mu95`` benchmark input, (200, 2, 20) ``files-bare``."""
+    base = synthetic.ambiguity_scenario(seed)
+    span = base.frame_count
+    objects = [dataclasses.replace(obj, start_frame=obj.start_frame + r * span,
+                                   end_frame=obj.end_frame + r * span)
+               for r in range(repeats) for obj in base.objects]
+    return synthetic.generate(dataclasses.replace(
+        base, frame_count=repeats * span, objects=objects,
+        background_regions_per_frame=background))
+
+
+def dumps_rows(head, key, columns):
+    """Reference ``regions.write_rows``: the whole document in one ``json.dumps``,
+    every row a Python list."""
+    rows = list(zip(*(np.asarray(c).tolist() for c in columns)))
+    return json.dumps({**head, key: rows}) + "\n"

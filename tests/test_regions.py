@@ -2,13 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from problem_gen import dumps_rows, tiled_sequence
 
+from ctxseg import pipeline, tracking
 from ctxseg.cli import main
 from ctxseg.context import dump_links, load_links
-from ctxseg.propagation import dump_scores, load_scores
-from ctxseg.regions import (Detection, IngestError, VideoSequence, filter_detections,
-                            load_ground_truth, load_labeling, load_sequence,
-                            save_labeling, save_sequence)
+from ctxseg.graph import SimilarityGraph, dump_graph
+from ctxseg.pipeline import PipelineConfig
+from ctxseg.propagation import LinkScoreMatrix, dump_scores, load_scores
+from ctxseg.regions import (WRITE_ROWS, Detection, IngestError, SparseMatrix, VideoSequence,
+                            filter_detections, load_ground_truth, load_labeling,
+                            load_sequence, save_labeling, save_sequence)
 from ctxseg.tracking import dump_hypotheses, load_hypotheses
 
 
@@ -268,3 +272,76 @@ def test_stage_file_load_dump_reproduces_bytes(stage_files, tmp_path, kind):
     # and the file is plain json.dumps lines, whatever wrote it
     lines = src.read_text(encoding="utf-8").splitlines()
     assert lines and all(json.dumps(json.loads(line)) == line for line in lines)
+
+
+# Each dump's bytes are those of one json.dumps of the whole document
+# (problem_gen.dumps_rows), on either side of every block boundary.
+
+def assert_dumped(dump, data, path, expected):
+    """``dump(data, path)`` writes ``expected``; a mismatch names its first offset
+    (pytest's diff of two such texts would take minutes)."""
+    dump(data, path)
+    got = path.read_text(encoding="utf-8")
+    if got != expected:
+        at = next((p for p, (a, b) in enumerate(zip(got, expected)) if a != b),
+                  min(len(got), len(expected)))
+        lo = max(at - 40, 0)
+        pytest.fail(f"{path.name} differs at offset {at}: "
+                    f"{got[lo:at + 40]!r} != {expected[lo:at + 40]!r}")
+
+
+def graph_oracle(g):
+    W = g.affinity
+    upper = W.row < W.col
+    return dumps_rows({"n": g.n, "k": g.k}, "edges",
+                      (W.row[upper], W.col[upper], W.data[upper]))
+
+
+def pairs_oracle(matrices, key, width):
+    return "".join(dumps_rows({"m": m, "n": n}, key, (M.row, M.col, M.data)[:width])
+                   for (m, n), M in sorted(matrices.items()))
+
+
+def edge_values(rows):
+    """``rows`` upper-triangle positions of the smallest n that holds them. The
+    values next to the first block boundary and the last value are -0.0, the
+    least subnormal and the largest float."""
+    n = int(np.ceil((1 + np.sqrt(1 + 8 * rows)) / 2))
+    i, j = np.triu_indices(n, 1)
+    w = np.random.default_rng(rows).random(rows)
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, -0.0]
+    for at, v in zip([0, WRITE_ROWS - 1, WRITE_ROWS, rows - 1], extremes):
+        if 0 <= at < rows:
+            w[at] = v
+    return n, i[:rows], j[:rows], w
+
+
+@pytest.mark.parametrize("rows", [0, 1, WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1,
+                                  3 * WRITE_ROWS + 5])
+def test_dumps_match_whole_document_bytes(tmp_path, rows):
+    n, i, j, w = edge_values(rows)
+    W = SparseMatrix.from_entries(np.r_[i, j], np.r_[j, i], np.r_[w, w], (n, n))
+    g = SimilarityGraph(n=n, k=3, affinity=W, degrees=None, operator=None)
+    assert_dumped(dump_graph, g, tmp_path / "graph.json", graph_oracle(g))
+
+    matrices = {(2, 1): SparseMatrix.from_entries(j, i, w, (n, n)),
+                (0, 3): SparseMatrix.from_entries(i[::-1], j[::-1], w, (n, n))}
+    assert_dumped(dump_links, matrices, tmp_path / "links.jsonl",
+                  pairs_oracle(matrices, "links", 2))
+    assert_dumped(dump_scores, {pair: LinkScoreMatrix(M) for pair, M in matrices.items()},
+                  tmp_path / "scores.jsonl", pairs_oracle(matrices, "scores", 3))
+
+
+def test_dumps_match_whole_document_bytes_on_ctx_mu95(tmp_path):
+    seq, _ = tiled_sequence(200, 2, 4)
+    cfg = PipelineConfig(mu=0.95, seed=200)
+    frames, labels = tracking.annotated_frames(pipeline.tracks_stage(seq), seq)
+    links = pipeline.links_stage(seq, frames, labels)
+    g = pipeline.graph_stage(seq, cfg)
+    scores = pipeline.propagate_stage(links, g, cfg)
+    assert g.affinity.nnz // 2 == 4431
+    assert max(s.scores.nnz for s in scores.values()) > WRITE_ROWS
+    assert_dumped(dump_graph, g, tmp_path / "graph.json", graph_oracle(g))
+    assert_dumped(dump_links, links, tmp_path / "links.jsonl", pairs_oracle(links, "links", 2))
+    assert_dumped(dump_scores, scores, tmp_path / "scores.jsonl",
+                  pairs_oracle({p: s.scores for p, s in scores.items()}, "scores", 3))
