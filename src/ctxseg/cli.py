@@ -62,7 +62,7 @@ def _cmd_tracks(args, cfg: PipelineConfig) -> int:
 
 def _cmd_graph(args, cfg: PipelineConfig) -> int:
     seq = _load_seq(args)
-    g = pipeline.graph_stage(seq, cfg)
+    g = graph.build_knn_graph(seq, cfg.k)
     graph.dump_graph(g, args.out)
     print(f"wrote graph with {g.n} vertices, {g.affinity.nnz // 2} edges to {args.out}")
     return 0
@@ -83,7 +83,7 @@ def _cmd_context(args, cfg: PipelineConfig) -> int:
 def _cmd_propagate(args, cfg: PipelineConfig) -> int:
     g = graph.load_graph(args.graph)
     links = ctx.load_links(args.links, g.n)
-    scores = pipeline.propagate_stage(links, g, cfg)
+    scores = propagation.predict_all_links(links, g.operator, cfg.mu)
     propagation.dump_scores(scores, args.out)
     print(f"wrote scores for {len(scores)} class pairs to {args.out}")
     return 0

@@ -61,10 +61,6 @@ class UnaryModel:
     weights: np.ndarray  # (L, d)
     biases: np.ndarray   # (L,)
 
-    @property
-    def num_classes(self) -> int:
-        return self.weights.shape[0]
-
     def margins(self, features: np.ndarray) -> np.ndarray:
         return features @ self.weights.T + self.biases
 
@@ -180,12 +176,12 @@ def unary_potentials(model: UnaryModel, seq: VideoSequence,
 
 
 def beta_adaptive(scores: Mapping[tuple[int, int], LinkScoreMatrix]) -> float:
-    """Mean squared stored link score across all class pairs; 1.0 if none."""
+    """Mean squared stored link score across all class pairs; 1.0 if none, or
+    if it is not positive (every score squares to 0.0, and a score of 0.0
+    costs 0.0 at any beta)."""
     chunks = [m.scores.data for m in scores.values() if m.scores.nnz]
-    if not chunks:
-        return 1.0
-    data = np.concatenate(chunks)
-    return float(np.mean(data ** 2))
+    beta = float(np.mean(np.concatenate(chunks) ** 2)) if chunks else 0.0
+    return beta if beta > 0.0 else 1.0
 
 
 @dataclass
@@ -291,8 +287,7 @@ class CrfProblem:
         # costs are stored with NumPy's own float64 dtype instance: on an equal
         # copy of it (as unpickling makes) np.add.at runs per element
         f64 = np.dtype(np.float64)
-        if unary.dtype is not f64:
-            self.unary = unary.astype(f64)
+        self.unary = unary if unary.dtype is f64 else unary.astype(f64)
         if costs.dtype is not f64:
             costs = costs.astype(f64)
         keys = keys.astype(np.int64, copy=False)

@@ -7,6 +7,7 @@ union the total area labeled c by either. Background never enters the mean.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -38,41 +39,30 @@ class EvalReport:
 
 def iou_per_class(pred: Mapping[int, int], gt: Mapping[int, int],
                   seq: VideoSequence) -> EvalReport:
-    """Area-weighted IoU per non-background class, mean over gt classes.
-
-    Classes appearing in neither map are skipped; the mean runs over the
-    non-background classes present in the ground truth.
+    """Area-weighted IoU per non-background class, mean over gt classes, in one
+    pass over the ids. Classes appearing in neither map are skipped; the mean
+    runs over the non-background classes present in the ground truth.
     """
     if not gt:
         raise ValueError("ground truth is empty")
     for rid in gt:
         seq.index_of(rid)  # raises on unknown ids
 
-    ids = set(pred) | set(gt)
-    classes = sorted(({c for c in pred.values()} | set(gt.values())) - {BACKGROUND})
-    per_class: dict[int, float] = {}
-    for c in classes:
-        inter = 0
-        union = 0
-        for rid in ids:
-            p = pred.get(rid) == c
-            g = gt.get(rid) == c
-            if not (p or g):
-                continue
-            area = seq.region(rid).area
-            union += area
-            if p and g:
-                inter += area
-        per_class[c] = inter / union if union > 0 else 0.0
+    inter, union = Counter(), Counter()
+    for rid in set(pred) | set(gt):
+        p, g = pred.get(rid), gt.get(rid)
+        classes = {p, g} - {BACKGROUND, None}
+        if not classes:  # background or absent in both: its id is not looked up
+            continue
+        area = seq.region(rid).area
+        for c in classes:
+            union[c] += area
+        if p == g:
+            inter[p] += area
+    # every area is positive, so each class named by either map has a union
+    per_class = {c: inter[c] / union[c] for c in sorted(union)}
 
     gt_classes = sorted(set(gt.values()) - {BACKGROUND})
     mean = (sum(per_class[c] for c in gt_classes) / len(gt_classes)
             if gt_classes else 0.0)
-
-    gt_counts: dict[int, int] = {}
-    for c in gt.values():
-        gt_counts[c] = gt_counts.get(c, 0) + 1
-    pred_counts: dict[int, int] = {}
-    for c in pred.values():
-        pred_counts[c] = pred_counts.get(c, 0) + 1
-    return EvalReport(per_class, mean, gt_counts, pred_counts)
+    return EvalReport(per_class, mean, Counter(gt.values()), Counter(pred.values()))

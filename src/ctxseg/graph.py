@@ -7,14 +7,13 @@ affinity D^{-1/2} W D^{-1/2}, whose spectrum lies in [-1, 1].
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .regions import (IngestError, SparseMatrix, VideoSequence, _entries, _int,
-                      write_rows)
+                      _iter_records, write_rows)
 
 log = logging.getLogger(__name__)
 
@@ -135,30 +134,23 @@ def dump_graph(graph: SimilarityGraph, path) -> None:
 
 
 def load_graph(path) -> SimilarityGraph:
-    """Read a ``dump_graph`` file; :class:`IngestError` names the file for
-    malformed JSON or UTF-8, an ``n`` or ``k`` (0 if absent) or ``edges`` that
-    the readers in ``regions`` refuse, a negative weight, an edge without
-    i < j and a repeated pair."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or a byte that is not UTF-8
-            raise IngestError(f"{path}: malformed JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise IngestError(f"{path}: graph is not a JSON object")
-    n, k = _int(str(path), "n", doc.get("n")), _int(str(path), "k", doc.get("k", 0))
-    edges = _entries(str(path), "edges", doc.get("edges"), n, 3)
-    ends, w = edges[:, :2], edges[:, 2]
-
-    def refuse(bad, what):
+    """Read a ``dump_graph`` file, which holds one record. :class:`IngestError`
+    names its file:line for what :func:`regions._iter_records` refuses, an ``n``
+    or ``k`` (0 if absent) or ``edges`` that ``_int`` or ``_entries`` refuse, a
+    negative weight, an edge without i < j and a repeated pair."""
+    records = list(_iter_records(path))
+    if len(records) != 1:
+        raise IngestError(f"{path}: a graph file holds one record, not {len(records)}")
+    [(where, doc)] = records
+    n, k = _int(where, "n", doc.get("n")), _int(where, "k", doc.get("k", 0))
+    edges = _entries(where, "edges", doc.get("edges"), n, 3)
+    i, j, w = edges.T
+    for bad, what in ((w < 0.0, "weight is negative"), (i >= j, "needs i < j")):
         if bad.any():
             p = int(np.flatnonzero(bad)[0])
-            raise IngestError(f"{path}: edge {p} {edges[p].tolist()}: {what}")
-
-    refuse(w < 0.0, "weight is negative")
-    i, j = ends.astype(np.int64).T
-    refuse(i >= j, "needs i < j")
-    repeat = np.ones(len(i), dtype=bool)
-    repeat[np.unique(np.stack([i, j], axis=1), axis=0, return_index=True)[1]] = False
-    refuse(repeat, "repeats an earlier pair")
-    return _assemble(n, k, i, j, w)
+            raise IngestError(f"{where}: edge {p} {edges[p].tolist()}: {what}")
+    try:
+        W = SparseMatrix.from_entries(i, j, w, (n, n))
+    except ValueError as exc:
+        raise IngestError(f"{where}: {exc}") from None
+    return _assemble(n, k, W.row, W.col, W.data)

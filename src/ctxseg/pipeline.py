@@ -1,4 +1,6 @@
-"""End-to-end orchestration: one config object and one function per stage.
+"""End-to-end orchestration: one config object, and one function per stage
+that composes several calls. The graph and propagation stages are one call
+each, ``graph.build_knn_graph`` and ``propagation.predict_all_links``.
 
 The config holds the settings a run varies; every other stage setting is
 the default of the function that uses it.
@@ -78,15 +80,6 @@ def links_stage(seq: VideoSequence, frames: frozenset[int],
     return ctx.build_observed_links(exemplars, seq.n, num_classes)
 
 
-def graph_stage(seq: VideoSequence, cfg: PipelineConfig) -> graph.SimilarityGraph:
-    return graph.build_knn_graph(seq, cfg.k)
-
-
-def propagate_stage(links, g: graph.SimilarityGraph,
-                    cfg: PipelineConfig) -> dict[tuple[int, int], propagation.LinkScoreMatrix]:
-    return propagation.predict_all_links(links, g.operator, cfg.mu)
-
-
 def crf_label_space(labels: dict[int, int], scores) -> int:
     """Classes the CRF can assign: those present in the annotated data."""
     classes = set(labels.values()) | {c for pair in scores for c in pair}
@@ -125,9 +118,9 @@ def run_pipeline(seq: VideoSequence, cfg: PipelineConfig,
     if cfg.no_context:
         g, links, scores = None, {}, {}
     else:
-        g = graph_stage(seq, cfg)
+        g = graph.build_knn_graph(seq, cfg.k)
         links = links_stage(seq, frames, labels)
-        scores = propagate_stage(links, g, cfg)
+        scores = propagation.predict_all_links(links, g.operator, cfg.mu)
     pred, labeling = infer_stage(seq, labels, scores, cfg)
     report = evaluation.iou_per_class(pred, gt, seq) if gt else None
     return PipelineResult(hyps, labels, g, links, scores, pred, labeling, report)

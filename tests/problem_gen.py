@@ -23,7 +23,9 @@ that ``crf.train_unary`` replays in chunks, ``list_dinic`` is the max-flow
 that ``maxflow.MaxFlowGraph`` runs over arrays, and ``loop_knn_edges`` is
 the per-row k-NN selection that ``graph.build_knn_graph`` runs over row
 blocks; tests hold the library to their bits. ``normalized_operator``
-builds the graph operator of a given affinity matrix.
+builds the graph operator of a given affinity matrix. ``class_loop_iou``
+scans every id once per class, where ``evaluation.iou_per_class`` makes one
+pass.
 
 ``tiled_sequence`` generates the benchmark's inputs: the ambiguity scenario
 repeated in time with clutter. ``dumps_rows`` is the line
@@ -364,3 +366,21 @@ def dumps_rows(head, key, columns):
     every row a Python list."""
     rows = list(zip(*(np.asarray(c).tolist() for c in columns)))
     return json.dumps({**head, key: rows}) + "\n"
+
+
+def class_loop_iou(pred, gt, seq, background=0):
+    """Reference per-class IoU of ``evaluation.iou_per_class``: one scan of
+    every id per class, summing areas as Python ints."""
+    ids = set(pred) | set(gt)
+    classes = sorted((set(pred.values()) | set(gt.values())) - {background})
+    per_class = {}
+    for c in classes:
+        inter = union = 0
+        for rid in ids:
+            p, g = pred.get(rid) == c, gt.get(rid) == c
+            if p or g:
+                area = seq.region(rid).area
+                union += area
+                inter += area if p and g else 0
+        per_class[c] = inter / union if union > 0 else 0.0
+    return per_class

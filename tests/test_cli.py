@@ -324,12 +324,24 @@ def _drop(key):
     return lambda doc: {k: v for k, v in doc.items() if k != key}
 
 
-# (damage to a good graph.json document, message after "<file>: ")
+# damage to the bytes of a good graph.json, by name
+GRAPH_TEXT_DAMAGE = {
+    "truncated": lambda b: b[:len(b) // 2],
+    "not-utf8": lambda b: b"\xff",
+    "empty": lambda b: b"",
+    "two-records": lambda b: b + b,
+    "indented": lambda b: json.dumps(json.loads(b), indent=2).encode(),
+}
+
+# (damage to a good graph.json document, message after "<file>:1: ", or after
+# "<file>: " for a file that does not hold one record)
 MALFORMED_GRAPHS = [
     pytest.param("truncated", "malformed JSON", id="truncated"),
-    pytest.param("not-utf8", "malformed JSON ('utf-8' codec can't decode byte 0xff",
-                 id="not-utf8"),
-    pytest.param(lambda doc: [doc], "graph is not a JSON object", id="not-an-object"),
+    pytest.param("not-utf8", "not UTF-8 (byte 0xff at column 1)", id="not-utf8"),
+    pytest.param("empty", "a graph file holds one record, not 0", id="empty"),
+    pytest.param("two-records", "a graph file holds one record, not 2", id="two-records"),
+    pytest.param("indented", "malformed JSON (Expecting property name", id="indented"),
+    pytest.param(lambda doc: [doc], "record is not an object", id="not-an-object"),
     pytest.param(_drop("n"), "missing or invalid field", id="missing-n"),
     pytest.param(_drop("edges"), "missing or invalid field", id="missing-edges"),
     pytest.param(lambda doc: dict(doc, n=2.5), "n must be an integer, got 2.5",
@@ -352,7 +364,7 @@ MALFORMED_GRAPHS = [
                  id="index-n"),
     pytest.param(_set_edge(lambda doc: [1, 0, 0.5]), "needs i < j", id="descending-pair"),
     pytest.param(_set_edge(lambda doc: [1, 1, 0.5]), "needs i < j", id="self-loop"),
-    pytest.param(_set_edge(lambda doc: doc["edges"][0]), "repeats an earlier pair",
+    pytest.param(_set_edge(lambda doc: doc["edges"][0]), ") repeats an earlier entry",
                  id="duplicate-pair"),
     pytest.param(_set_edge(lambda doc: ["0", 1, 0.5]),
                  "missing or invalid field (region index must be an integer, got '0')",
@@ -380,20 +392,18 @@ def test_malformed_graph_exits_with_file_name(dataset, tmp_path, capsys, damage,
     path = tmp_path / "graph.json"
     assert run(["graph", "--regions", str(dataset / "regions.jsonl"),
                 "--out", str(path)]) == 0
-    text = path.read_text()
-    if damage == "truncated":
-        path.write_text(text[:len(text) // 2])
-    elif damage == "not-utf8":
-        path.write_bytes(b"\xff")
+    if isinstance(damage, str):
+        path.write_bytes(GRAPH_TEXT_DAMAGE[damage](path.read_bytes()))
     else:
-        path.write_text(json.dumps(damage(json.loads(text))))
+        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
     links = tmp_path / "links.jsonl"
     links.write_text(json.dumps({"m": 1, "n": 2, "links": [[0, 1]]}) + "\n")
     capsys.readouterr()
     assert run(["propagate", "--links", str(links), "--graph", str(path),
                 "--out", str(tmp_path / "s.jsonl")]) == 1
     err = capsys.readouterr().err
-    assert f"ctxseg propagate: error: {path}: " in err and message in err
+    at = "" if message.startswith("a graph file holds") else ":1"
+    assert f"ctxseg propagate: error: {path}{at}: " in err and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "s.jsonl").exists()
 
@@ -597,3 +607,21 @@ def test_infer_without_scores_is_unary_only(dataset, tmp_path):
     lines = read(d / "pred.jsonl").decode().strip().splitlines()
     summary = json.loads(lines[-1])
     assert "energy" in summary and "sweeps" in summary
+
+
+@pytest.mark.parametrize("score", [0.0, 1e-200])
+def test_infer_with_scores_that_square_to_zero(dataset, tmp_path, score):
+    """Stored scores whose mean square is 0.0 leave beta at 1.0; they cost 0.0,
+    so the labeling and the energy are those of a run without scores."""
+    d = tmp_path
+    regions = str(dataset / "regions.jsonl")
+    assert run(["tracks", "--regions", regions,
+                "--detections", str(dataset / "detections.jsonl"),
+                "--out", str(d / "h.jsonl")]) == 0
+    assert run(["context", "--regions", regions, "--hypotheses", str(d / "h.jsonl"),
+                "--out", str(d / "l.jsonl"), "--labels-out", str(d / "lab.jsonl")]) == 0
+    (d / "s.jsonl").write_text(json.dumps({"m": 1, "n": 2, "scores": [[0, 1, score]]}) + "\n")
+    infer = ["infer", "--regions", regions, "--labels", str(d / "lab.jsonl"), "--summary"]
+    assert run(infer + ["--scores", str(d / "s.jsonl"), "--out", str(d / "with.jsonl")]) == 0
+    assert run(infer + ["--out", str(d / "without.jsonl")]) == 0
+    assert read(d / "with.jsonl") == read(d / "without.jsonl")

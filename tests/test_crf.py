@@ -301,6 +301,12 @@ class TestBetaAdaptive:
     def test_empty_guard(self):
         assert beta_adaptive({}) == 1.0
 
+    @pytest.mark.parametrize("score", [0.0, -0.0, 1e-200])
+    def test_mean_square_of_zero_reads_one(self, score):
+        # stored entries, as a scores file holds them (from_dense would drop 0.0)
+        M = SparseMatrix(np.array([0, 1]), np.array([1, 2]), np.full(2, score), (3, 3))
+        assert beta_adaptive({(0, 1): LinkScoreMatrix(M)}) == 1.0
+
 
 class TestBuildPairwise:
     def test_zero_score_class_pairs_cost_zero(self):
@@ -725,6 +731,13 @@ class TestProblemChecks:
         p = CrfProblem(unpickled, pw)
         assert p.unary.dtype is np.dtype(np.float64)
         assert np.array_equal(p.unary, unary)
+
+    def test_list_unary_is_stored_as_an_array(self):
+        pw = build_pairwise({}, 1.0, 1.0, 2)
+        p = CrfProblem([[0.0, 1.0], [1.0, 0.0]], pw)
+        assert type(p.unary) is np.ndarray and p.unary.dtype is np.dtype(np.float64)
+        assert p.n == 2 and p.num_classes == 2
+        assert infer(p).assignment.tolist() == [0, 1]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_pickled_problem_is_canonical_and_infers_bit_for_bit(self, seed):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from problem_gen import class_loop_iou
 
 from ctxseg.evaluation import iou_per_class
 from ctxseg.regions import Region, VideoSequence
@@ -97,6 +98,32 @@ def test_bounded_in_unit_interval():
         for v in report.per_class_iou.values():
             assert 0.0 <= v <= 1.0
         assert 0.0 <= report.mean_iou <= 1.0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_one_pass_matches_class_loop(seed):
+    """Bit for bit against the per-class scan, with ids missing from either map
+    and ids that are background in both or in one."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    seq = seq_with_areas(list(rng.integers(1, 10 ** 6, n)))
+    L = int(rng.integers(1, 6))
+    pred = {i: int(rng.integers(0, L)) for i in range(n) if rng.random() < 0.8}
+    gt = {i: int(rng.integers(0, L)) for i in range(n) if rng.random() < 0.8} or {0: 0}
+    report = iou_per_class(pred, gt, seq)
+    assert report.per_class_iou == class_loop_iou(pred, gt, seq)
+    assert list(report.per_class_iou) == sorted(report.per_class_iou)
+    assert report.gt_regions == {c: list(gt.values()).count(c) for c in set(gt.values())}
+    assert report.pred_regions == {c: list(pred.values()).count(c)
+                                   for c in set(pred.values())}
+
+
+def test_unknown_pred_region_of_class():
+    # an unknown id predicted background is never looked up; of a class it raises
+    seq = seq_with_areas([10])
+    assert iou_per_class({0: 1, 99: 0}, {0: 1}, seq).per_class_iou == {1: 1.0}
+    with pytest.raises(KeyError, match="unknown region id 99"):
+        iou_per_class({0: 1, 99: 2}, {0: 1}, seq)
 
 
 def test_report_serialization_and_table():

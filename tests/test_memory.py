@@ -41,7 +41,8 @@ def ctx_problem():
     cfg = PipelineConfig(mu=0.95, seed=200)
     frames, labels = tracking.annotated_frames(pipeline.tracks_stage(seq), seq)
     links = pipeline.links_stage(seq, frames, labels)
-    scores = pipeline.propagate_stage(links, pipeline.graph_stage(seq, cfg), cfg)
+    g = graph.build_knn_graph(seq, cfg.k)
+    scores = propagation.predict_all_links(links, g.operator, cfg.mu)
     L = pipeline.crf_label_space(labels, scores)
     model = crf.train_unary(labels, seq, L, seed=pipeline.stage_seed(cfg.seed, "unary"))
     unary = crf.unary_potentials(model, seq)
@@ -99,6 +100,6 @@ def test_dump_scores_peak(tmp_path):
 
 def test_dump_graph_peak(tmp_path):
     seq, _ = tiled_sequence(200, 2, 20)
-    g = pipeline.graph_stage(seq, PipelineConfig(seed=200))
+    g = graph.build_knn_graph(seq, PipelineConfig().k)
     assert (g.n, g.affinity.nnz // 2) == (1178, 17748)
     assert traced_peak(graph.dump_graph, g, tmp_path / "graph.json") < 3 * MIB

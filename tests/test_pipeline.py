@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ctxseg import context, crf, pipeline, propagation, synthetic, tracking
+from ctxseg import context, crf, graph, pipeline, propagation, synthetic, tracking
 from ctxseg.pipeline import PipelineConfig, stage_seed
 from ctxseg.regions import filter_detections
 
@@ -79,7 +79,7 @@ def stage_inputs():
     return SimpleNamespace(
         seq=seq, hyps=hyps, frames=frames, labels=labels, model=model,
         links=pipeline.links_stage(seq, frames, labels),
-        op=pipeline.graph_stage(seq, PipelineConfig()).operator,
+        op=graph.build_knn_graph(seq, PipelineConfig().k).operator,
         problem=crf.CrfProblem(unary, crf.build_pairwise({}, 1.0, 1.0, L)))
 
 

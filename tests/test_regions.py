@@ -7,9 +7,9 @@ from problem_gen import dumps_rows, tiled_sequence
 from ctxseg import pipeline, tracking
 from ctxseg.cli import main
 from ctxseg.context import dump_links, load_links
-from ctxseg.graph import SimilarityGraph, dump_graph
+from ctxseg.graph import SimilarityGraph, build_knn_graph, dump_graph
 from ctxseg.pipeline import PipelineConfig
-from ctxseg.propagation import LinkScoreMatrix, dump_scores, load_scores
+from ctxseg.propagation import LinkScoreMatrix, dump_scores, load_scores, predict_all_links
 from ctxseg.regions import (WRITE_ROWS, Detection, IngestError, SparseMatrix, VideoSequence,
                             filter_detections, load_ground_truth, load_labeling,
                             load_sequence, save_labeling, save_sequence)
@@ -337,8 +337,8 @@ def test_dumps_match_whole_document_bytes_on_ctx_mu95(tmp_path):
     cfg = PipelineConfig(mu=0.95, seed=200)
     frames, labels = tracking.annotated_frames(pipeline.tracks_stage(seq), seq)
     links = pipeline.links_stage(seq, frames, labels)
-    g = pipeline.graph_stage(seq, cfg)
-    scores = pipeline.propagate_stage(links, g, cfg)
+    g = build_knn_graph(seq, cfg.k)
+    scores = predict_all_links(links, g.operator, cfg.mu)
     assert g.affinity.nnz // 2 == 4431
     assert max(s.scores.nnz for s in scores.values()) > WRITE_ROWS
     assert_dumped(dump_graph, g, tmp_path / "graph.json", graph_oracle(g))
