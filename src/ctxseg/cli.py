@@ -40,7 +40,7 @@ def _load_seq(args):
     return load_sequence(args.regions, getattr(args, "detections", None))
 
 
-def _cmd_synth(args, cfg: PipelineConfig) -> int:
+def _cmd_synth(args, cfg: PipelineConfig) -> None:
     spec = synthetic.ambiguity_scenario(seed=pipeline.stage_seed(cfg.seed, "synth"))
     seq, gt = synthetic.generate(spec)
     os.makedirs(args.out, exist_ok=True)
@@ -49,26 +49,23 @@ def _cmd_synth(args, cfg: PipelineConfig) -> int:
     save_labeling(gt, os.path.join(args.out, "gt.jsonl"))
     print(f"wrote {seq.n} regions, {len(seq.detections)} detections, "
           f"{seq.frame_count} frames to {args.out}")
-    return 0
 
 
-def _cmd_tracks(args, cfg: PipelineConfig) -> int:
+def _cmd_tracks(args, cfg: PipelineConfig) -> None:
     seq = _load_seq(args)
     hyps = pipeline.tracks_stage(seq)
     tracking.dump_hypotheses(hyps, args.out)
     print(f"wrote {len(hyps)} trajectory hypotheses to {args.out}")
-    return 0
 
 
-def _cmd_graph(args, cfg: PipelineConfig) -> int:
+def _cmd_graph(args, cfg: PipelineConfig) -> None:
     seq = _load_seq(args)
     g = graph.build_knn_graph(seq, cfg.k)
     graph.dump_graph(g, args.out)
     print(f"wrote graph with {g.n} vertices, {g.affinity.nnz // 2} edges to {args.out}")
-    return 0
 
 
-def _cmd_context(args, cfg: PipelineConfig) -> int:
+def _cmd_context(args, cfg: PipelineConfig) -> None:
     seq = _load_seq(args)
     hyps = tracking.load_hypotheses(args.hypotheses)
     frames, labels = tracking.annotated_frames(hyps, seq)
@@ -77,19 +74,17 @@ def _cmd_context(args, cfg: PipelineConfig) -> int:
     save_labeling(labels, args.labels_out)
     print(f"wrote {len(links)} class-pair link matrices to {args.out}; "
           f"{len(labels)} region labels to {args.labels_out}")
-    return 0
 
 
-def _cmd_propagate(args, cfg: PipelineConfig) -> int:
+def _cmd_propagate(args, cfg: PipelineConfig) -> None:
     g = graph.load_graph(args.graph)
     links = ctx.load_links(args.links, g.n)
     scores = propagation.predict_all_links(links, g.operator, cfg.mu)
     propagation.dump_scores(scores, args.out)
     print(f"wrote scores for {len(scores)} class pairs to {args.out}")
-    return 0
 
 
-def _cmd_infer(args, cfg: PipelineConfig) -> int:
+def _cmd_infer(args, cfg: PipelineConfig) -> None:
     seq = _load_seq(args)
     labels = load_labeling(args.labels, seq)
     if not labels:
@@ -107,10 +102,9 @@ def _cmd_infer(args, cfg: PipelineConfig) -> int:
     save_labeling(pred, args.out, summary=summary)
     print(f"wrote labeling for {len(pred)} regions to {args.out} "
           f"(energy {labeling.energy:.6f}, {labeling.sweeps} sweeps)")
-    return 0
 
 
-def _cmd_eval(args, cfg: PipelineConfig) -> int:
+def _cmd_eval(args, cfg: PipelineConfig) -> None:
     seq = load_sequence(args.regions)
     pred = load_labeling(args.labeling, seq)
     gt = load_ground_truth(args.gt, seq)
@@ -118,10 +112,9 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
     print(report.format_table())
     if args.out:
         write_records(args.out, [report.to_record()])
-    return 0
 
 
-def _cmd_pipeline(args, cfg: PipelineConfig) -> int:
+def _cmd_pipeline(args, cfg: PipelineConfig) -> None:
     seq = _load_seq(args)
     gt = load_ground_truth(args.gt, seq) if args.gt else None
     result = pipeline.run_pipeline(seq, cfg, gt=gt)
@@ -138,19 +131,6 @@ def _cmd_pipeline(args, cfg: PipelineConfig) -> int:
         print(result.report.format_table())
     print(f"pipeline outputs in {args.out} "
           f"(energy {result.labeling.energy:.6f}, {result.labeling.sweeps} sweeps)")
-    return 0
-
-
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "tracks": _cmd_tracks,
-    "graph": _cmd_graph,
-    "context": _cmd_context,
-    "propagate": _cmd_propagate,
-    "infer": _cmd_infer,
-    "eval": _cmd_eval,
-    "pipeline": _cmd_pipeline,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,26 +142,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=common, help="generate the synthetic ambiguity dataset")
     p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(run=_cmd_synth)
 
     p = sub.add_parser("tracks", parents=common, help="detections -> trajectory hypotheses")
     p.add_argument("--regions", required=True)
     p.add_argument("--detections", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_tracks)
 
     p = sub.add_parser("graph", parents=common, help="regions -> similarity graph dump")
     p.add_argument("--regions", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_graph)
 
     p = sub.add_parser("context", parents=common, help="hypotheses + regions -> link/label dumps")
     p.add_argument("--regions", required=True)
     p.add_argument("--hypotheses", required=True)
     p.add_argument("--out", required=True, help="observed-links output")
     p.add_argument("--labels-out", required=True, help="region-labels output")
+    p.set_defaults(run=_cmd_context)
 
     p = sub.add_parser("propagate", parents=common, help="links + graph -> score dumps")
     p.add_argument("--links", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_propagate)
 
     p = sub.add_parser("infer", parents=common, help="scores + labels + regions -> labeling")
     p.add_argument("--regions", required=True)
@@ -190,18 +175,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--summary", action="store_true",
                    help="append an energy/sweeps summary record")
+    p.set_defaults(run=_cmd_infer)
 
     p = sub.add_parser("eval", parents=common, help="labeling + ground truth -> IoU report")
     p.add_argument("--regions", required=True)
     p.add_argument("--labeling", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--out", default=None)
+    p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("pipeline", parents=common, help="run all stages")
     p.add_argument("--regions", required=True)
     p.add_argument("--detections", required=True)
     p.add_argument("--gt", default=None)
     p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(run=_cmd_pipeline)
 
     return parser
 
@@ -213,10 +201,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = PipelineConfig(**{f.name: getattr(args, f.name)
                                 for f in dataclasses.fields(PipelineConfig)})
-        return _COMMANDS[args.command](args, cfg)
+        args.run(args, cfg)
     except Exception as exc:  # surface stage failures with a diagnostic
         print(f"ctxseg {args.command}: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

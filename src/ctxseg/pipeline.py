@@ -75,13 +75,13 @@ def tracks_stage(seq: VideoSequence) -> list[tracking.TrajectoryHypothesis]:
 
 def links_stage(seq: VideoSequence, frames: frozenset[int],
                 labels: dict[int, int]) -> dict[tuple[int, int], SparseMatrix]:
-    num_classes = max(labels.values(), default=0) + 1
     exemplars = ctx.extract_exemplars(labels, frames, seq)
-    return ctx.build_observed_links(exemplars, seq.n, num_classes)
+    return ctx.build_observed_links(exemplars, seq.n, crf_label_space(labels, {}))
 
 
 def crf_label_space(labels: dict[int, int], scores) -> int:
-    """Classes the CRF can assign: those present in the annotated data."""
+    """How many classes the CRF can assign: every id from 0 to the largest class
+    that a label or a scored class pair names, present or not."""
     classes = set(labels.values()) | {c for pair in scores for c in pair}
     return max(classes, default=0) + 1
 

@@ -15,9 +15,10 @@ so the two passes together give the separable closed form
 
 ``R`` depends only on the graph and ``mu``, so ``predict_all_links`` inverts
 the dense ``I - mu L`` once (``resolvent``) and hands it to both pass
-functions for every class pair; it holds n^2 doubles. ``dense_two_pass_limit``
-evaluates the closed form by separate dense solves as a small-instance
-oracle.
+functions for every class pair; it holds n^2 doubles. Each pass forms its
+product densely over the rows that hold entries, and ``SparseMatrix.from_dense``
+gathers what a prune at ``prune_eps`` keeps. ``dense_two_pass_limit``
+evaluates the closed form by separate dense solves as a small-instance oracle.
 """
 
 from __future__ import annotations
@@ -53,26 +54,6 @@ def resolvent(op: SparseMatrix, mu: float) -> np.ndarray:
     return (1.0 - mu) * np.linalg.inv(M)
 
 
-def _kept(P: np.ndarray, eps: Optional[float]) -> SparseMatrix:
-    """The entries of dense P that a prune at eps keeps: nonzero and, unless
-    eps is None, not below eps. Only the kept entries are gathered."""
-    keep = P != 0.0
-    if eps is not None:
-        keep &= ~(P < eps)
-    r, c = np.nonzero(keep)
-    return SparseMatrix(r, c, P[r, c], P.shape)
-
-
-def _left_product(R: np.ndarray, P: SparseMatrix, eps: Optional[float] = None
-                  ) -> SparseMatrix:
-    """R @ P using only the nonzero rows of P, pruned at eps as ``_kept``;
-    zero columns stay exactly zero."""
-    active, rank = np.unique(P.row, return_inverse=True)
-    rows = np.zeros((len(active), P.shape[1]))
-    rows[rank, P.col] += P.data
-    return _kept(R[:, active] @ rows, eps)
-
-
 def _right_product(O: SparseMatrix, R: np.ndarray) -> np.ndarray:
     """Dense O @ R, each row adding its terms in stored order as SciPy does.
 
@@ -91,13 +72,13 @@ def propagate_row_pass(O: SparseMatrix, R: np.ndarray,
                        prune_eps: Optional[float] = None) -> PassResult:
     """Diffuse each nonzero row of O over the graph: O R = (1-mu) O (I - mu L)^{-1}.
 
-    ``R`` is ``resolvent(op, mu)``. Rows of O without any observed link stay
-    exactly zero: only the others are computed, each adding its terms in the
-    same order. Entries are pruned at ``prune_eps`` as ``_kept`` does.
+    ``R`` is ``resolvent(op, mu)``. Only the rows of O that hold a link are
+    computed, each adding its terms in SciPy's order; the others stay exactly
+    zero. ``SparseMatrix.from_dense`` gathers the result, pruned at ``prune_eps``.
     """
     active, rank = np.unique(O.row, return_inverse=True)
     dense = _right_product(SparseMatrix(rank, O.col, O.data, (len(active), O.shape[1])), R)
-    P = _kept(dense, prune_eps)
+    P = SparseMatrix.from_dense(dense, prune_eps)
     return PassResult(SparseMatrix(active[P.row], P.col, P.data, (O.shape[0], R.shape[1])))
 
 
@@ -105,10 +86,12 @@ def propagate_column_pass(P_rows: SparseMatrix, R: np.ndarray,
                           prune_eps: Optional[float] = None) -> PassResult:
     """Diffuse each column of the row-pass result: R P_rows.
 
-    Zero columns stay exactly zero. ``R`` and ``prune_eps`` are as for the
-    row pass.
+    Only the nonzero rows of P_rows are densified and multiplied; its zero
+    columns stay exactly zero. ``R`` and ``prune_eps`` are as for the row pass.
     """
-    return PassResult(_left_product(R, P_rows, prune_eps))
+    active, rank = np.unique(P_rows.row, return_inverse=True)
+    rows = SparseMatrix(rank, P_rows.col, P_rows.data, (len(active), P_rows.shape[1])).toarray()
+    return PassResult(SparseMatrix.from_dense(R[:, active] @ rows, prune_eps))
 
 
 def predict_all_links(observed: dict[tuple[int, int], SparseMatrix],

@@ -269,6 +269,8 @@ class SparseMatrix:
     Each position is stored at most once; a stored entry may hold 0.0. This
     is the layout of SciPy's canonical CSR matrix, and every product or sum
     over it elsewhere in the package rounds as the ``scipy.sparse`` one does.
+    Build one from entries in any order with :meth:`from_entries`, or from a
+    dense array with :meth:`from_dense`, whose ``eps`` prunes what it gathers.
     """
 
     row: np.ndarray     # (nnz,) int, nondecreasing
@@ -290,10 +292,13 @@ class SparseMatrix:
         return cls(row, col, data, (int(shape[0]), int(shape[1])))
 
     @classmethod
-    def from_dense(cls, a) -> "SparseMatrix":
-        """The nonzero entries of a 2-D array."""
+    def from_dense(cls, a, eps: Optional[float] = None) -> "SparseMatrix":
+        """The nonzero entries of a 2-D array (NaN kept, -0.0 not), none below ``eps``."""
         a = np.asarray(a, dtype=float)
-        row, col = np.nonzero(a)
+        keep = a != 0.0
+        if eps is not None:
+            keep &= ~(a < eps)
+        row, col = np.nonzero(keep)
         return cls(row, col, a[row, col], a.shape)
 
     @property
@@ -421,10 +426,10 @@ def load_ground_truth(path, seq: VideoSequence) -> dict[int, int]:
 
 
 def load_labeling(path, seq: Optional[VideoSequence] = None) -> dict[int, int]:
-    """Load a labeling file, skipping summary records (no id and no class); the
-    rest load as ground truth does, the ids checked against ``seq`` if given."""
+    """Load a labeling file, skipping summary records (keys among ``energy`` and
+    ``sweeps``); the rest load as ground truth does, checked against ``seq`` if given."""
     return _region_classes(((where, rec) for where, rec in _iter_records(path)
-                            if "id" in rec or "class" in rec), seq)
+                            if not (rec and rec.keys() <= {"energy", "sweeps"})), seq)
 
 
 def save_labeling(labels: Mapping[int, int], path, summary: Optional[dict] = None) -> None:

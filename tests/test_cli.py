@@ -523,6 +523,28 @@ def test_pipeline_and_eval_accept_the_same_ground_truth(dataset, tmp_path):
     assert record["mean"] == pytest.approx(0.5909, abs=5e-5)
 
 
+@pytest.mark.parametrize("command", ["eval", "infer"])
+def test_labeling_with_misspelled_keys_exits_with_file_and_line(dataset, tmp_path, capsys,
+                                                                 command):
+    # records keyed "ID" and "Class" are not summary records, so they are
+    # refused, not skipped
+    labeling = tmp_path / "labeling.jsonl"
+    with open(dataset / "gt.jsonl", encoding="utf-8") as fh:
+        labeling.write_text("".join(json.dumps({"ID": rec["id"], "Class": rec["class"]}) + "\n"
+                                    for rec in map(json.loads, fh)))
+    regions_path = str(dataset / "regions.jsonl")
+    argv = (["eval", "--regions", regions_path, "--labeling", str(labeling),
+             "--gt", str(dataset / "gt.jsonl")] if command == "eval" else
+            ["infer", "--regions", regions_path, "--labels", str(labeling),
+             "--out", str(tmp_path / "pred.jsonl")])
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert (f"ctxseg {command}: error: {labeling}:1: missing or invalid field "
+            "(id must be an integer, got None)") in err
+    assert "Traceback" not in err
+
+
 def test_eval_unknown_labeling_id_exits_with_file_and_line(dataset, tmp_path, capsys):
     labeling = tmp_path / "labeling.jsonl"
     labeling.write_text(json.dumps({"id": 0, "class": 0}) + "\n"
@@ -549,11 +571,14 @@ def test_no_context_ablation_scores_lower(dataset, tmp_path):
     assert not (bare / "scores.jsonl").exists()
 
 
-@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+SUBCOMMANDS = ["context", "eval", "graph", "infer", "pipeline", "propagate", "synth", "tracks"]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_every_subcommand_takes_each_config_flag_once(command, capsys):
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert sorted(sub.choices) == sorted(cli._COMMANDS)
+    assert sorted(sub.choices) == SUBCOMMANDS
     flags = [["--" + f.name.replace("_", "-")] for f in dataclasses.fields(PipelineConfig)]
     assert [a.option_strings for a in cli._config_parser()._actions] == flags
     actions = sub.choices[command]._actions

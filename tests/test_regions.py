@@ -176,6 +176,26 @@ def test_ground_truth_empty_file(tmp_path):
     assert load_ground_truth(g, load_sequence(r)) == {}
 
 
+@pytest.mark.parametrize("record, skipped", [
+    ({"energy": -1.5, "sweeps": 2}, True),
+    ({"energy": -1.5}, True),
+    ({"sweeps": 2}, True),
+    ({}, False),
+    ({"ID": 1, "Class": 2}, False),
+    ({"energy": -1.5, "sweeps": 2, "note": "x"}, False),
+], ids=["summary", "energy-only", "sweeps-only", "empty", "misspelled", "extra-key"])
+def test_labeling_skips_only_summary_records(tmp_path, record, skipped):
+    # a record whose keys are all summary keys is skipped; any other one is read
+    # as a region label, so a record without id and class is refused, not skipped
+    g = write_jsonl(tmp_path / "g.jsonl", [{"id": 0, "class": 1}, record])
+    if skipped:
+        assert load_labeling(g) == {0: 1}
+    else:
+        with pytest.raises(IngestError, match=r"g.jsonl:2: missing or invalid field "
+                                              r"\(id must be an integer, got None\)"):
+            load_labeling(g)
+
+
 def test_ingest_idempotent_bitwise(tmp_path):
     rng = np.random.default_rng(3)
     recs = [region_rec(i, frame=i % 4, feature=rng.standard_normal(6).tolist(),

@@ -105,6 +105,24 @@ def test_from_dense_and_toarray_match_csr(seed):
     assert np.array_equal(bits(M.toarray()), bits(sparse.csr_matrix(a).toarray()))
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_from_dense_gathers_as_nonzero_does(seed):
+    # the gather through a mask keeps what np.nonzero on the floats keeps:
+    # NaN is kept, -0.0 and 0.0 are not
+    rng = np.random.default_rng(700 + seed)
+    n = SIZES[seed % len(SIZES)]
+    a = random_dense(rng, n, int(rng.integers(0, 6)) if seed % 3 == 0 else None)
+    a[rng.random(a.shape) < 0.2] = -0.0
+    a[rng.random(a.shape) < 0.1] = np.nan
+    row, col = np.nonzero(a)
+    M = SparseMatrix.from_dense(a)
+    assert M.shape == a.shape
+    assert np.array_equal(M.row, row) and np.array_equal(M.col, col)
+    assert np.array_equal(bits(M.data), bits(a[row, col]))
+    eps = float(rng.choice([0.0, 1e-8, 1e-3, 1.0]))
+    assert_same(SparseMatrix.from_dense(a, eps), pruned(a, eps))
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_all_zero_matrices(n):
     zero = np.zeros((n, n))
@@ -133,7 +151,7 @@ def test_left_product_matches_scipy(seed):
     S = sparse.csr_matrix(a)
     active = np.flatnonzero(np.diff(S.indptr))
     want = sparse.csr_matrix(R[:, active] @ S[active].toarray())
-    assert_same(propagation._left_product(R, SparseMatrix.from_dense(a)), want)
+    assert_same(propagation.propagate_column_pass(SparseMatrix.from_dense(a), R).matrix, want)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -172,7 +190,7 @@ def test_prune_matches_eliminate_zeros(seed):
     S = sparse.csr_matrix((data, (row, col)), shape=(n, n))
     S.data[S.data < eps] = 0.0
     S.eliminate_zeros()
-    got = propagation._kept(M.toarray(), eps)
+    got = SparseMatrix.from_dense(M.toarray(), eps)
     assert_same(got, S)
     assert not (got.data < eps).any() and got.data.all()
 
