@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -71,11 +71,11 @@ class UnaryModel:
         return e / e.sum(axis=1, keepdims=True)
 
 
-def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
-                num_classes: Optional[int] = None, *, epochs: int = 100,
+def train_unary(labeled: Mapping[int, int], seq: VideoSequence, *, epochs: int = 100,
                 learning_rate: float = 0.5, lambda_reg: float = 1e-4,
                 seed: int = 0) -> UnaryModel:
-    """Train one-vs-rest hinge-loss linear classifiers by seeded SGD.
+    """Train one-vs-rest hinge-loss linear classifiers by seeded SGD, one per
+    class 0..L-1 for L the largest label + 1.
 
     Per class c, each epoch visits the examples in ``rng.permutation`` order
     (``rng = default_rng([seed, c])``) and step k, with
@@ -94,9 +94,11 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
     starts; K doubles after a chunk without a violation and halves after an
     early one. So every bit is the loop's. Extra memory is O(N d).
 
-    ValueError: a label outside [0, num_classes), a class in [0, num_classes)
-    without examples, epochs < 0, lr not in (0, inf), lambda_reg not in
-    [0, inf). Equal seeds give equal bits.
+    ValueError: a negative label, a class in [0, L) without examples,
+    epochs < 0, lr not in (0, inf), lambda_reg not in [0, inf). Equal seeds
+    give equal bits. Class c is seeded with its own id c, so a caller that
+    renumbers its classes (``pipeline.infer_stage``) trains each under its
+    new id.
     """
     if not (epochs >= 0 and 0.0 < learning_rate < np.inf and 0.0 <= lambda_reg < np.inf):
         raise ValueError("need epochs >= 0, learning_rate in (0, inf) and lambda_reg in "
@@ -106,8 +108,8 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence,
         raise ValueError("no labeled regions to train on")
     X = np.stack([seq.region(rid).feature for rid in ids])
     y = np.array([labeled[rid] for rid in ids])
-    L = num_classes if num_classes is not None else int(y.max()) + 1
-    bad = np.flatnonzero((y < 0) | (y >= L))
+    L = int(y.max()) + 1
+    bad = np.flatnonzero(y < 0)
     if bad.size:
         raise ValueError(f"region {ids[bad[0]]} has class {y[bad[0]]}, not in [0, {L})")
     missing = np.flatnonzero(np.bincount(y, minlength=L) == 0)

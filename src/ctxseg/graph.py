@@ -1,8 +1,8 @@
 """Symmetric k-NN affinity graph over regions and its normalized operator.
 
-Edge weights are inner products of the (unit-norm) region features, clamped
-to be nonnegative. The propagation operator is the degree-normalized
-affinity D^{-1/2} W D^{-1/2}, whose spectrum lies in [-1, 1].
+Edge weights are inner products of the region features scaled to unit
+length, clamped to be nonnegative. The propagation operator, D^{-1/2} W
+D^{-1/2}, is the degree-normalized affinity; its spectrum lies in [-1, 1].
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class SimilarityGraph:
     n: int
     k: int
     affinity: SparseMatrix           # W, symmetric, zero diagonal
-    degrees: np.ndarray              # row sums of W
     operator: SparseMatrix           # D^{-1/2} W D^{-1/2}
 
 
@@ -49,7 +48,7 @@ def _assemble(n: int, k: int, i: np.ndarray, j: np.ndarray,
     dinv[~np.isfinite(dinv)] = 0.0
     lv = w * dinv[i] * dinv[j]
     L = SparseMatrix(rows, cols, np.concatenate([lv, lv])[order], (n, n))
-    return SimilarityGraph(n=n, k=k, affinity=W, degrees=degrees, operator=L)
+    return SimilarityGraph(n=n, k=k, affinity=W, operator=L)
 
 
 def _proposals(G: np.ndarray, k: int) -> np.ndarray:
@@ -91,11 +90,13 @@ def _proposals(G: np.ndarray, k: int) -> np.ndarray:
 def build_knn_graph(seq: VideoSequence, k: int) -> SimilarityGraph:
     """k-nearest-neighbor similarity graph over all regions of a sequence.
 
-    Each vertex proposes edges to its k largest-inner-product neighbors
-    (ties at the cutoff go to the smaller vertex index); the edge set is the
-    union of the directed proposals. Negative inner products are clamped to
-    zero and zero-weight edges are dropped, so degenerate (all-zero) features
-    end up isolated.
+    Each feature is first divided by its norm, ``np.sqrt(np.vecdot(f, f))``,
+    unless it is all zero or already unit within 1e-9: the graph is the one
+    stage that needs unit features. Each vertex proposes edges to its k
+    largest-inner-product neighbors (ties at the cutoff go to the smaller
+    vertex index); the edge set is the union of the directed proposals.
+    Negative inner products are clamped to zero and zero-weight edges are
+    dropped, so degenerate (all-zero) features end up isolated.
 
     The Gram matrix is one ``F @ F.T`` (row blocks of it round differently
     from NumPy's symmetric product). Next to it live only the selection's
@@ -112,6 +113,9 @@ def build_knn_graph(seq: VideoSequence, k: int) -> SimilarityGraph:
         k = n - 1
 
     F = seq.feature_matrix()
+    norms = np.sqrt(np.vecdot(F, F))
+    scale = (norms != 0.0) & (np.abs(norms - 1.0) >= 1e-9)
+    F[scale] /= norms[scale, None]
     G = F @ F.T
     del F
     np.clip(G, 0.0, 1.0, out=G)  # unit features: products in [-1, 1] up to rounding
@@ -137,7 +141,8 @@ def load_graph(path) -> SimilarityGraph:
     """Read a ``dump_graph`` file, which holds one record. :class:`IngestError`
     names its file:line for what :func:`regions._iter_records` refuses, an ``n``
     or ``k`` (0 if absent) or ``edges`` that ``_int`` or ``_entries`` refuse, a
-    negative weight, an edge without i < j and a repeated pair."""
+    negative weight, an edge without i < j and a repeated pair (the smallest,
+    found in the assembly's sorted W)."""
     records = list(_iter_records(path))
     if len(records) != 1:
         raise IngestError(f"{path}: a graph file holds one record, not {len(records)}")
@@ -149,8 +154,9 @@ def load_graph(path) -> SimilarityGraph:
         if bad.any():
             p = int(np.flatnonzero(bad)[0])
             raise IngestError(f"{where}: edge {p} {edges[p].tolist()}: {what}")
+    g = _assemble(n, k, i.astype(np.intp), j.astype(np.intp), w)
     try:
-        W = SparseMatrix.from_entries(i, j, w, (n, n))
+        g.affinity.refuse_repeats()
     except ValueError as exc:
         raise IngestError(f"{where}: {exc}") from None
-    return _assemble(n, k, W.row, W.col, W.data)
+    return g

@@ -80,21 +80,35 @@ def links_stage(seq: VideoSequence, frames: frozenset[int],
 
 
 def crf_label_space(labels: dict[int, int], scores) -> int:
-    """How many classes the CRF can assign: every id from 0 to the largest class
-    that a label or a scored class pair names, present or not."""
+    """The bound of the caller's class ids: one more than the largest class
+    that a label or a scored class pair names, 1 if none does."""
     classes = set(labels.values()) | {c for pair in scores for c in pair}
     return max(classes, default=0) + 1
 
 
 def infer_stage(seq: VideoSequence, labels: dict[int, int], scores,
                 cfg: PipelineConfig) -> tuple[dict[int, int], crf.Labeling]:
-    num_classes = crf_label_space(labels, scores)
-    model = crf.train_unary(labels, seq, num_classes, seed=stage_seed(cfg.seed, "unary"))
+    """Label every region. The CRF spans the classes the labels hold, renumbered
+    0..L'-1 in ascending order (so labels may skip ids); the returned map holds
+    the caller's ids, ``Labeling.assignment`` the renumbered ones. ValueError:
+    a negative class, or a scored class pair naming a class no label has."""
+    classes = sorted(set(labels.values()))
+    if classes and classes[0] < 0:
+        raise ValueError(f"negative class {classes[0]}")
+    compact = {c: i for i, c in enumerate(classes)}
+    for pair in scores:
+        for c in pair:
+            if c not in compact:
+                raise ValueError(f"class pair {pair} names class {c}, "
+                                 "which no region label has")
+    model = crf.train_unary({rid: compact[c] for rid, c in labels.items()}, seq,
+                            seed=stage_seed(cfg.seed, "unary"))
     unary = crf.unary_potentials(model, seq)
+    scores = {(compact[m], compact[n]): s for (m, n), s in scores.items()}
     pairwise = crf.build_pairwise(scores, crf.beta_adaptive(scores), cfg.lambda_pair,
-                                  num_classes)
+                                  len(classes))
     labeling = crf.infer(crf.CrfProblem(unary, pairwise))
-    pred = {seq.regions[i].region_id: int(labeling.assignment[i]) for i in range(seq.n)}
+    pred = {r.region_id: classes[c] for r, c in zip(seq.regions, labeling.assignment.tolist())}
     return pred, labeling
 
 

@@ -284,12 +284,16 @@ class SparseMatrix:
         row, col = np.asarray(row, dtype=np.intp), np.asarray(col, dtype=np.intp)
         data = np.asarray(data, dtype=float)
         order = np.lexsort((col, row))
-        row, col, data = row[order], col[order], data[order]
-        repeats = np.flatnonzero((row[1:] == row[:-1]) & (col[1:] == col[:-1]))
-        if repeats.size:
-            i = repeats[0]
-            raise ValueError(f"position ({row[i]}, {col[i]}) repeats an earlier entry")
-        return cls(row, col, data, (int(shape[0]), int(shape[1])))
+        M = cls(row[order], col[order], data[order], (int(shape[0]), int(shape[1])))
+        M.refuse_repeats()
+        return M
+
+    def refuse_repeats(self) -> None:
+        """ValueError naming the first position stored twice (next to its twin)."""
+        twice = np.flatnonzero((self.row[1:] == self.row[:-1]) & (self.col[1:] == self.col[:-1]))
+        if twice.size:
+            i = twice[0]
+            raise ValueError(f"position ({self.row[i]}, {self.col[i]}) repeats an earlier entry")
 
     @classmethod
     def from_dense(cls, a, eps: Optional[float] = None) -> "SparseMatrix":
@@ -346,18 +350,15 @@ def load_class_pairs(path, key: str, n: int, width: int
 def load_sequence(regions_path, detections_path=None) -> VideoSequence:
     """Load and validate a sequence from JSON-lines files.
 
-    Features are L2-normalized, but an all-zero one is kept as it is, and so
-    is one already unit within 1e-9, so a save/load cycle is bitwise
-    idempotent. Raises :class:`IngestError` at the offending file:line.
+    Features are kept as written, as an in-memory sequence keeps them, so a
+    save/load cycle reproduces them bitwise. Raises :class:`IngestError` at
+    the offending file:line.
     """
     regions: list[Region] = []
     seen: set[int] = set()
     for where, rec in _iter_records(regions_path):
         rid, frame, area = _ints(where, rec, "id", "frame", "area")
         feat = np.array(_floats(where, "feature", rec.get("feature")), dtype=float)
-        norm = math.sqrt(feat.dot(feat))  # the bits of np.linalg.norm, without its checks
-        if norm != 0.0 and abs(norm - 1.0) >= 1e-9:
-            feat = feat / norm
         box = rec.get("bbox")
         region = Region(rid, frame, feat, area,
                         None if box is None else tuple(_floats(where, "bbox", box, 4)))

@@ -35,6 +35,7 @@ document; the graph, links and scores dumps are held to its bytes.
 
 import dataclasses
 import json
+import math
 from collections import deque
 
 import numpy as np
@@ -230,10 +231,16 @@ def loop_train_unary(X, y, num_classes, *, epochs, learning_rate, lambda_reg, se
 def loop_knn_edges(F, k):
     """Reference k-NN edge set ``{(a, b): w}``, a < b, one ``np.lexsort`` per row.
 
-    Same Gram matrix, clamping, tie rule (smaller index first) and weights
-    ``max(G[a, b], G[b, a])`` as ``graph.build_knn_graph``.
+    Same unit-length rule (each row divided by ``math.sqrt(f.dot(f))`` unless
+    that is 0 or within 1e-9 of 1), Gram matrix, clamping, tie rule (smaller
+    index first) and weights ``max(G[a, b], G[b, a])`` as
+    ``graph.build_knn_graph``.
     """
-    F = np.asarray(F, dtype=float)
+    F = np.array(F, dtype=float)
+    for f in F:
+        norm = math.sqrt(f.dot(f))
+        if norm != 0.0 and abs(norm - 1.0) >= 1e-9:
+            f /= norm
     n = len(F)
     k = min(k, n - 1)
     G = F @ F.T
@@ -347,15 +354,16 @@ def list_dinic(n, tails, heads, caps, s, t):
     return flow, g.cap, g.source_side(s)
 
 
-def tiled_sequence(seed, repeats, background):
+def tiled_sequence(seed, repeats, background, drop=()):
     """Sequence and ground truth of ``ambiguity_scenario(seed)`` repeated
     ``repeats`` times in time with ``background`` clutter regions per frame:
-    (200, 2, 4) is the ``ctx-mu95`` benchmark input, (200, 2, 20) ``files-bare``."""
+    (200, 2, 4) is the ``ctx-mu95`` benchmark input, (200, 2, 20) ``files-bare``.
+    The objects of the classes in ``drop`` are left out."""
     base = synthetic.ambiguity_scenario(seed)
     span = base.frame_count
     objects = [dataclasses.replace(obj, start_frame=obj.start_frame + r * span,
                                    end_frame=obj.end_frame + r * span)
-               for r in range(repeats) for obj in base.objects]
+               for r in range(repeats) for obj in base.objects if obj.class_id not in drop]
     return synthetic.generate(dataclasses.replace(
         base, frame_count=repeats * span, objects=objects,
         background_regions_per_frame=background))

@@ -6,10 +6,12 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
+from problem_gen import tiled_sequence
 
 import ctxseg
-from ctxseg import cli, graph, propagation, regions
+from ctxseg import cli, graph, pipeline, propagation, regions
 from ctxseg.cli import main
 from ctxseg.pipeline import PipelineConfig
 
@@ -290,7 +292,7 @@ def test_malformed_stage_file_exits_with_file_and_line(dataset, tmp_path, capsys
 
 
 def test_infer_refuses_score_class_without_label(dataset, tmp_path, capsys):
-    # the class id sizes the label space, so it is checked before training
+    # checked before training, and named at the scores file
     scores = tmp_path / "scores.jsonl"
     scores.write_text(json.dumps({"m": 1, "n": 10 ** 6, "scores": [[0, 1, 0.5]]}) + "\n")
     labels = tmp_path / "labels.jsonl"
@@ -453,6 +455,50 @@ def test_chained_stages_reproduce_pipeline_byte_for_byte(dataset, tmp_path):
     for name in ("hypotheses.jsonl", "graph.json", "links.jsonl",
                  "labels.jsonl", "scores.jsonl", "labeling.jsonl"):
         assert read(pipe / name) == read(d / name), name
+
+
+def scaled(seq, factors):
+    """``seq`` with region i's feature times ``factors[i]``."""
+    regions_ = [dataclasses.replace(r, feature=r.feature * f)
+                for r, f in zip(seq.regions, factors)]
+    return regions.VideoSequence(regions_, seq.detections, seq.frame_count)
+
+
+# (name, classes dropped from ambiguity_scenario(7), feature scale per region)
+DIFFERENTIAL_INPUTS = [
+    ("default", (), lambda n: np.ones(n)),
+    ("x3", (), lambda n: np.full(n, 3.0)),
+    ("x0.5", (), lambda n: np.full(n, 0.5)),
+    ("per-region", (), lambda n: np.random.default_rng(5).uniform(0.1, 10.0, n)),
+    ("no-1", (1,), lambda n: np.ones(n)),
+    ("no-2", (2,), lambda n: np.ones(n)),
+    ("no-1-3", (1, 3), lambda n: np.ones(n)),
+    ("only-3", (1, 2), lambda n: np.ones(n)),
+]
+
+
+@pytest.mark.parametrize("drop, factors", [case[1:] for case in DIFFERENTIAL_INPUTS],
+                         ids=[case[0] for case in DIFFERENTIAL_INPUTS])
+def test_pipeline_in_memory_equals_cli_on_saved_files(tmp_path, monkeypatch, drop, factors):
+    """``run_pipeline`` on a sequence and ``ctxseg pipeline`` on its saved
+    files give the same labeling bytes and energy bits, whatever length the
+    features have and whichever class ids the labels skip."""
+    seq, _ = tiled_sequence(7, 1, 2, drop)
+    seq = scaled(seq, factors(seq.n))
+    cfg = PipelineConfig(mu=0.5, seed=7)
+    memory = pipeline.run_pipeline(seq, cfg)
+    regions.save_labeling(memory.prediction, tmp_path / "memory.jsonl")
+
+    regions.save_sequence(seq, tmp_path / "regions.jsonl", tmp_path / "detections.jsonl")
+    infer_stage, runs = pipeline.infer_stage, []
+    monkeypatch.setattr(pipeline, "infer_stage",
+                        lambda *args: runs.append(infer_stage(*args)) or runs[-1])
+    assert run(["pipeline", "--regions", str(tmp_path / "regions.jsonl"),
+                "--detections", str(tmp_path / "detections.jsonl"),
+                "--out", str(tmp_path / "cli"), "--mu", "0.5", "--seed", "7"]) == 0
+    assert read(tmp_path / "cli" / "labeling.jsonl") == read(tmp_path / "memory.jsonl")
+    [(_, labeling)] = runs
+    assert float(labeling.energy).hex() == float(memory.labeling.energy).hex()
 
 
 def test_eval_identity_prediction_scores_one(dataset, tmp_path, capsys):

@@ -69,23 +69,23 @@ class TestTrainUnary:
     def test_missing_class_listed_in_error(self):
         seq = seq_with_features([[1.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(ValueError, match=r"\[1\]"):
-            train_unary({0: 0, 1: 2}, seq, num_classes=3)
+            train_unary({0: 0, 1: 2}, seq)
 
-    @pytest.mark.parametrize("label,num_classes", [(2, 2), (5, 2), (-1, 2), (-1, None)])
-    def test_label_out_of_range_rejected(self, label, num_classes):
+    def test_label_out_of_range_rejected(self):
+        # the classes run from 0 to the largest label, so only a negative one lies outside
         seq = seq_with_features([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match=rf"region 2 has class {label}, not in \[0, "):
-            train_unary({0: 0, 1: 1, 2: label}, seq, num_classes=num_classes)
+        with pytest.raises(ValueError, match=r"region 2 has class -1, not in \[0, 2\)"):
+            train_unary({0: 0, 1: 1, 2: -1}, seq)
 
     def test_many_missing_classes_counted_not_listed(self):
-        seq = seq_with_features([[1.0, 0.0], [-1.0, 0.0]])
+        seq = seq_with_features([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         start = time.perf_counter()
         with pytest.raises(ValueError) as err:
-            train_unary({0: 0, 1: 1}, seq, num_classes=10 ** 6)
+            train_unary({0: 0, 1: 1, 2: 10 ** 6 - 1}, seq)
         assert time.perf_counter() - start < 0.5
         message = str(err.value)
         assert len(message) < 1024
-        assert "999998" in message and "[2, 3, 4, 5, 6]" in message
+        assert "999997" in message and "[2, 3, 4, 5, 6]" in message
 
     def test_identical_features_warns_but_returns(self, caplog):
         seq = seq_with_features([[1.0, 0.0]] * 4)
@@ -111,8 +111,10 @@ def golden_unary_cases():
 
 
 def unary_fit(X, y, num_classes, cfg):
-    model = train_unary(dict(enumerate(np.asarray(y).tolist())), unary_sequence(X),
-                        num_classes, **cfg)
+    """``train_unary``'s weights and biases; its classes run to the largest
+    label, which every case here makes ``num_classes`` - 1."""
+    model = train_unary(dict(enumerate(np.asarray(y).tolist())), unary_sequence(X), **cfg)
+    assert len(model.biases) == num_classes
     return model.weights, model.biases
 
 

@@ -43,8 +43,7 @@ def ctx_problem():
     links = pipeline.links_stage(seq, frames, labels)
     g = graph.build_knn_graph(seq, cfg.k)
     scores = propagation.predict_all_links(links, g.operator, cfg.mu)
-    L = pipeline.crf_label_space(labels, scores)
-    model = crf.train_unary(labels, seq, L, seed=pipeline.stage_seed(cfg.seed, "unary"))
+    model = crf.train_unary(labels, seq, seed=pipeline.stage_seed(cfg.seed, "unary"))
     unary = crf.unary_potentials(model, seq)
     return scores, crf.beta_adaptive(scores), cfg.lambda_pair, unary
 

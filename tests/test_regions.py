@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from ctxseg.context import dump_links, load_links
 from ctxseg.graph import SimilarityGraph, build_knn_graph, dump_graph
 from ctxseg.pipeline import PipelineConfig
 from ctxseg.propagation import LinkScoreMatrix, dump_scores, load_scores, predict_all_links
-from ctxseg.regions import (WRITE_ROWS, Detection, IngestError, SparseMatrix, VideoSequence,
-                            filter_detections, load_ground_truth, load_labeling,
-                            load_sequence, save_labeling, save_sequence)
+from ctxseg.regions import (WRITE_ROWS, Detection, IngestError, Region, SparseMatrix,
+                            VideoSequence, filter_detections, load_ground_truth,
+                            load_labeling, load_sequence, save_labeling, save_sequence)
 from ctxseg.tracking import dump_hypotheses, load_hypotheses
 
 
@@ -35,9 +36,14 @@ def det_rec(frame=0, bbox=(0, 0, 10, 10), cls=1, conf=0.9):
 
 
 def test_l2_normalization_3_4_5(tmp_path):
-    p = write_jsonl(tmp_path / "r.jsonl", [region_rec(0, feature=[3.0, 4.0])])
+    # the reader keeps [3, 4] as written; the graph scales it to [0.6, 0.8]
+    p = write_jsonl(tmp_path / "r.jsonl", [region_rec(0, feature=[3.0, 4.0]),
+                                           region_rec(1, feature=[0.0, 1.0])])
     seq = load_sequence(p)
-    assert np.array_equal(seq.regions[0].feature, np.array([0.6, 0.8]))
+    assert np.array_equal(seq.regions[0].feature, np.array([3.0, 4.0]))
+    W = build_knn_graph(seq, 1).affinity
+    assert W.row.tolist() == [0, 1] and W.col.tolist() == [1, 0]
+    assert W.data.tolist() == [0.8, 0.8]
 
 
 def test_zero_feature_kept(tmp_path):
@@ -216,12 +222,24 @@ def test_ingest_idempotent_bitwise(tmp_path):
 
 
 def test_features_unit_norm_after_load(tmp_path):
+    """Features load as written, and the graph of the loaded sequence is that of
+    its features each divided by ``math.sqrt(f.dot(f))``, bit for bit."""
     rng = np.random.default_rng(11)
     recs = [region_rec(i, feature=(rng.standard_normal(8) * 10).tolist())
             for i in range(30)]
+    recs[3]["feature"] = [0.0] * 8
     seq = load_sequence(write_jsonl(tmp_path / "r.jsonl", recs))
-    for r in seq.regions:
-        assert abs(1.0 - np.linalg.norm(r.feature)) <= 1e-6
+    unit = []
+    for r, rec in zip(seq.regions, recs):
+        assert r.feature.tolist() == rec["feature"]
+        norm = math.sqrt(r.feature.dot(r.feature))
+        unit.append(r.feature / norm if norm else r.feature)
+        assert norm == 0.0 or abs(1.0 - np.linalg.norm(unit[-1])) <= 1e-6
+    ref = VideoSequence([Region(r.region_id, r.frame, f, r.area)
+                         for r, f in zip(seq.regions, unit)], [])
+    dump_graph(build_knn_graph(seq, 5), tmp_path / "loaded.json")
+    dump_graph(build_knn_graph(ref, 5), tmp_path / "unit.json")
+    assert (tmp_path / "loaded.json").read_bytes() == (tmp_path / "unit.json").read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -341,7 +359,7 @@ def edge_values(rows):
 def test_dumps_match_whole_document_bytes(tmp_path, rows):
     n, i, j, w = edge_values(rows)
     W = SparseMatrix.from_entries(np.r_[i, j], np.r_[j, i], np.r_[w, w], (n, n))
-    g = SimilarityGraph(n=n, k=3, affinity=W, degrees=None, operator=None)
+    g = SimilarityGraph(n=n, k=3, affinity=W, operator=None)
     assert_dumped(dump_graph, g, tmp_path / "graph.json", graph_oracle(g))
 
     matrices = {(2, 1): SparseMatrix.from_entries(j, i, w, (n, n)),
