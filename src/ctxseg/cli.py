@@ -90,12 +90,10 @@ def _cmd_infer(args, cfg: PipelineConfig) -> None:
     if not labels:
         raise IngestError(f"{args.labels}: no region labels")
     scores = propagation.load_scores(args.scores, seq.n) if args.scores else {}
-    classes = set(labels.values())
-    for pair in scores:
-        for c in pair:
-            if c not in classes:
-                raise IngestError(f"{args.scores}: class pair {pair} names class {c}, "
-                                  "which no region label has")
+    try:
+        pipeline.labeled_classes(labels, scores)
+    except ValueError as exc:
+        raise IngestError(f"{args.scores}: {exc}") from None
     pred, labeling = pipeline.infer_stage(seq, labels, scores, cfg)
     summary = ({"energy": float(labeling.energy), "sweeps": labeling.sweeps}
                if args.summary else None)

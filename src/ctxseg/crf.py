@@ -49,7 +49,7 @@ log = logging.getLogger(__name__)
 
 BRUTE_FORCE_LIMIT = 10 ** 7
 # train_unary's chunk of K steps: K starts at _CHUNK_MIN and grows up to
-# _CHUNK_CELLS / (d + 1) (3855 steps at d = 16, 512 KB of the buffer rows)
+# _CHUNK_CELLS / d (4096 steps at d = 16, 512 KB of the buffer rows)
 _CHUNK_MIN = 32
 _CHUNK_CELLS = 1 << 16
 
@@ -83,16 +83,17 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence, *, epochs: int =
     sets ``w = decay * w + eta * t * x`` and ``b += eta * t`` when the hinge is
     violated (``t * (w @ x + b) < 1``), else only ``w = decay * w``.
 
-    The bias is weight column d (multiplier and input 1.0, so exact). Row 0 of
-    an epoch's (N+1, d+1) buffer A holds the weights, row k+1 step k's decay.
-    In chunks of K steps, ``np.multiply.accumulate`` of A's rows into T gives
-    the weights before each step, rounded as step-by-step decays are. A
+    Row 0 of an epoch's (N+1, d) buffer A holds the weights, row k+1 step
+    k's decay. In chunks of K steps, ``np.multiply.accumulate`` of A's rows
+    into T gives the weights before each step, rounded as step-by-step
+    decays are; the bias ``b`` is one float, changed only at violations. A
     margin is ``np.vecdot`` of those weights with ``t x``, plus ``b t``: the
     loop's dot ``w @ x`` (the same NumPy dot; ``t`` only flips signs), then
     its add and sign, so the first margin below 1 is the loop's first
-    violation k. There ``A[k+1] = T[k+1] + eta t [x, 1]`` and the next chunk
-    starts; K doubles after a chunk without a violation and halves after an
-    early one. So every bit is the loop's. Extra memory is O(N d).
+    violation k. There ``A[k+1] = T[k+1] + eta t x``, ``b += eta t`` and the
+    next chunk starts; K doubles after a chunk without a violation and
+    halves after an early one. So every bit is the loop's. Extra memory is
+    O(N d): X, ``t x`` as given, permuted and times eta, A and T.
 
     ValueError: a negative label, a class in [0, L) without examples,
     epochs < 0, lr not in (0, inf), lambda_reg not in [0, inf). Equal seeds
@@ -121,34 +122,31 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence, *, epochs: int =
 
     N, d = X.shape
     lr, lam = learning_rate, lambda_reg
-    max_size = max(_CHUNK_MIN, _CHUNK_CELLS // (d + 1))
-    Xa = np.hstack([X, np.ones((N, 1))])
-    A, T = np.empty((2, N + 1, d + 1))  # multipliers, trajectory
-    Tw, Tb = T[:, :d], T[:, d]  # weights and bias before each step
-    out = np.zeros((L, d + 1))
+    max_size = max(_CHUNK_MIN, _CHUNK_CELLS // d)
+    A, T = np.empty((2, N + 1, d))  # multipliers, trajectory
+    weights, biases = np.zeros((L, d)), np.zeros(L)
     for c in range(L):
         rng = np.random.default_rng([seed, c])
         t = np.where(y == c, 1.0, -1.0)
-        signed = t[:, None] * Xa
+        signed = t[:, None] * X
         A[N] = 0.0
+        b = 0.0  # a Python float: a NumPy scalar slows each violation
         size = _CHUNK_MIN
         for epoch in range(epochs):
-            V = signed[rng.permutation(N)]
-            Vx, Vt = V[:, :d], V[:, d]  # t x and t
+            order = rng.permutation(N)
+            V, Vt = signed[order], t[order]  # t x and t
             # the per-step formula's operation order: lr * lam first, then times k
             eta = lr / (1.0 + lr * lam * np.arange(epoch * N, (epoch + 1) * N, dtype=float))
-            decay = 1.0 - eta * lam
             U = eta[:, None] * V  # eta * (t x) is (eta t) x: t is +-1
             A[0] = A[N]
-            A[1:, :d] = decay[:, None]
-            A[1:, d] = 1.0
+            A[1:] = (1.0 - eta * lam)[:, None]
             s = 0
             while s < N:
                 e = min(s + size, N)
                 np.multiply.accumulate(A[s:e + 1], axis=0, out=T[s:e + 1])
                 # t (w @ x + b), as w @ (t x) is w @ x with its sign flipped
-                margin = np.vecdot(Tw[s:e], Vx[s:e])
-                margin += Tb[s:e] * Vt[s:e]
+                margin = np.vecdot(T[s:e], V[s:e])
+                margin += b * Vt[s:e]
                 below = margin < 1.0
                 j = int(below.argmax())
                 if not below[j]:  # no violation in the chunk
@@ -158,11 +156,12 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence, *, epochs: int =
                     continue
                 k = s + j
                 np.add(T[k + 1], U[k], out=A[k + 1])
+                b += float(eta[k]) * float(Vt[k])
                 if 2 * j < e - s:
                     size = max(size // 2, _CHUNK_MIN)
                 s = k + 1
-        out[c] = A[N]
-    return UnaryModel(out[:, :d].copy(), out[:, d].copy())
+        weights[c], biases[c] = A[N], b
+    return UnaryModel(weights, biases)
 
 
 def unary_potentials(model: UnaryModel, seq: VideoSequence,
@@ -451,8 +450,7 @@ def infer(problem: CrfProblem, max_sweeps: int = 10) -> Labeling:
     x = np.argmin(problem.unary, axis=1)
     e = energy(problem, x)
     trace = [e]
-    sweeps_done = 0
-    for _ in range(max_sweeps):
+    for sweeps_done in range(1, max_sweeps + 1):
         improved = False
         for alpha in range(problem.num_classes):
             proposal = np.full(problem.n, alpha)
@@ -466,7 +464,6 @@ def infer(problem: CrfProblem, max_sweeps: int = 10) -> Labeling:
                 x, e = x_new, e_new
                 improved = True
             trace.append(e)
-        sweeps_done += 1
         if not improved:
             break
     return Labeling(x, e, sweeps_done, trace)
@@ -486,8 +483,7 @@ def brute_force_oracle(problem: CrfProblem) -> Labeling:
     # dense tables, small as L^n <= BRUTE_FORCE_LIMIT
     tables = np.zeros((len(problem.pairwise), L, L))
     tables.reshape(-1)[problem.pairwise.keys] = problem.pairwise.costs
-    best_e = np.inf
-    best_idx = -1
+    best_e, best_idx = np.inf, -1
     chunk = 1 << 16
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)

@@ -86,21 +86,26 @@ def crf_label_space(labels: dict[int, int], scores) -> int:
     return max(classes, default=0) + 1
 
 
-def infer_stage(seq: VideoSequence, labels: dict[int, int], scores,
-                cfg: PipelineConfig) -> tuple[dict[int, int], crf.Labeling]:
-    """Label every region. The CRF spans the classes the labels hold, renumbered
-    0..L'-1 in ascending order (so labels may skip ids); the returned map holds
-    the caller's ids, ``Labeling.assignment`` the renumbered ones. ValueError:
-    a negative class, or a scored class pair naming a class no label has."""
+def labeled_classes(labels: dict[int, int], scores) -> list[int]:
+    """The classes the labels hold, ascending. ValueError: a negative class, or
+    a scored class pair naming a class no label has."""
     classes = sorted(set(labels.values()))
     if classes and classes[0] < 0:
         raise ValueError(f"negative class {classes[0]}")
+    unlabeled = [(pair, c) for pair in scores for c in pair if c not in classes]
+    if unlabeled:
+        raise ValueError("class pair {} names class {}, which no region label has"
+                         .format(*unlabeled[0]))
+    return classes
+
+
+def infer_stage(seq: VideoSequence, labels: dict[int, int], scores,
+                cfg: PipelineConfig) -> tuple[dict[int, int], crf.Labeling]:
+    """Label every region. The CRF spans ``labeled_classes``, renumbered
+    0..L'-1 in ascending order (so labels may skip ids); the returned map holds
+    the caller's ids, ``Labeling.assignment`` the renumbered ones."""
+    classes = labeled_classes(labels, scores)
     compact = {c: i for i, c in enumerate(classes)}
-    for pair in scores:
-        for c in pair:
-            if c not in compact:
-                raise ValueError(f"class pair {pair} names class {c}, "
-                                 "which no region label has")
     model = crf.train_unary({rid: compact[c] for rid, c in labels.items()}, seq,
                             seed=stage_seed(cfg.seed, "unary"))
     unary = crf.unary_potentials(model, seq)

@@ -213,17 +213,25 @@ class TestGoldenUnary:
 
     @pytest.mark.parametrize("d", [1, 2, 15, 16, 17, 64])
     def test_strided_vecdot_is_the_loops_dot(self, d):
-        """The margins rest on this: ``np.vecdot`` of trajectory rows (stride
-        d + 1) against the first d columns of the rows ``t [x, 1]`` gives each
+        """The margins rest on this: ``np.vecdot`` of trajectory rows (row
+        stride d, d contiguous columns) against the rows ``t x`` gives each
         row's ``t (w @ x)`` bit for bit, at every magnitude."""
         rng = np.random.default_rng(d)
         t = rng.choice([-1.0, 1.0], size=200)
         for scale in 10.0 ** np.arange(-8, 4):
-            traj = rng.standard_normal((200, d + 1)) * scale
+            traj = rng.standard_normal((200, d)) * scale
             X = rng.standard_normal((200, d)) * 10.0 ** rng.uniform(-8, 3, (200, 1))
-            V = t[:, None] * np.hstack([X, np.ones((200, 1))])
-            per_row = [ti * (w @ x) for ti, w, x in zip(t, traj[:, :d], X)]
-            assert np.vecdot(traj[:, :d], V[:, :d]).tobytes() == np.array(per_row).tobytes()
+            per_row = [ti * (w @ x) for ti, w, x in zip(t, traj, X)]
+            assert np.vecdot(traj, t[:, None] * X).tobytes() == np.array(per_row).tobytes()
+
+    def test_above_chunk_cap_matches_loop(self):
+        """N = 4200 examples of d = 16 exceed the largest chunk, 4096 steps at
+        d = 16: with the module's own constants, each class's chunks grow to
+        that cap in epoch two."""
+        X, y = random_unary_data(np.random.default_rng(0), 4200, 16, 3, spread=0.1)
+        assert crf._CHUNK_CELLS // 16 == 4096
+        assert_matches_loop(X, y, 3, dict(epochs=2, learning_rate=0.5, lambda_reg=1e-4,
+                                          seed=0))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_chunk_size_does_not_change_weights(self, seed, monkeypatch):

@@ -1,5 +1,5 @@
-"""Traced memory of the CRF's pairwise assembly, of one fusion move and of
-the stage dumps.
+"""Traced memory of the CRF's unary training, pairwise assembly, one fusion
+move and the stage dumps.
 
 The problem is the benchmark's ``ctx-mu95`` shape: the ambiguity scenario of
 seed 200 twice in a row with 4 clutter regions per frame (n = 314), scored at
@@ -15,6 +15,10 @@ the network sorts its arcs, at 4.74 MiB, and one that also keeps its E-sized
 index arrays, its arc lists next to their concatenation and a stored tail
 array through the max-flow, at 9.8 MiB. The built terms take 0.91 MB as edges
 plus cells.
+
+Unary training on the ``files-bare`` input's labels (N = 1058 labeled
+regions, d = 16) peaks at 7.9 (N+1) d doubles (1.02 MiB). With the bias as a
+weight column d, its (N+1, d+1) buffers peaked at 9.3.
 
 A dump writes its rows a block of ``regions.WRITE_ROWS`` at a time. Scores of
 one 300k-entry class pair dump in 1.7 MiB, and the graph of the
@@ -85,6 +89,18 @@ def test_largest_fusion_peak(ctx_problem):
     proposal = np.full(problem.n, 3)
     assert np.count_nonzero(current != proposal) == 304
     assert traced_peak(crf.qpbo_fuse, problem, current, proposal) < 3.55 * MIB
+
+
+def test_train_unary_peak():
+    # the arrays train_unary's docstring lists (X, t x as given, permuted and
+    # times eta, A and T) are six (N+1) d arrays, seven while a new epoch's
+    # rows replace the last one's; 8.5 leaves room for the N-sized vectors
+    seq, _ = tiled_sequence(200, 2, 20)
+    _, labels = tracking.annotated_frames(pipeline.tracks_stage(seq), seq)
+    N, d = len(labels), seq.feature_matrix().shape[1]
+    assert (N, d) == (1058, 16)
+    peak = traced_peak(lambda: crf.train_unary(labels, seq, epochs=3))
+    assert peak < 8.5 * (N + 1) * d * 8
 
 
 def test_dump_scores_peak(tmp_path):
