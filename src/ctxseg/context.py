@@ -7,6 +7,7 @@ pair (m, n) into binary N x N ``SparseMatrix`` links, indexed by vertex position
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import AbstractSet, Mapping, Sequence
 
 import numpy as np
@@ -18,12 +19,13 @@ Exemplar = tuple[int, int, int, int]  # (vertex_i, vertex_j, class_m, class_n)
 
 
 def extract_exemplars(labels: Mapping[int, int], frames: AbstractSet[int],
-                      seq: VideoSequence, temporal_window: int = 0,
-                      include_bg_pairs: bool = False) -> list[Exemplar]:
-    """All ordered pairs of distinct labeled regions within the frame window.
+                      seq: VideoSequence, temporal_window: int = 0) -> list[Exemplar]:
+    """Every ordered pair of distinct labeled regions in frames of ``frames``
+    at most ``temporal_window`` apart, except two background regions.
 
-    ``labels`` maps region ids (of regions in annotated frames) to classes.
-    Pairs of two background regions are skipped unless ``include_bg_pairs``.
+    ``labels`` maps region ids to classes. Pairs are ordered by the two frames,
+    then the two region ids; each frame meets only the covered frames in its
+    window, found by bisection, so any window costs O(F log F + pairs).
 
     ValueError: ``temporal_window`` below 0.
     """
@@ -37,18 +39,14 @@ def extract_exemplars(labels: Mapping[int, int], frames: AbstractSet[int],
         by_frame.setdefault(r.frame, []).append((seq.index_of(rid), labels[rid]))
 
     out: list[Exemplar] = []
-    frame_list = sorted(by_frame)
-    for fa in frame_list:
-        for fb in frame_list:
-            if abs(fa - fb) > temporal_window:
-                continue
+    covered = sorted(by_frame)
+    for fa in covered:
+        for fb in covered[bisect_left(covered, fa - temporal_window):
+                          bisect_right(covered, fa + temporal_window)]:
             for i, ci in by_frame[fa]:
                 for j, cj in by_frame[fb]:
-                    if i == j:
-                        continue
-                    if ci == BACKGROUND and cj == BACKGROUND and not include_bg_pairs:
-                        continue
-                    out.append((i, j, ci, cj))
+                    if i != j and (ci != BACKGROUND or cj != BACKGROUND):
+                        out.append((i, j, ci, cj))
     return out
 
 

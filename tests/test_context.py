@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -22,8 +25,6 @@ class TestExtractExemplars:
     def test_background_pair_excluded_by_default(self):
         seq = make_seq({0: 0, 1: 0})
         assert extract_exemplars({0: 0, 1: 0}, {0}, seq) == []
-        ex = extract_exemplars({0: 0, 1: 0}, {0}, seq, include_bg_pairs=True)
-        assert len(ex) == 2
 
     def test_mixed_background_pairs_kept(self):
         seq = make_seq({0: 0, 1: 0})
@@ -54,6 +55,34 @@ class TestExtractExemplars:
             bg = [r for r in ids if labels[r] == 0]
             expected -= len(bg) * (len(bg) - 1)
         assert len(ex) == expected
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 5, 2.5, 10**9])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_brute_force_over_all_region_pairs(self, seed, window):
+        rng = np.random.default_rng(100 + seed)
+        frame_of = {rid: int(rng.integers(0, 12)) for rid in range(30)}
+        covered = {int(f) for f in rng.choice(12, size=7, replace=False)}
+        labels = {rid: int(rng.integers(0, 3)) for rid in frame_of
+                  if rng.random() < 0.7}  # some outside ``covered``, some unlabeled
+        seq = make_seq(frame_of)
+        kept = [r for r in labels if frame_of[r] in covered]
+        pairs = sorted(((a, b) for a, b in itertools.product(kept, kept)
+                        if a != b and abs(frame_of[a] - frame_of[b]) <= window
+                        and (labels[a] != 0 or labels[b] != 0)),
+                       key=lambda p: (frame_of[p[0]], frame_of[p[1]], p[0], p[1]))
+        expected = [(seq.index_of(a), seq.index_of(b), labels[a], labels[b])
+                    for a, b in pairs]
+        assert extract_exemplars(labels, covered, seq, window) == expected
+
+    def test_long_video_scales_with_window_not_frame_count(self):
+        frames = 8000
+        seq = make_seq({rid: rid for rid in range(frames)})
+        labels = dict.fromkeys(range(frames), 1)
+        start = time.perf_counter()
+        ex = extract_exemplars(labels, set(range(frames)), seq, temporal_window=1)
+        elapsed = time.perf_counter() - start
+        assert len(ex) == 2 * (frames - 1)
+        assert elapsed < 1.0
 
 
 class TestObservedLinks:
