@@ -61,8 +61,9 @@ class Detection:
 
 
 def _check_region(r: Region, seen: set[int], dim: int, at: str = "") -> None:
-    """Refuse an id in ``seen`` (then add it) or negative, an area or a bbox extent
-    <= 0, or a feature not ``dim`` long. A loader passes ``at``, "file:line: "."""
+    """Refuse an id in ``seen`` (then add it) or negative, an area, a bbox extent or
+    the bbox's w * h <= 0, or a feature not ``dim`` long. A loader passes ``at``,
+    "file:line: "."""
     if r.region_id in seen:
         raise IngestError(f"{at}duplicate region id {r.region_id}")
     seen.add(r.region_id)
@@ -72,6 +73,8 @@ def _check_region(r: Region, seen: set[int], dim: int, at: str = "") -> None:
         raise IngestError(f"{at}region {r.region_id}: area must be positive")
     if r.bbox is not None and (r.bbox[2] <= 0 or r.bbox[3] <= 0):
         raise IngestError(f"{at}region {r.region_id}: bbox extents must be positive")
+    if r.bbox is not None and not r.bbox[2] * r.bbox[3] > 0:  # w * h may underflow
+        raise IngestError(f"{at}region {r.region_id}: bbox area must be positive")
     if r.feature.shape != (dim,):
         raise IngestError(f"{at}region {r.region_id}: feature dimension "
                           f"{r.feature.shape[0]} != {dim}")

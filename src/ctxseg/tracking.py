@@ -4,8 +4,7 @@ Detections are consumed highest-confidence first: the top detection seeds a
 constant-velocity box tracker (a stand-in for a learned one) that runs toward
 both ends of the video, absorbing same-class detections that overlap the
 predicted box. Hypotheses keeping fewer than ``min_instances`` detections are
-discarded, but the detections they consumed stay consumed, which guarantees
-the loop terminates.
+discarded, but the detections they consumed stay consumed.
 """
 
 from __future__ import annotations
@@ -80,15 +79,18 @@ def associate_trajectories(dets: list[Detection], frame_count: int,
                            max_miss: int = 5) -> list[TrajectoryHypothesis]:
     """Greedy confidence-ranked association of thresholded detections.
 
-    Repeats until fewer than ``min_instances`` detections remain unconsumed:
-    seed at the highest-confidence detection, track toward both video ends,
-    and in each visited frame absorb the highest-IoU same-class detection
-    whose IoU with the predicted box strictly exceeds ``iou_threshold``
-    (predictions then extrapolate from it and the box accepted before it);
-    otherwise keep the predicted box. A direction stops at the video boundary
-    or after ``max_miss`` consecutive prediction-only frames. Hypotheses with
-    enough detection-sourced entries are retained; either way the consumed
-    detections never return.
+    Walks the detections in rank order (confidence descending, then frame,
+    x, y, class). Each one still unconsumed seeds a hypothesis: track toward
+    both video ends, and in each visited frame absorb the same-class
+    detection whose IoU with the predicted box strictly exceeds
+    ``iou_threshold``, first by (IoU descending, confidence descending, x,
+    y), then rank order (predictions then extrapolate from it and the box
+    accepted before it); otherwise keep the predicted box. A direction stops
+    at the video boundary or after ``max_miss`` consecutive prediction-only
+    frames. Hypotheses with at least ``min_instances`` detection-sourced
+    entries are retained; either way the consumed detections never return.
+    A visited frame reads only its own cell of a (frame, class) index, so
+    the cost is linear in frames plus detections while cells stay small.
 
     ValueError: ``iou_threshold`` outside [0, 1], or ``min_instances`` or
     ``max_miss`` below 1.
@@ -99,10 +101,16 @@ def associate_trajectories(dets: list[Detection], frame_count: int,
         raise ValueError(f"min_instances must be >= 1, got {min_instances}")
     if max_miss < 1:
         raise ValueError(f"max_miss must be >= 1, got {max_miss}")
-    pool = sorted(dets, key=_rank_key)
+    ranked = sorted(dets, key=_rank_key)
+    cells: dict[tuple[int, int], list[Detection]] = {}  # unconsumed, in rank order
+    for d in ranked:
+        cells.setdefault((d.frame, d.class_id), []).append(d)
     retained: list[TrajectoryHypothesis] = []
-    while len(pool) >= min_instances:
-        seed = pool.pop(0)
+    for seed in ranked:
+        own = cells[seed.frame, seed.class_id]
+        if not own or own[0] is not seed:  # consumed by an earlier hypothesis
+            continue
+        del own[0]
         entries = {seed.frame: TrajectoryEntry(seed.frame, seed.bbox, SOURCE_DETECTION)}
         for direction in (1, -1):
             prev, last = None, (seed.frame, seed.bbox)
@@ -110,20 +118,13 @@ def associate_trajectories(dets: list[Detection], frame_count: int,
             f = seed.frame + direction
             while 0 <= f < frame_count and misses < max_miss:
                 pred = _predict(prev, last, f)
-                best = None
-                best_key = None
-                for d in pool:
-                    if d.frame != f or d.class_id != seed.class_id:
-                        continue
-                    ov = iou_box(pred, d.bbox)
-                    if ov <= iou_threshold:
-                        continue
-                    key = (-ov, -d.confidence, d.bbox[0], d.bbox[1])
-                    if best_key is None or key < best_key:
-                        best, best_key = d, key
+                cands = cells.get((f, seed.class_id), [])
+                best = min((d for d in cands if iou_box(pred, d.bbox) > iou_threshold),
+                           key=lambda d: (-iou_box(pred, d.bbox), -d.confidence,
+                                          d.bbox[0], d.bbox[1]), default=None)
                 if best is not None:
                     entries[f] = TrajectoryEntry(f, best.bbox, SOURCE_DETECTION)
-                    pool.remove(best)
+                    cands.remove(best)  # an equal detection before it would have won
                     prev, last = last, (f, best.bbox)
                     misses = 0
                 else:
@@ -144,11 +145,10 @@ def annotated_frames(hyps: list[TrajectoryHypothesis], seq: VideoSequence,
     """Frames covered by hypotheses, and the region labeling they induce.
 
     A region in a covered frame takes the class of the hypothesis box that
-    contains at least a ``rho`` fraction of the region's bbox area (ties go
-    to the hypothesis with the higher seed confidence, then the smaller
-    class id). Unmatched regions in covered frames are labeled background 0.
-    Regions without a bbox in a covered frame are skipped with a warning and
-    stay unlabeled.
+    ranks first by (the fraction of the region's bbox area inside the box,
+    seed confidence, smaller class id) if that fraction is at least ``rho``,
+    and background 0 otherwise. Regions without a bbox in a covered frame
+    are skipped with a warning and stay unlabeled.
 
     ValueError: ``rho`` outside (0, 1].
     """
@@ -169,14 +169,10 @@ def annotated_frames(hyps: list[TrajectoryHypothesis], seq: VideoSequence,
                         "left unlabeled", r.region_id)
             continue
         area = r.bbox[2] * r.bbox[3]
-        best = None  # (fraction, seed_confidence, -class_id)
-        best_cls = 0
-        for h, e in by_frame[r.frame]:
-            frac = _intersection_area(r.bbox, e.bbox) / area
-            key = (frac, h.seed_confidence, -h.class_id)
-            if best is None or key > best:
-                best, best_cls = key, h.class_id
-        labels[r.region_id] = best_cls if best is not None and best[0] >= rho else 0
+        frac, _, neg_class = max((_intersection_area(r.bbox, e.bbox) / area,
+                                  h.seed_confidence, -h.class_id)
+                                 for h, e in by_frame[r.frame])
+        labels[r.region_id] = -neg_class if frac >= rho else 0
     return frames, labels
 
 
@@ -209,8 +205,10 @@ def load_hypotheses(path) -> list[TrajectoryHypothesis]:
             if source not in (SOURCE_DETECTION, SOURCE_TRACKER):
                 raise IngestError(f"{where}: missing or invalid field (source must be "
                                   f"{SOURCE_DETECTION!r} or {SOURCE_TRACKER!r}, got {source!r})")
-            entries.append(TrajectoryEntry(*_ints(where, e, "frame"),
-                                           tuple(_floats(where, "bbox", e.get("bbox"), 4)),
-                                           source))
+            [frame] = _ints(where, e, "frame")
+            bbox = tuple(_floats(where, "bbox", e.get("bbox"), 4))
+            if bbox[2] <= 0 or bbox[3] <= 0:
+                raise IngestError(f"{where}: hypothesis entry bbox extents must be positive")
+            entries.append(TrajectoryEntry(frame, bbox, source))
         out.append(TrajectoryHypothesis(class_id, entries, seed_confidence))
     return out

@@ -22,10 +22,12 @@ and writes one cell each. ``loop_train_unary`` is the per-example SGD loop
 that ``crf.train_unary`` replays in chunks, ``list_dinic`` is the max-flow
 that ``maxflow.MaxFlowGraph`` runs over arrays, and ``loop_knn_edges`` is
 the per-row k-NN selection that ``graph.build_knn_graph`` runs over row
-blocks; tests hold the library to their bits. ``normalized_operator``
-builds the graph operator of a given affinity matrix. ``class_loop_iou``
-scans every id once per class, where ``evaluation.iou_per_class`` makes one
-pass.
+blocks; tests hold the library to their bits. ``pool_associate_trajectories``
+rescans one list of all unconsumed detections at every visited frame, where
+``tracking.associate_trajectories`` reads a per-(frame, class) index; tests
+hold it to equal hypotheses. ``normalized_operator`` builds the graph
+operator of a given affinity matrix. ``class_loop_iou`` scans every id once
+per class, where ``evaluation.iou_per_class`` makes one pass.
 
 ``tiled_sequence`` generates the benchmark's inputs: the ambiguity scenario
 repeated in time with clutter. ``dumps_rows`` is the line
@@ -46,6 +48,8 @@ from ctxseg.graph import _assemble
 from ctxseg.maxflow import EPS
 from ctxseg.propagation import LinkScoreMatrix
 from ctxseg.regions import Region, SparseMatrix, VideoSequence
+from ctxseg.tracking import (SOURCE_DETECTION, SOURCE_TRACKER, TrajectoryEntry,
+                             TrajectoryHypothesis, _predict, iou_box)
 
 
 def terms_from_tables(edges, tables):
@@ -352,6 +356,50 @@ def list_dinic(n, tails, heads, caps, s, t):
     g = ListDinic(n, tails, heads, caps)
     flow = g.max_flow(s, t)
     return flow, g.cap, g.source_side(s)
+
+
+def pool_associate_trajectories(dets, frame_count, iou_threshold=0.5, min_instances=3,
+                                max_miss=5):
+    """Reference ``tracking.associate_trajectories``: the unconsumed detections
+    are one rank-ordered pool, scanned whole at every visited frame; a seed
+    leaves it by ``pop(0)`` and an absorbed detection by ``remove``."""
+    pool = sorted(dets, key=lambda d: (-d.confidence, d.frame, d.bbox[0], d.bbox[1],
+                                       d.class_id))
+    retained = []
+    while len(pool) >= min_instances:
+        seed = pool.pop(0)
+        entries = {seed.frame: TrajectoryEntry(seed.frame, seed.bbox, SOURCE_DETECTION)}
+        for direction in (1, -1):
+            prev, last = None, (seed.frame, seed.bbox)
+            misses = 0
+            f = seed.frame + direction
+            while 0 <= f < frame_count and misses < max_miss:
+                pred = _predict(prev, last, f)
+                best = None
+                best_key = None
+                for d in pool:
+                    if d.frame != f or d.class_id != seed.class_id:
+                        continue
+                    ov = iou_box(pred, d.bbox)
+                    if ov <= iou_threshold:
+                        continue
+                    key = (-ov, -d.confidence, d.bbox[0], d.bbox[1])
+                    if best_key is None or key < best_key:
+                        best, best_key = d, key
+                if best is not None:
+                    entries[f] = TrajectoryEntry(f, best.bbox, SOURCE_DETECTION)
+                    pool.remove(best)
+                    prev, last = last, (f, best.bbox)
+                    misses = 0
+                else:
+                    entries[f] = TrajectoryEntry(f, pred, SOURCE_TRACKER)
+                    misses += 1
+                f += direction
+        hyp = TrajectoryHypothesis(seed.class_id, [entries[f] for f in sorted(entries)],
+                                   seed.confidence)
+        if hyp.instance_count >= min_instances:
+            retained.append(hyp)
+    return retained
 
 
 def tiled_sequence(seed, repeats, background, drop=()):

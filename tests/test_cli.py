@@ -196,6 +196,10 @@ MALFORMED_STAGE_FILES = [
         {"frame": 1.5, "bbox": [0, 0, 5, 5], "source": "det"}]),
                  "missing or invalid field (frame must be an integer, got 1.5)",
                  id="hypotheses-fractional-frame"),
+    pytest.param("hypotheses", dict(GOOD_HYPOTHESIS, entries=[
+        {"frame": 0, "bbox": [0, 0, -5, 5], "source": "det"}]),
+                 "hypothesis entry bbox extents must be positive",
+                 id="hypotheses-negative-bbox-width"),
     pytest.param("regions", dict(GOOD_REGION, id=1.9, frame=0.5),
                  "missing or invalid field (id must be an integer, got 1.9)",
                  id="regions-fractional-id"),
@@ -243,6 +247,8 @@ MALFORMED_STAGE_FILES = [
                  "region 1: bbox extents must be positive", id="regions-zero-bbox-width"),
     pytest.param("regions", dict(GOOD_REGION, id=1, bbox=[0, 0, 5, 0]),
                  "region 1: bbox extents must be positive", id="regions-zero-bbox-height"),
+    pytest.param("regions", dict(GOOD_REGION, id=1, bbox=[0, 0, 1e-200, 1e-200]),
+                 "region 1: bbox area must be positive", id="regions-bbox-area-underflow"),
     pytest.param("regions", GOOD_REGION, "duplicate region id 0", id="regions-repeated-id"),
     pytest.param("detections", dict(GOOD_DETECTION, confidence=1.5),
                  "detection confidence 1.5 not in [0,1]", id="detections-confidence-range"),

@@ -94,6 +94,17 @@ def test_nonpositive_area_rejected(tmp_path):
         load_sequence(p)
 
 
+def test_bbox_area_underflow_rejected_with_location(tmp_path):
+    # each extent is positive, but w * h rounds to 0.0
+    tiny = region_rec(1, bbox=[0, 0, 1e-200, 1e-200])
+    p = write_jsonl(tmp_path / "r.jsonl", [region_rec(0, bbox=[0, 0, 4, 4]), tiny])
+    with pytest.raises(IngestError, match=r"r\.jsonl:2: region 1: bbox area must be positive$"):
+        load_sequence(p)
+    feature = np.array([1.0, 0.0])
+    with pytest.raises(IngestError, match="^region 1: bbox area must be positive$"):
+        VideoSequence([Region(1, 0, feature, 10, (0.0, 0.0, 1e-200, 1e-200))], [])
+
+
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 

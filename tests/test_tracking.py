@@ -1,5 +1,8 @@
+import time
+
 import numpy as np
 import pytest
+from problem_gen import pool_associate_trajectories
 
 from ctxseg.regions import Detection, Region, VideoSequence
 from ctxseg.tracking import (SOURCE_DETECTION, SOURCE_TRACKER, TrajectoryEntry,
@@ -136,6 +139,46 @@ class TestAssociate:
         dets = chain_dets(1, [0, 1, 2], [0.9, 0.8, 0.7])
         with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
             associate_trajectories(dets, 3, **{name: value})
+
+
+def tied_dets(rng, frames, classes=3, count=40):
+    """Detections on a coarse grid, so rank keys, IoUs and candidate keys tie,
+    with some repeated as equal but distinct objects."""
+    dets = [Detection(int(rng.integers(frames)),
+                      (float(rng.integers(4)), float(rng.integers(3)),
+                       float(rng.choice([4.0, 5.0])), float(rng.choice([4.0, 5.0]))),
+                      int(rng.integers(classes)), float(rng.choice([0.5, 0.7, 0.9])))
+            for _ in range(count)]
+    dets += [Detection(d.frame, d.bbox, d.class_id, d.confidence)
+             for d in dets if rng.random() < 0.3]
+    return [dets[i] for i in rng.permutation(len(dets))]
+
+
+class TestAssociateMatchesPoolScan:
+    @pytest.mark.parametrize("iou_threshold", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_pool_scan_oracle(self, seed, iou_threshold):
+        rng = np.random.default_rng([seed, int(iou_threshold * 10)])
+        for _ in range(25):
+            frames = int(rng.integers(1, 12))
+            dets = tied_dets(rng, frames)
+            settings = dict(iou_threshold=iou_threshold,
+                            min_instances=int(rng.integers(1, 5)),
+                            max_miss=int(rng.integers(1, 5)))
+            assert (associate_trajectories(dets, frames, **settings)
+                    == pool_associate_trajectories(dets, frames, **settings))
+
+    def test_long_video_is_linear_in_frames(self):
+        frames = 6000
+        rng = np.random.default_rng(0)
+        dets = [Detection(f, (x, 0.0, 10.0, 10.0), 1, float(rng.uniform(0.5, 1.0)))
+                for f in range(frames) for x in (0.0, 100.0)]
+        start = time.perf_counter()
+        hyps = associate_trajectories(dets, frames)
+        elapsed = time.perf_counter() - start
+        assert sorted(h.entries[0].bbox[0] for h in hyps) == [0.0, 100.0]
+        assert all(h.instance_count == frames for h in hyps)
+        assert elapsed < 1.0
 
 
 def region(rid, frame, bbox, area=100):
