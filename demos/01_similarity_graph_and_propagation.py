@@ -24,7 +24,7 @@ features = np.array([
 ])
 features /= np.linalg.norm(features, axis=1, keepdims=True)
 regions = [Region(i, 0, f, area=100) for i, f in enumerate(features)]
-seq = VideoSequence(regions, [], frame_count=1)
+seq = VideoSequence(regions, [])
 
 graph = build_knn_graph(seq, k=2)
 print("affinity matrix W:")

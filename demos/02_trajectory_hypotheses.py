@@ -49,7 +49,7 @@ regions = [
     Region(2, 3, np.array([1.0, 0.0]), 900, (100.0, 200.0, 30.0, 30.0)),
     Region(3, 9, np.array([0.0, 1.0]), 900, (0.0, 0.0, 30.0, 30.0)),
 ]
-seq = VideoSequence(regions, detections, frame_count=10)
+seq = VideoSequence(regions, detections)
 frames, labels = annotated_frames(hypotheses, seq)
 print(f"\nannotated frames: {sorted(frames)}")
 print(f"region labels (regions 2 and 3 overlap no hypothesis box, so they "

@@ -50,20 +50,20 @@ def extract_exemplars(labels: Mapping[int, int], frames: AbstractSet[int],
     return out
 
 
-def build_observed_links(ex: Sequence[Exemplar], n: int,
-                         num_classes: int) -> dict[tuple[int, int], SparseMatrix]:
+def build_observed_links(ex: Sequence[Exemplar], n: int) -> dict[tuple[int, int], SparseMatrix]:
     """One binary link matrix per ordered class pair that has exemplars.
 
     Entry (i, j) is 1 when the exemplar set contains (v_i, v_j, c_m, c_n);
     repeated exemplars collapse to a single entry. Class pairs without
-    exemplars are absent (implicit zero matrices).
+    exemplars are absent (implicit zero matrices). Class ids are the caller's.
+    ValueError: a vertex outside [0, n), a negative class, or i == j.
     """
     cells: dict[tuple[int, int], set[tuple[int, int]]] = {}
     for i, j, m, n_cls in ex:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"exemplar vertex ({i}, {j}) out of range for n={n}")
-        if not (0 <= m < num_classes and 0 <= n_cls < num_classes):
-            raise ValueError(f"exemplar classes ({m}, {n_cls}) out of range")
+        if m < 0 or n_cls < 0:
+            raise ValueError(f"exemplar classes ({m}, {n_cls}) must be >= 0")
         if i == j:
             raise ValueError("exemplar must pair two distinct regions")
         cells.setdefault((m, n_cls), set()).add((i, j))

@@ -76,12 +76,12 @@ def tracks_stage(seq: VideoSequence) -> list[tracking.TrajectoryHypothesis]:
 def links_stage(seq: VideoSequence, frames: frozenset[int],
                 labels: dict[int, int]) -> dict[tuple[int, int], SparseMatrix]:
     exemplars = ctx.extract_exemplars(labels, frames, seq)
-    return ctx.build_observed_links(exemplars, seq.n, crf_label_space(labels, {}))
+    return ctx.build_observed_links(exemplars, seq.n)
 
 
 def crf_label_space(labels: dict[int, int], scores) -> int:
-    """The bound of the caller's class ids: one more than the largest class
-    that a label or a scored class pair names, 1 if none does."""
+    """One more than the largest class a label or a scored class pair names, 1
+    if none does; only the benchmark's check of a run's result calls it."""
     classes = set(labels.values()) | {c for pair in scores for c in pair}
     return max(classes, default=0) + 1
 

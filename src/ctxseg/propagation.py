@@ -102,8 +102,10 @@ def predict_all_links(observed: dict[tuple[int, int], SparseMatrix],
     The resolvent is computed once and shared by every pair and pass. Scores
     below ``prune_eps`` are dropped from storage after each pass.
 
-    ValueError: ``prune_eps`` not in [0, inf).
+    ValueError: ``mu`` not in (0, 1), or ``prune_eps`` not in [0, inf).
     """
+    if not (0.0 < mu < 1.0):  # refused even when no pair has a link
+        raise ValueError(f"mu must lie in (0, 1), got {mu}")
     if not 0.0 <= prune_eps < np.inf:
         raise ValueError("prune_eps must be >= 0 and finite")
     pairs = [(p, M) for p, M in sorted(observed.items()) if M.nnz > 0]

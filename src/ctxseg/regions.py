@@ -76,8 +76,8 @@ def _check_region(r: Region, seen: set[int], dim: int, at: str = "") -> None:
     if r.bbox is not None and not r.bbox[2] * r.bbox[3] > 0:  # w * h may underflow
         raise IngestError(f"{at}region {r.region_id}: bbox area must be positive")
     if r.feature.shape != (dim,):
-        raise IngestError(f"{at}region {r.region_id}: feature dimension "
-                          f"{r.feature.shape[0]} != {dim}")
+        got = r.feature.shape[0] if r.feature.ndim == 1 else r.feature.shape
+        raise IngestError(f"{at}region {r.region_id}: feature dimension {got} != {dim}")
 
 
 def _check_detection(d: Detection, at: str = "") -> None:
@@ -94,26 +94,21 @@ class VideoSequence:
     """Immutable, validated container for one video's regions and detections.
 
     Regions are ordered by ascending ``region_id``; the position of a region
-    in that order is its vertex index for every matrix built downstream.
+    in that order is its vertex index for every matrix built downstream. It
+    spans frame 0 to the last frame a region or detection names (``frame_count``).
     """
 
-    def __init__(self, regions: Sequence[Region], detections: Sequence[Detection],
-                 frame_count: Optional[int] = None):
+    def __init__(self, regions: Sequence[Region], detections: Sequence[Detection]):
         regions = sorted(regions, key=lambda r: r.region_id)
         seen: set[int] = set()
-        dim = regions[0].feature.shape[0] if regions else 0
+        dim = regions[0].feature.size if regions else 0
         for r in regions:
             _check_region(r, seen, dim)
 
         frames = [r.frame for r in regions] + [d.frame for d in detections]
-        max_frame = max(frames, default=-1)
-        if frame_count is None:
-            frame_count = max_frame + 1
-        if frame_count <= 0:
+        self.frame_count = max(frames, default=-1) + 1
+        if self.frame_count <= 0:
             raise IngestError("sequence must span at least one frame")
-        if max_frame >= frame_count:
-            raise IngestError(
-                f"frame index {max_frame} out of range for frame_count {frame_count}")
         if min(frames, default=0) < 0:
             raise IngestError("negative frame index")
 
@@ -122,7 +117,6 @@ class VideoSequence:
 
         self.regions: list[Region] = list(regions)
         self.detections: list[Detection] = list(detections)
-        self.frame_count = frame_count
         self._index = {r.region_id: i for i, r in enumerate(self.regions)}
 
     @property

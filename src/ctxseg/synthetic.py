@@ -49,7 +49,7 @@ class ScriptedObject:
 @dataclass
 class SynthSpec:
     seed: int
-    frame_count: int
+    frame_count: int                        # the timeline; trailing empty frames are dropped
     feature_dim: int
     class_means: np.ndarray                 # (L, d) unit rows; row 0 = background
     sigma: float
@@ -132,8 +132,7 @@ def generate(spec: SynthSpec) -> tuple[VideoSequence, dict[int, int]]:
             gt[rid] = 0
             rid += 1
 
-    seq = VideoSequence(regions, detections, frame_count=spec.frame_count)
-    return seq, gt
+    return VideoSequence(regions, detections), gt
 
 
 AMBIGUITY_MU = 0.5  # propagation range calibrated for the toy graph size

@@ -192,7 +192,7 @@ def random_signed_problem(rng, max_n=8, max_classes=4, density=0.5):
 def unary_sequence(X):
     """``VideoSequence`` whose region i (frame 0) has feature row i of X."""
     return VideoSequence([Region(i, 0, np.array(row, dtype=float), 1)
-                          for i, row in enumerate(X)], [], frame_count=1)
+                          for i, row in enumerate(X)], [])
 
 
 def random_unary_data(rng, n, d, num_classes, spread=1.0):

@@ -183,7 +183,7 @@ def test_criterion_6_trajectory_semantics():
     # strict confidence gate: 0.5 does not exceed 0.5
     regions = [Region(0, 0, np.array([1.0, 0.0]), 10)]
     dets = [Detection(0, (0, 0, 10, 10), 1, c) for c in (0.4, 0.5, 0.9)]
-    seq = VideoSequence(regions, dets, frame_count=1)
+    seq = VideoSequence(regions, dets)
     from ctxseg.regions import filter_detections
     assert [d.confidence for d in filter_detections(seq, 0.5)] == [0.9]
 
@@ -263,7 +263,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
 def test_criterion_9_iou_metric_examples():
     regions = [Region(i, 0, np.array([1.0, 0.0]), a)
                for i, a in enumerate([10, 10, 20])]
-    seq = VideoSequence(regions, [], frame_count=1)
+    seq = VideoSequence(regions, [])
     identical = iou_per_class({0: 1, 1: 1, 2: 0}, {0: 1, 1: 1, 2: 0}, seq)
     assert identical.per_class_iou[1] == 1.0 and identical.mean_iou == 1.0
     disjoint = iou_per_class({0: 1, 1: 0, 2: 0}, {0: 0, 1: 1, 2: 0}, seq)

@@ -11,7 +11,7 @@ import pytest
 from problem_gen import tiled_sequence
 
 import ctxseg
-from ctxseg import cli, graph, pipeline, propagation, regions
+from ctxseg import cli, graph, pipeline, propagation, regions, synthetic, tracking
 from ctxseg.cli import main
 from ctxseg.pipeline import PipelineConfig
 
@@ -463,37 +463,51 @@ def test_chained_stages_reproduce_pipeline_byte_for_byte(dataset, tmp_path):
         assert read(pipe / name) == read(d / name), name
 
 
-def scaled(seq, factors):
-    """``seq`` with region i's feature times ``factors[i]``."""
+def tiled(drop, factors):
+    """``tiled_sequence(7, 1, 2, drop)`` with region i's feature times ``factors(n)[i]``."""
+    seq, _ = tiled_sequence(7, 1, 2, drop)
     regions_ = [dataclasses.replace(r, feature=r.feature * f)
-                for r, f in zip(seq.regions, factors)]
-    return regions.VideoSequence(regions_, seq.detections, seq.frame_count)
+                for r, f in zip(seq.regions, factors(seq.n))]
+    return regions.VideoSequence(regions_, seq.detections)
 
 
-# (name, classes dropped from ambiguity_scenario(7), feature scale per region)
+def trailing_empty_frames():
+    """``ambiguity_scenario(7)`` cut to one detected class-1 object over frames
+    0-20 of a 25-frame timeline, with no clutter: frames 21-24 hold nothing."""
+    base = synthetic.ambiguity_scenario(7)
+    obj = dataclasses.replace(base.objects[0], end_frame=20)
+    seq, _ = synthetic.generate(dataclasses.replace(
+        base, frame_count=25, objects=[obj], background_regions_per_frame=0))
+    return seq
+
+
+# (name, sequence maker): classes dropped from ambiguity_scenario(7), feature
+# scales per region, and a timeline that ends in empty frames
 DIFFERENTIAL_INPUTS = [
-    ("default", (), lambda n: np.ones(n)),
-    ("x3", (), lambda n: np.full(n, 3.0)),
-    ("x0.5", (), lambda n: np.full(n, 0.5)),
-    ("per-region", (), lambda n: np.random.default_rng(5).uniform(0.1, 10.0, n)),
-    ("no-1", (1,), lambda n: np.ones(n)),
-    ("no-2", (2,), lambda n: np.ones(n)),
-    ("no-1-3", (1, 3), lambda n: np.ones(n)),
-    ("only-3", (1, 2), lambda n: np.ones(n)),
+    ("default", lambda: tiled((), np.ones)),
+    ("x3", lambda: tiled((), lambda n: np.full(n, 3.0))),
+    ("x0.5", lambda: tiled((), lambda n: np.full(n, 0.5))),
+    ("per-region", lambda: tiled((), lambda n: np.random.default_rng(5).uniform(0.1, 10.0, n))),
+    ("no-1", lambda: tiled((1,), np.ones)),
+    ("no-2", lambda: tiled((2,), np.ones)),
+    ("no-1-3", lambda: tiled((1, 3), np.ones)),
+    ("only-3", lambda: tiled((1, 2), np.ones)),
+    ("trailing-empty-frames", trailing_empty_frames),
 ]
 
 
-@pytest.mark.parametrize("drop, factors", [case[1:] for case in DIFFERENTIAL_INPUTS],
+@pytest.mark.parametrize("make_seq", [case[1] for case in DIFFERENTIAL_INPUTS],
                          ids=[case[0] for case in DIFFERENTIAL_INPUTS])
-def test_pipeline_in_memory_equals_cli_on_saved_files(tmp_path, monkeypatch, drop, factors):
+def test_pipeline_in_memory_equals_cli_on_saved_files(tmp_path, monkeypatch, make_seq):
     """``run_pipeline`` on a sequence and ``ctxseg pipeline`` on its saved
-    files give the same labeling bytes and energy bits, whatever length the
-    features have and whichever class ids the labels skip."""
-    seq, _ = tiled_sequence(7, 1, 2, drop)
-    seq = scaled(seq, factors(seq.n))
+    files give the same hypotheses and labeling bytes and energy bits, whatever
+    length the features have, whichever class ids the labels skip, and whether
+    or not the generator's timeline ends in empty frames."""
+    seq = make_seq()
     cfg = PipelineConfig(mu=0.5, seed=7)
     memory = pipeline.run_pipeline(seq, cfg)
     regions.save_labeling(memory.prediction, tmp_path / "memory.jsonl")
+    tracking.dump_hypotheses(memory.hypotheses, tmp_path / "memory-hypotheses.jsonl")
 
     regions.save_sequence(seq, tmp_path / "regions.jsonl", tmp_path / "detections.jsonl")
     infer_stage, runs = pipeline.infer_stage, []
@@ -502,6 +516,8 @@ def test_pipeline_in_memory_equals_cli_on_saved_files(tmp_path, monkeypatch, dro
     assert run(["pipeline", "--regions", str(tmp_path / "regions.jsonl"),
                 "--detections", str(tmp_path / "detections.jsonl"),
                 "--out", str(tmp_path / "cli"), "--mu", "0.5", "--seed", "7"]) == 0
+    assert (read(tmp_path / "cli" / "hypotheses.jsonl")
+            == read(tmp_path / "memory-hypotheses.jsonl"))
     assert read(tmp_path / "cli" / "labeling.jsonl") == read(tmp_path / "memory.jsonl")
     [(_, labeling)] = runs
     assert float(labeling.energy).hex() == float(memory.labeling.energy).hex()

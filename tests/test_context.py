@@ -13,7 +13,7 @@ def make_seq(frame_of):
     """Sequence with one region per id, frames as given."""
     regions = [Region(rid, f, np.array([1.0, 0.0]), 10, (0, 0, 5, 5))
                for rid, f in frame_of.items()]
-    return VideoSequence(regions, [], frame_count=max(frame_of.values()) + 1)
+    return VideoSequence(regions, [])
 
 
 class TestExtractExemplars:
@@ -89,24 +89,32 @@ class TestObservedLinks:
     def test_entries_and_cross_pair_symmetry(self):
         seq = make_seq({2: 0, 5: 0})
         ex = extract_exemplars({2: 1, 5: 2}, {0}, seq)
-        links = build_observed_links(ex, n=6, num_classes=3)
+        links = build_observed_links(ex, n=6)
         i, j = seq.index_of(2), seq.index_of(5)
         assert links[(1, 2)].toarray()[i, j] == 1.0
         assert links[(2, 1)].toarray()[j, i] == 1.0
         assert links[(1, 2)].nnz == links[(2, 1)].nnz == 1
 
     def test_empty_exemplars(self):
-        assert build_observed_links([], 4, 3) == {}
+        assert build_observed_links([], 4) == {}
 
     def test_duplicate_exemplars_idempotent(self):
         ex = [(0, 1, 1, 2), (0, 1, 1, 2)]
-        links = build_observed_links(ex, 3, 3)
+        links = build_observed_links(ex, 3)
         assert links[(1, 2)].toarray()[0, 1] == 1.0
         assert links[(1, 2)].nnz == 1
 
     def test_out_of_range_vertex(self):
         with pytest.raises(ValueError):
-            build_observed_links([(0, 9, 1, 2)], 3, 3)
+            build_observed_links([(0, 9, 1, 2)], 3)
+
+    @pytest.mark.parametrize("exemplar", [(0, 1, -1, 2), (0, 1, 1, -2)])
+    def test_negative_class(self, exemplar):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            build_observed_links([exemplar], 3)
+
+    def test_class_ids_have_no_upper_bound(self):
+        assert list(build_observed_links([(0, 1, 7, 40)], 3)) == [(7, 40)]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_pairwise_nnz_balance_and_frame_membership(self, seed):
@@ -117,7 +125,7 @@ class TestObservedLinks:
         labels = {rid: int(rng.integers(0, 3)) for rid in frame_of
                   if frame_of[rid] in annotated}
         ex = extract_exemplars(labels, annotated, seq)
-        links = build_observed_links(ex, seq.n, 3)
+        links = build_observed_links(ex, seq.n)
         ann_vertices = {seq.index_of(r) for r in labels}
         for (m, n), mat in links.items():
             assert links[(n, m)].nnz == mat.nnz
@@ -130,7 +138,7 @@ class TestObservedLinks:
 def test_links_dump_roundtrip(tmp_path):
     seq = make_seq({0: 0, 1: 0, 2: 0})
     ex = extract_exemplars({0: 1, 1: 2, 2: 0}, {0}, seq)
-    links = build_observed_links(ex, 3, 3)
+    links = build_observed_links(ex, 3)
     path = tmp_path / "links.jsonl"
     dump_links(links, path)
     loaded = load_links(path, 3)

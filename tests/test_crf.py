@@ -26,7 +26,7 @@ def seq_with_features(F, frames=None):
     frames = frames or [0] * len(F)
     regions = [Region(i, frames[i], np.asarray(f, dtype=float), 1)
                for i, f in enumerate(F)]
-    return VideoSequence(regions, [], frame_count=max(frames) + 1)
+    return VideoSequence(regions, [])
 
 
 def scores_from_entries(entries, n, converged=True):

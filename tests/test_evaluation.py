@@ -9,7 +9,7 @@ from ctxseg.regions import Region, VideoSequence
 def seq_with_areas(areas):
     regions = [Region(i, 0, np.array([1.0, 0.0]), a, None)
                for i, a in enumerate(areas)]
-    return VideoSequence(regions, [], frame_count=1)
+    return VideoSequence(regions, [])
 
 
 def test_perfect_prediction_scores_one():

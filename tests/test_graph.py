@@ -12,7 +12,7 @@ from problem_gen import loop_knn_edges, normalized_operator
 
 def seq_from_features(F):
     regions = [Region(i, 0, np.asarray(f, dtype=float), 1) for i, f in enumerate(F)]
-    return VideoSequence(regions, [], frame_count=1)
+    return VideoSequence(regions, [])
 
 
 def dense_reference(F, k):

@@ -92,6 +92,7 @@ SETTING_CALLS = {
         s.labels, s.frames, s.seq, temporal_window=v),
     "p_floor": lambda s, v: crf.unary_potentials(s.model, s.seq, p_floor=v),
     "prune_eps": lambda s, v: propagation.predict_all_links(s.links, s.op, 0.5, prune_eps=v),
+    "mu": lambda s, v: propagation.predict_all_links({}, s.op, v),  # no link to propagate
     "max_sweeps": lambda s, v: crf.infer(s.problem, max_sweeps=v),
 }
 
@@ -109,6 +110,8 @@ OUT_OF_RANGE = [
     ("prune_eps", INF, "prune_eps must be >= 0"),
     ("prune_eps", NAN, "prune_eps must be >= 0"),
     ("prune_eps", -1e-8, "prune_eps must be >= 0"),
+    ("mu", 1.5, "mu must lie in (0, 1), got 1.5"),
+    ("mu", NAN, "mu must lie in (0, 1), got nan"),
     ("max_sweeps", 0, "max_sweeps must be >= 1"),
     ("max_sweeps", -3, "max_sweeps must be >= 1"),
 ]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,10 +76,23 @@ def test_feature_dimension_mismatch(tmp_path):
         load_sequence(p)
 
 
-def test_frame_beyond_declared_count(tmp_path):
-    p = write_jsonl(tmp_path / "r.jsonl", [region_rec(0, frame=5)])
-    with pytest.raises(IngestError, match="frame"):
-        VideoSequence(load_sequence(p).regions, [], frame_count=5)
+@pytest.mark.parametrize("features, message", [
+    ([np.ones(2), np.ones(3)], "region 1: feature dimension 3 != 2"),
+    ([np.array(1.0)], "region 0: feature dimension () != 1"),
+    ([np.ones(2), np.array(1.0)], "region 1: feature dimension () != 2"),
+], ids=["longer", "0-d-first", "0-d-second"])
+def test_in_memory_feature_dimension_rejected(features, message):
+    # a 0-d feature has no shape[0]; it is refused, not an IndexError
+    regions = [Region(i, 0, f, 10) for i, f in enumerate(features)]
+    with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
+        VideoSequence(regions, [])
+
+
+def test_frame_count_spans_last_region_or_detection_frame():
+    regions = [Region(0, 2, np.ones(2), 10)]
+    assert VideoSequence(regions, []).frame_count == 3
+    det = Detection(6, (0.0, 0.0, 10.0, 10.0), 1, 0.9)
+    assert VideoSequence(regions, [det]).frame_count == 7
 
 
 def test_negative_detection_class_rejected(tmp_path):

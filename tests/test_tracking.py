@@ -192,32 +192,32 @@ def hyp(cls, frame_boxes, conf=0.9):
 
 class TestAnnotatedFrames:
     def test_contained_region_takes_class(self):
-        seq = VideoSequence([region(0, 0, (2, 2, 4, 4))], [], frame_count=2)
+        seq = VideoSequence([region(0, 0, (2, 2, 4, 4))], [])
         frames, labels = annotated_frames([hyp(3, [(0, (0, 0, 10, 10))])], seq)
         assert frames == frozenset({0})
         assert labels == {0: 3}
 
     def test_unmatched_region_becomes_background(self):
-        seq = VideoSequence([region(0, 0, (50, 50, 4, 4))], [], frame_count=1)
+        seq = VideoSequence([region(0, 0, (50, 50, 4, 4))], [])
         _, labels = annotated_frames([hyp(3, [(0, (0, 0, 10, 10))])], seq)
         assert labels == {0: 0}
 
     def test_region_outside_annotated_frames_unlabeled(self):
-        seq = VideoSequence([region(0, 1, (0, 0, 4, 4))], [], frame_count=2)
+        seq = VideoSequence([region(0, 1, (0, 0, 4, 4))], [])
         frames, labels = annotated_frames([hyp(3, [(0, (0, 0, 10, 10))])], seq)
         assert 1 not in frames
         assert labels == {}
 
     def test_region_without_bbox_warns_and_skips(self, caplog):
         r = Region(0, 0, np.array([1.0, 0.0]), 10, None)
-        seq = VideoSequence([r], [], frame_count=1)
+        seq = VideoSequence([r], [])
         with caplog.at_level("WARNING"):
             _, labels = annotated_frames([hyp(1, [(0, (0, 0, 10, 10))])], seq)
         assert labels == {}
         assert any("no bbox" in m for m in caplog.messages)
 
     def test_tie_goes_to_higher_seed_confidence_then_smaller_class(self):
-        seq = VideoSequence([region(0, 0, (0, 0, 4, 4))], [], frame_count=1)
+        seq = VideoSequence([region(0, 0, (0, 0, 4, 4))], [])
         box = (0, 0, 10, 10)
         _, labels = annotated_frames(
             [hyp(5, [(0, box)], conf=0.7), hyp(2, [(0, box)], conf=0.9)], seq)
@@ -228,7 +228,7 @@ class TestAnnotatedFrames:
 
     def test_fraction_threshold_rho(self):
         # 40% of the region bbox inside the hypothesis box
-        seq = VideoSequence([region(0, 0, (0, 0, 10, 10))], [], frame_count=1)
+        seq = VideoSequence([region(0, 0, (0, 0, 10, 10))], [])
         h = [hyp(1, [(0, (0, 0, 10, 4))])]
         _, labels = annotated_frames(h, seq, rho=0.5)
         assert labels == {0: 0}
