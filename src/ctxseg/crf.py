@@ -1,7 +1,7 @@
 """Gibbs-energy assembly over regions and fusion-move minimization.
 
-Unary costs are negative log-probabilities from a linear one-vs-rest
-max-margin classifier trained on the annotated regions. Pairwise costs come
+Unary costs are negative log-probabilities from a multinomial logistic
+model fitted to the annotated regions by Newton's method. Pairwise costs come
 from predicted link scores: a pair of regions assigned classes (m, n) costs
 
     lambda_pair * (exp(-S(i, m, j, n)^2 / (2 beta)) - 1)
@@ -48,15 +48,15 @@ from .regions import VideoSequence
 log = logging.getLogger(__name__)
 
 BRUTE_FORCE_LIMIT = 10 ** 7
-# train_unary's chunk of K steps: K starts at _CHUNK_MIN and grows up to
-# _CHUNK_CELLS / d (4096 steps at d = 16, 512 KB of the buffer rows)
-_CHUNK_MIN = 32
-_CHUNK_CELLS = 1 << 16
+# train_unary stops at this gradient max-norm, or warns after this many steps; at
+# lambda_reg 1e-4 a step from a gradient below 5e-11 gains less than rounding
+_GRAD_TOL = 1e-10
+_MAX_STEPS = 50
 
 
 @dataclass
 class UnaryModel:
-    """One linear scorer per class; probabilities via softmax over margins."""
+    """One linear scorer per class; probabilities are the softmax of the scores."""
 
     weights: np.ndarray  # (L, d)
     biases: np.ndarray   # (L,)
@@ -71,43 +71,31 @@ class UnaryModel:
         return e / e.sum(axis=1, keepdims=True)
 
 
-def train_unary(labeled: Mapping[int, int], seq: VideoSequence, *, epochs: int = 100,
-                learning_rate: float = 0.5, lambda_reg: float = 1e-4,
-                seed: int = 0) -> UnaryModel:
-    """Train one-vs-rest hinge-loss linear classifiers by seeded SGD, one per
-    class 0..L-1 for L the largest label + 1.
+def train_unary(labeled: Mapping[int, int], seq: VideoSequence, *,
+                lambda_reg: float = 1e-4) -> UnaryModel:
+    """Fit a multinomial logistic model over classes 0..L-1, for L the largest
+    label + 1, by Newton's method; equal inputs give equal bits.
 
-    Per class c, each epoch visits the examples in ``rng.permutation`` order
-    (``rng = default_rng([seed, c])``) and step k, with
-    ``eta = lr / (1 + lr * lambda_reg * k)`` and ``decay = 1 - eta * lambda_reg``,
-    sets ``w = decay * w + eta * t * x`` and ``b += eta * t`` when the hinge is
-    violated (``t * (w @ x + b) < 1``), else only ``w = decay * w``.
+    It minimises the mean cross-entropy of the N labeled regions plus
+    ``lambda_reg / 2`` times the squared ``[W b]``, over the design ``Z = [X 1]``.
+    From zero it takes Newton steps (``H s = g``, s halved until the objective
+    does not rise) until the gradient max-norm is at most ``_GRAD_TOL``; the
+    step cap ``_MAX_STEPS`` warns. H is ``blockdiag_k(Z^T diag(P_k) Z) - U^T U``
+    over N plus ``lambda_reg I``, for the probabilities P and ``U[i, k (d+1)
+    + a] = P[i, k] Z[i, a]``: Z, P, U and H are the extra memory. The
+    products are ``np.einsum`` without ``optimize``, which calls no BLAS;
+    OpenBLAS threads the LAPACK solve from L (d+1) of about 100, so below
+    that the bits do not depend on the thread count.
 
-    Row 0 of an epoch's (N+1, d) buffer A holds the weights, row k+1 step
-    k's decay. In chunks of K steps, ``np.multiply.accumulate`` of A's rows
-    into T gives the weights before each step, rounded as step-by-step
-    decays are; the bias ``b`` is one float, changed only at violations. A
-    margin is ``np.vecdot`` of those weights with ``t x``, plus ``b t``: the
-    loop's dot ``w @ x`` (the same NumPy dot; ``t`` only flips signs), then
-    its add and sign, so the first margin below 1 is the loop's first
-    violation k. There ``A[k+1] = T[k+1] + eta t x``, ``b += eta t`` and the
-    next chunk starts; K doubles after a chunk without a violation and
-    halves after an early one. So every bit is the loop's. Extra memory is
-    O(N d): X, ``t x`` as given, permuted and times eta, A and T.
-
-    ValueError: a negative label, a class in [0, L) without examples,
-    epochs < 0, lr not in (0, inf), lambda_reg not in [0, inf). Equal seeds
-    give equal bits. Class c is seeded with its own id c, so a caller that
-    renumbers its classes (``pipeline.infer_stage``) trains each under its
-    new id.
+    ValueError: lambda_reg not in (0, inf) (at 0 the softmax's shift
+    invariance makes H singular), no labels, a negative label, a class in
+    [0, L) without examples.
     """
-    if not (epochs >= 0 and 0.0 < learning_rate < np.inf and 0.0 <= lambda_reg < np.inf):
-        raise ValueError("need epochs >= 0, learning_rate in (0, inf) and lambda_reg in "
-                         f"[0, inf); got {epochs=}, {learning_rate=}, {lambda_reg=}")
+    if not 0.0 < lambda_reg < np.inf:
+        raise ValueError(f"lambda_reg must lie in (0, inf), got {lambda_reg}")
     ids = sorted(labeled)
     if not ids:
         raise ValueError("no labeled regions to train on")
-    X = np.stack([seq.region(rid).feature for rid in ids])
     y = np.array([labeled[rid] for rid in ids])
     L = int(y.max()) + 1
     bad = np.flatnonzero(y < 0)
@@ -117,51 +105,43 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence, *, epochs: int =
     if missing.size:
         raise ValueError(f"classes without training examples: {missing.size}, "
                          f"the first {missing[:5].tolist()}")
-    if len(ids) > 1 and np.allclose(X, X[0]):
+    Z = np.column_stack([np.stack([seq.region(r).feature for r in ids]), np.ones(len(ids))])
+    if len(ids) > 1 and np.allclose(Z, Z[0]):
         log.warning("all training features are identical; unary model is degenerate")
+    (N, D), Y = Z.shape, np.eye(L)[y]
 
-    N, d = X.shape
-    lr, lam = learning_rate, lambda_reg
-    max_size = max(_CHUNK_MIN, _CHUNK_CELLS // d)
-    A, T = np.empty((2, N + 1, d))  # multipliers, trajectory
-    weights, biases = np.zeros((L, d)), np.zeros(L)
-    for c in range(L):
-        rng = np.random.default_rng([seed, c])
-        t = np.where(y == c, 1.0, -1.0)
-        signed = t[:, None] * X
-        A[N] = 0.0
-        b = 0.0  # a Python float: a NumPy scalar slows each violation
-        size = _CHUNK_MIN
-        for epoch in range(epochs):
-            order = rng.permutation(N)
-            V, Vt = signed[order], t[order]  # t x and t
-            # the per-step formula's operation order: lr * lam first, then times k
-            eta = lr / (1.0 + lr * lam * np.arange(epoch * N, (epoch + 1) * N, dtype=float))
-            U = eta[:, None] * V  # eta * (t x) is (eta t) x: t is +-1
-            A[0] = A[N]
-            A[1:] = (1.0 - eta * lam)[:, None]
-            s = 0
-            while s < N:
-                e = min(s + size, N)
-                np.multiply.accumulate(A[s:e + 1], axis=0, out=T[s:e + 1])
-                # t (w @ x + b), as w @ (t x) is w @ x with its sign flipped
-                margin = np.vecdot(T[s:e], V[s:e])
-                margin += b * Vt[s:e]
-                below = margin < 1.0
-                j = int(below.argmax())
-                if not below[j]:  # no violation in the chunk
-                    A[e] = T[e]
-                    size = min(2 * size, max_size)
-                    s = e
-                    continue
-                k = s + j
-                np.add(T[k + 1], U[k], out=A[k + 1])
-                b += float(eta[k]) * float(Vt[k])
-                if 2 * j < e - s:
-                    size = max(size // 2, _CHUNK_MIN)
-                s = k + 1
-        weights[c], biases[c] = A[N], b
-    return UnaryModel(weights, biases)
+    def objective(theta):  # and P at theta
+        S = np.einsum("ia,ka->ik", Z, theta)
+        S -= S.max(axis=1, keepdims=True)
+        P = np.exp(S)
+        total = P.sum(axis=1)
+        P /= total[:, None]
+        loss = np.mean(np.log(total) - S[np.arange(N), y])
+        return loss + 0.5 * lambda_reg * np.einsum("ka,ka->", theta, theta), P
+
+    theta = np.zeros((L, D))
+    f, P = objective(theta)
+    for _ in range(_MAX_STEPS):
+        g = np.einsum("ik,ia->ka", P - Y, Z) / N + lambda_reg * theta
+        if np.abs(g).max() <= _GRAD_TOL:
+            break
+        U = (P[:, :, None] * Z[:, None, :]).reshape(N, L * D)
+        H = -np.einsum("ip,iq->pq", U, U)
+        np.einsum("kakb->kab", H.reshape(L, D, L, D))[...] += np.einsum(
+            "ika,ib->kab", U.reshape(N, L, D), Z)
+        del U  # so the next step's U is not made while this one lives
+        H /= N
+        H.flat[::L * D + 1] += lambda_reg
+        s = np.linalg.solve(H, g.reshape(-1)).reshape(L, D)
+        f_new, P_new = objective(theta - s)
+        while not f_new <= f:  # a NaN objective halves the step too
+            s *= 0.5
+            f_new, P_new = objective(theta - s)
+        theta -= s
+        f, P = f_new, P_new
+    else:
+        log.warning("unary fit stopped at its cap of %d Newton steps", _MAX_STEPS)
+    return UnaryModel(theta[:, :-1].copy(), theta[:, -1].copy())
 
 
 def unary_potentials(model: UnaryModel, seq: VideoSequence,

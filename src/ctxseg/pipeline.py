@@ -7,8 +7,8 @@ the default of the function that uses it.
 
 Every stage consumes and produces the plain data types of the owning
 modules, so the CLI can run the pipeline in memory or as file-chained
-subcommands with identical results. All randomness derives from the single
-``seed`` via stable per-stage hashes.
+subcommands with identical results. No stage draws random numbers; only
+``ctxseg synth`` reads ``seed``, through a stable per-stage hash.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ def stage_seed(seed: int, stage: str) -> int:
 class PipelineConfig:
     """The settings a run varies. Each construction checks every field, so a direct
     call, ``dataclasses.replace`` and the CLI raise alike; the fields cannot be
-    assigned afterwards."""
+    assigned afterwards. ``seed`` seeds only ``ctxseg synth``'s scenario; it stays
+    a field because every subcommand takes the same flags, and ``perfbench``
+    passes ``seed=`` and ``--seed``."""
 
     k: int = 20
     mu: float = 0.99
@@ -106,8 +108,7 @@ def infer_stage(seq: VideoSequence, labels: dict[int, int], scores,
     the caller's ids, ``Labeling.assignment`` the renumbered ones."""
     classes = labeled_classes(labels, scores)
     compact = {c: i for i, c in enumerate(classes)}
-    model = crf.train_unary({rid: compact[c] for rid, c in labels.items()}, seq,
-                            seed=stage_seed(cfg.seed, "unary"))
+    model = crf.train_unary({rid: compact[c] for rid, c in labels.items()}, seq)
     unary = crf.unary_potentials(model, seq)
     scores = {(compact[m], compact[n]): s for (m, n), s in scores.items()}
     pairwise = crf.build_pairwise(scores, crf.beta_adaptive(scores), cfg.lambda_pair,

@@ -60,10 +60,24 @@ class Detection:
     confidence: float
 
 
+def _integer(value) -> bool:
+    """An int or a NumPy integer, not a boolean."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
+def _finite(values) -> bool:
+    """Finite numbers, none a boolean."""
+    return all(map(math.isfinite, values)) and bool not in map(type, values)
+
+
 def _check_region(r: Region, seen: set[int], dim: int, at: str = "") -> None:
-    """Refuse an id in ``seen`` (then add it) or negative, an area, a bbox extent or
-    the bbox's w * h <= 0, or a feature not ``dim`` long. A loader passes ``at``,
-    "file:line: "."""
+    """Refuse an id, frame or area that is not an integer, an id in ``seen`` (then
+    add it) or negative, an area <= 0, a bbox not 4 finite numbers, a bbox extent
+    or the bbox's w * h <= 0, or a feature not ``dim`` long or empty (``VideoSequence``
+    refuses a non-finite one). A loader passes ``at``, "file:line: "."""
+    if not (_integer(r.region_id) and _integer(r.frame) and _integer(r.area)):
+        raise IngestError(f"{at}region id, frame and area must be integers, got "
+                          f"{r.region_id!r}, {r.frame!r} and {r.area!r}")
     if r.region_id in seen:
         raise IngestError(f"{at}duplicate region id {r.region_id}")
     seen.add(r.region_id)
@@ -71,6 +85,8 @@ def _check_region(r: Region, seen: set[int], dim: int, at: str = "") -> None:
         raise IngestError(f"{at}negative region id {r.region_id}")
     if r.area <= 0:
         raise IngestError(f"{at}region {r.region_id}: area must be positive")
+    if r.bbox is not None and (len(r.bbox) != 4 or not _finite(r.bbox)):
+        raise IngestError(f"{at}region {r.region_id}: bbox must be 4 finite numbers")
     if r.bbox is not None and (r.bbox[2] <= 0 or r.bbox[3] <= 0):
         raise IngestError(f"{at}region {r.region_id}: bbox extents must be positive")
     if r.bbox is not None and not r.bbox[2] * r.bbox[3] > 0:  # w * h may underflow
@@ -78,14 +94,22 @@ def _check_region(r: Region, seen: set[int], dim: int, at: str = "") -> None:
     if r.feature.shape != (dim,):
         got = r.feature.shape[0] if r.feature.ndim == 1 else r.feature.shape
         raise IngestError(f"{at}region {r.region_id}: feature dimension {got} != {dim}")
+    if not dim:
+        raise IngestError(f"{at}region {r.region_id}: feature must hold one or more numbers")
 
 
 def _check_detection(d: Detection, at: str = "") -> None:
-    """Refuse a negative class, a confidence outside [0, 1] or a bbox extent <= 0."""
+    """Refuse a frame or class that is not an integer, a negative class, a
+    confidence outside [0, 1], a bbox not 4 finite numbers or a bbox extent <= 0."""
+    if not (_integer(d.frame) and _integer(d.class_id)):
+        raise IngestError(f"{at}detection frame and class must be integers, got "
+                          f"{d.frame!r} and {d.class_id!r}")
     if d.class_id < 0:
         raise IngestError(f"{at}negative detection class")
-    if not (0.0 <= d.confidence <= 1.0):
+    if not (_finite([d.confidence]) and 0.0 <= d.confidence <= 1.0):
         raise IngestError(f"{at}detection confidence {d.confidence} not in [0,1]")
+    if len(d.bbox) != 4 or not _finite(d.bbox):
+        raise IngestError(f"{at}detection bbox must be 4 finite numbers")
     if d.bbox[2] <= 0 or d.bbox[3] <= 0:
         raise IngestError(f"{at}detection bbox extents must be positive")
 
@@ -99,11 +123,18 @@ class VideoSequence:
     """
 
     def __init__(self, regions: Sequence[Region], detections: Sequence[Detection]):
-        regions = sorted(regions, key=lambda r: r.region_id)
         seen: set[int] = set()
         dim = regions[0].feature.size if regions else 0
         for r in regions:
             _check_region(r, seen, dim)
+        regions = sorted(regions, key=lambda r: r.region_id)
+        for det in detections:
+            _check_detection(det)
+        if regions:  # one call for all features: a loader's reader refused any already
+            bad = np.flatnonzero(~np.isfinite(np.stack([r.feature for r in regions])).all(axis=1))
+            if bad.size:
+                raise IngestError(f"region {regions[bad[0]].region_id}: feature holds a "
+                                  "non-finite value")
 
         frames = [r.frame for r in regions] + [d.frame for d in detections]
         self.frame_count = max(frames, default=-1) + 1
@@ -111,9 +142,6 @@ class VideoSequence:
             raise IngestError("sequence must span at least one frame")
         if min(frames, default=0) < 0:
             raise IngestError("negative frame index")
-
-        for det in detections:
-            _check_detection(det)
 
         self.regions: list[Region] = list(regions)
         self.detections: list[Detection] = list(detections)

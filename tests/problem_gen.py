@@ -18,9 +18,8 @@ through three-array broadcast indexing, where ``crf.energy`` and
 ``crf.qpbo_fuse`` scatter the stored cells. ``concat_build_pairwise``
 concatenates every score entry's five columns before it fills dense tables
 in one scatter, where ``crf.build_pairwise`` keys the forward entries once
-and writes one cell each. ``loop_train_unary`` is the per-example SGD loop
-that ``crf.train_unary`` replays in chunks, ``list_dinic`` is the max-flow
-that ``maxflow.MaxFlowGraph`` runs over arrays, and ``loop_knn_edges`` is
+and writes one cell each. ``list_dinic`` is the max-flow that
+``maxflow.MaxFlowGraph`` runs over arrays, and ``loop_knn_edges`` is
 the per-row k-NN selection that ``graph.build_knn_graph`` runs over row
 blocks; tests hold the library to their bits. ``pool_associate_trajectories``
 rescans one list of all unconsumed detections at every visited frame, where
@@ -28,6 +27,9 @@ rescans one list of all unconsumed detections at every visited frame, where
 hold it to equal hypotheses. ``normalized_operator`` builds the graph
 operator of a given affinity matrix. ``class_loop_iou`` scans every id once
 per class, where ``evaluation.iou_per_class`` makes one pass.
+``random_unary_data`` and ``unary_sequence`` make training sets for
+``crf.train_unary``, which has no loop oracle: its tests hold it to a
+vanishing gradient and to a SciPy fit of the same objective.
 
 ``tiled_sequence`` generates the benchmark's inputs: the ambiguity scenario
 repeated in time with clutter. ``dumps_rows`` is the line
@@ -200,36 +202,6 @@ def random_unary_data(rng, n, d, num_classes, spread=1.0):
     y = rng.permutation(np.arange(n) % num_classes)
     means = rng.standard_normal((num_classes, d))
     return means[y] + spread * rng.standard_normal((n, d)), y
-
-
-def loop_train_unary(X, y, num_classes, *, epochs, learning_rate, lambda_reg, seed):
-    """Reference one-vs-rest hinge SGD, one Python step per example visit.
-
-    Same draws and arithmetic as ``crf.train_unary`` on regions whose sorted
-    ids give rows of X in order; returns (weights, biases).
-    """
-    N, d = X.shape
-    weights = np.zeros((num_classes, d))
-    biases = np.zeros(num_classes)
-    for c in range(num_classes):
-        rng = np.random.default_rng([seed, c])
-        t = np.where(y == c, 1.0, -1.0)
-        w = np.zeros(d)
-        b = 0.0
-        step = 0
-        for _ in range(epochs):
-            for i in rng.permutation(N):
-                eta = learning_rate / (1.0 + learning_rate * lambda_reg * step)
-                step += 1
-                decay = 1.0 - eta * lambda_reg
-                if t[i] * (w @ X[i] + b) < 1.0:
-                    w = decay * w + eta * t[i] * X[i]
-                    b = b + eta * t[i]
-                else:
-                    w = decay * w
-        weights[c] = w
-        biases[c] = b
-    return weights, biases
 
 
 def loop_knn_edges(F, k):

@@ -9,14 +9,23 @@ subcommand that reads it. A damaged record must end the run with exit code 1
 and ``<file>:<line>: ...`` on stderr, never a traceback. An empty file must be
 rejected naming the file where the stage needs records (regions, labels); an
 empty links, scores, hypotheses or detections file means "none" and must run.
+
+A second, seeded property holds the in-memory path to the loader's rules:
+``VideoSequence`` refuses a list of ``Region`` and ``Detection`` values exactly
+when ``load_sequence`` refuses the same values written as JSON lines. The
+values are Python ints and floats. An integral float in an integer field is
+left out: JSON text cannot tell 3.0 from the 3 the reader makes of it, while
+in memory a float frame, id, area or class is refused whatever its value.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from ctxseg.cli import main
+from ctxseg.regions import Detection, IngestError, Region, VideoSequence, load_sequence
 
 FUZZ_SEED = 20240
 # new kinds and mutations go last, so the earlier cases keep their draws
@@ -171,3 +180,83 @@ def test_malformed_stage_file_exits_with_diagnostic(stage_files, tmp_path, capsy
     assert code == 1
     where = f"{path}:{lineno}: " if lineno is not None else f"{path}: "
     assert f"ctxseg {argv[0]}: error: {where}" in err, err
+
+
+NAN, INF = float("nan"), float("inf")
+# (kind, field, damaged values); an int field also takes its value + 0.5
+DAMAGE = [
+    ("region", "region_id", [True, -1, 1]), ("region", "frame", [True, -1]),
+    ("region", "area", [True, -1, 0]),
+    ("feature", None, [NAN, INF, -INF]), ("features", None, ["empty", "longer"]),
+    ("bbox", None, [NAN, INF, -INF, 0.0, -1.0, True, 1e-200]),
+    ("detection", "frame", [True, -1]), ("detection", "class_id", [True, -1, 0]),
+    ("detection bbox", None, [NAN, INF, 0.0, -1.0, True]),
+    ("detection", "confidence", [NAN, INF, True, -0.1, 1.5, 0.0, 1.0]),
+]
+
+
+def damaged_lists(rng):
+    """Three regions and two detections that both paths take, then one or two
+    damages drawn from ``DAMAGE``; some damages leave the values valid."""
+    regions = [Region(i, i % 2, np.array([1.0, 0.5 * i]), 10 + i, (0.0, 0.0, 4.0, 4.0))
+               for i in range(3)]
+    detections = [Detection(f, (1.0, 1.0, 5.0, 5.0), 1, 0.9) for f in range(2)]
+    for _ in range(int(rng.integers(1, 3))):
+        kind, field, values = DAMAGE[int(rng.integers(len(DAMAGE)))]
+        value = values[int(rng.integers(len(values)))]
+        if kind in ("region", "feature", "bbox"):
+            at = int(rng.integers(len(regions)))
+            r = regions[at]
+            if kind == "region":
+                value = getattr(r, field) + 0.5 if rng.random() < 0.25 else value
+                regions[at] = dataclasses.replace(r, **{field: value})
+            elif kind == "feature":
+                feature = r.feature.copy()
+                feature[int(rng.integers(feature.size))] = value
+                regions[at] = dataclasses.replace(r, feature=feature)
+            else:
+                box = list(r.bbox)
+                box[int(rng.integers(4))] = value
+                regions[at] = dataclasses.replace(r, bbox=tuple(box))
+        elif kind == "features":
+            regions = [dataclasses.replace(r, feature=np.zeros(0) if value == "empty"
+                                           else np.append(r.feature, 1.0) if r is regions[-1]
+                                           else r.feature) for r in regions]
+        else:
+            at = int(rng.integers(len(detections)))
+            d = detections[at]
+            if kind == "detection bbox":
+                box = list(d.bbox)
+                box[int(rng.integers(4))] = value
+                detections[at] = dataclasses.replace(d, bbox=tuple(box))
+            else:
+                if field != "confidence" and rng.random() < 0.25:
+                    value = getattr(d, field) + 0.5
+                detections[at] = dataclasses.replace(d, **{field: value})
+    return regions, detections
+
+
+def refuses(fn, *args):
+    try:
+        fn(*args)
+    except IngestError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_in_memory_sequence_refuses_exactly_what_the_loader_refuses(tmp_path, seed):
+    regions, detections = damaged_lists(np.random.default_rng([FUZZ_SEED, seed]))
+    region_path, detection_path = tmp_path / "r.jsonl", tmp_path / "d.jsonl"
+    with open(region_path, "w", encoding="utf-8") as fh:
+        for r in regions:
+            fh.write(json.dumps({"id": r.region_id, "frame": r.frame,
+                                 "feature": r.feature.tolist(), "area": r.area,
+                                 "bbox": list(r.bbox)}) + "\n")
+    with open(detection_path, "w", encoding="utf-8") as fh:
+        for d in detections:
+            fh.write(json.dumps({"frame": d.frame, "bbox": list(d.bbox), "class": d.class_id,
+                                 "confidence": d.confidence}) + "\n")
+    in_memory = refuses(VideoSequence, regions, detections)
+    assert in_memory == refuses(load_sequence, region_path, detection_path), (
+        regions, detections)

@@ -17,8 +17,10 @@ array through the max-flow, at 9.8 MiB. The built terms take 0.91 MB as edges
 plus cells.
 
 Unary training on the ``files-bare`` input's labels (N = 1058 labeled
-regions, d = 16) peaks at 7.9 (N+1) d doubles (1.02 MiB). With the bias as a
-weight column d, its (N+1, d+1) buffers peaked at 9.3.
+regions, d = 16, L = 4) peaks at 1.25 times the arrays its docstring lists:
+the (N, d+1) design Z, the (N, L) probabilities P, the (N, L (d+1)) array U
+and the (L (d+1))^2 Hessian (0.94 MiB against 0.75 MiB). A fit that keeps
+last step's U alive while it forms the next one peaks at 2.15 times them.
 
 A dump writes its rows a block of ``regions.WRITE_ROWS`` at a time. Scores of
 one 300k-entry class pair dump in 1.7 MiB, and the graph of the
@@ -47,7 +49,7 @@ def ctx_problem():
     links = pipeline.links_stage(seq, frames, labels)
     g = graph.build_knn_graph(seq, cfg.k)
     scores = propagation.predict_all_links(links, g.operator, cfg.mu)
-    model = crf.train_unary(labels, seq, seed=pipeline.stage_seed(cfg.seed, "unary"))
+    model = crf.train_unary(labels, seq)
     unary = crf.unary_potentials(model, seq)
     return scores, crf.beta_adaptive(scores), cfg.lambda_pair, unary
 
@@ -92,15 +94,15 @@ def test_largest_fusion_peak(ctx_problem):
 
 
 def test_train_unary_peak():
-    # the arrays train_unary's docstring lists (X, t x as given, permuted and
-    # times eta, A and T) are six (N+1) d arrays, seven while a new epoch's
-    # rows replace the last one's; 8.5 leaves room for the N-sized vectors
+    # Z, P, U and the Hessian, as train_unary's docstring lists them; 1.4 leaves
+    # room for the one-hot labels and the (N, L) temporaries
     seq, _ = tiled_sequence(200, 2, 20)
     _, labels = tracking.annotated_frames(pipeline.tracks_stage(seq), seq)
-    N, d = len(labels), seq.feature_matrix().shape[1]
-    assert (N, d) == (1058, 16)
-    peak = traced_peak(lambda: crf.train_unary(labels, seq, epochs=3))
-    assert peak < 8.5 * (N + 1) * d * 8
+    N, d, L = len(labels), seq.feature_matrix().shape[1], len(set(labels.values()))
+    assert (N, d, L) == (1058, 16, 4)
+    D = d + 1
+    arrays = N * D + N * L + N * L * D + (L * D) ** 2
+    assert traced_peak(crf.train_unary, labels, seq) < 1.4 * arrays * 8
 
 
 def test_dump_scores_peak(tmp_path):

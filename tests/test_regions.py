@@ -88,6 +88,38 @@ def test_in_memory_feature_dimension_rejected(features, message):
         VideoSequence(regions, [])
 
 
+NAN, INF = float("nan"), float("inf")
+FEATURE, BOX = np.array([1.0, 0.0]), (0.0, 0.0, 10.0, 10.0)
+
+
+@pytest.mark.parametrize("regions, detections, message", [
+    ([Region(0, 0, np.array([1.0, NAN]), 10)], [], "region 0: feature holds a non-finite value"),
+    ([Region(0, 0, FEATURE, 10), Region(1, 0, np.array([INF, 0.0]), 10)], [],
+     "region 1: feature holds a non-finite value"),
+    ([Region(0, 0, np.zeros(0), 10), Region(1, 0, np.zeros(0), 10)], [],
+     "region 0: feature must hold one or more numbers"),
+    ([Region(0, 0, FEATURE, 10, (0.0, 0.0, INF, 4.0))], [],
+     "region 0: bbox must be 4 finite numbers"),
+    ([Region(0, 0, FEATURE, 10, (NAN, 0.0, 4.0, 4.0))], [],
+     "region 0: bbox must be 4 finite numbers"),
+    ([Region(0, 0.5, FEATURE, 10.5)], [Detection(0, (0, 0, NAN, 1), 1.5, 0.5)],
+     "region id, frame and area must be integers, got 0, 0.5 and 10.5"),
+    ([Region(True, 0, FEATURE, 10)], [],
+     "region id, frame and area must be integers, got True, 0 and 10"),
+    ([Region(0, 0, FEATURE, 10.5)], [],
+     "region id, frame and area must be integers, got 0, 0 and 10.5"),
+    ([Region(0, 0, FEATURE, 10)], [Detection(0, (0, 0, NAN, 1), 1, 0.5)],
+     "detection bbox must be 4 finite numbers"),
+    ([Region(0, 0, FEATURE, 10)], [Detection(0, BOX, 1.5, 0.5)],
+     "detection frame and class must be integers, got 0 and 1.5"),
+], ids=["nan-feature", "inf-feature", "empty-features", "inf-bbox", "nan-bbox",
+        "fractional-frame", "bool-id", "fractional-area", "nan-detection-bbox",
+        "fractional-detection-class"])
+def test_in_memory_sequence_refuses_what_the_loader_refuses(regions, detections, message):
+    with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
+        VideoSequence(regions, detections)
+
+
 def test_frame_count_spans_last_region_or_detection_frame():
     regions = [Region(0, 2, np.ones(2), 10)]
     assert VideoSequence(regions, []).frame_count == 3
