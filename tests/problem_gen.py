@@ -28,8 +28,9 @@ hold it to equal hypotheses. ``normalized_operator`` builds the graph
 operator of a given affinity matrix. ``class_loop_iou`` scans every id once
 per class, where ``evaluation.iou_per_class`` makes one pass.
 ``random_unary_data`` and ``unary_sequence`` make training sets for
-``crf.train_unary``, which has no loop oracle: its tests hold it to a
-vanishing gradient and to a SciPy fit of the same objective.
+``crf.train_unary``. ``loop_unary_gradient`` is the gradient of its
+objective summed one example at a time; tests hold the fit to a vanishing
+gradient and to a SciPy fit of the same objective.
 
 ``tiled_sequence`` generates the benchmark's inputs: the ambiguity scenario
 repeated in time with clutter. ``dumps_rows`` is the line
@@ -202,6 +203,23 @@ def random_unary_data(rng, n, d, num_classes, spread=1.0):
     y = rng.permutation(np.arange(n) % num_classes)
     means = rng.standard_normal((num_classes, d))
     return means[y] + spread * rng.standard_normal((n, d)), y
+
+
+def loop_unary_gradient(X, y, weights, biases, lambda_reg):
+    """Gradient of ``crf.train_unary``'s objective (the mean cross-entropy of
+    a softmax over ``w_k x + b_k`` plus ``lambda_reg / 2`` times the squared
+    ``[W b]``) at (weights, biases), one Python pass per example; returns the
+    (L, d + 1) gradient with respect to ``[W b]``."""
+    grad = np.zeros((len(biases), X.shape[1] + 1))
+    for x, label in zip(X, y):
+        scores = [float(w @ x) + b for w, b in zip(weights, biases)]
+        top = max(scores)
+        e = [math.exp(s - top) for s in scores]
+        total = sum(e)
+        for k, ek in enumerate(e):
+            grad[k, :-1] += (ek / total - (k == label)) * x
+            grad[k, -1] += ek / total - (k == label)
+    return grad / len(X) + lambda_reg * np.column_stack([weights, biases])
 
 
 def loop_knn_edges(F, k):

@@ -11,8 +11,8 @@ import pytest
 
 from problem_gen import (as_dict, broadcast_energy, broadcast_fusion_terms,
                          concat_build_pairwise, crf_problem, dense_tables,
-                         random_link_problem, random_signed_problem, random_unary_data,
-                         tiled_sequence, unary_sequence)
+                         loop_unary_gradient, random_link_problem, random_signed_problem,
+                         random_unary_data, tiled_sequence, unary_sequence)
 
 import ctxseg
 from ctxseg import crf, pipeline, tracking
@@ -241,6 +241,33 @@ def logistic_gradient(X, y, model, lambda_reg=1e-4):
     P[np.arange(N), y] -= 1.0
     return P.T @ Z / N + lambda_reg * theta
 
+
+
+class TestGoldenUnary:
+    """The fit held to ``problem_gen.loop_unary_gradient``, its objective's
+    gradient summed one example at a time."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_edge_shapes_match_loop(self, seed, caplog):
+        """N = 1, d = 1, a single class, and a class with a single example, at
+        feature scales 0.1 to 10: the fit returns every class without a
+        step-cap warning, at a loop gradient max-norm of at most 1e-10."""
+        rng = np.random.default_rng(4000 + seed)
+        n = int(rng.choice([1, 2, 3, 5, 31, 32, 33, 65]))
+        d = int(rng.choice([1, 2, 15, 16, 17]))
+        L = min(n, int(rng.integers(1, 4)))
+        y = np.zeros(n, dtype=int)
+        if L > 1:  # class L - 1 has exactly one example
+            y = rng.permutation(np.append(np.arange(n - 1) % (L - 1), L - 1))
+        X = rng.standard_normal((n, d)) * float(rng.choice([0.1, 1.0, 10.0]))
+        lambda_reg = float(rng.choice([1e-4, 1e-2, 0.1]))
+        with caplog.at_level("WARNING"):
+            model = train_unary(dict(enumerate(y.tolist())), unary_sequence(X),
+                                lambda_reg=lambda_reg)
+        assert not caplog.messages
+        assert model.weights.shape == (L, d) and model.biases.shape == (L,)
+        grad = loop_unary_gradient(X, y, model.weights, model.biases, lambda_reg)
+        assert np.abs(grad).max() <= 1e-10
 
 class TestUnaryPotentials:
     def test_certain_class_costs_zero(self):
