@@ -30,8 +30,7 @@ for f in range(2, 7):
 detections.append(Detection(0, (150.0, 150.0, 20.0, 20.0), 2, 0.9))
 detections.append(Detection(1, (150.0, 150.0, 20.0, 20.0), 2, 0.85))
 
-hypotheses = associate_trajectories(detections, frame_count=10, iou_threshold=0.5,
-                                    min_instances=3, max_miss=2)
+hypotheses = associate_trajectories(detections, frame_count=10)
 
 print(f"{len(detections)} detections -> {len(hypotheses)} retained hypotheses\n")
 for i, h in enumerate(hypotheses):

@@ -25,7 +25,8 @@ def extract_exemplars(labels: Mapping[int, int], frames: AbstractSet[int],
 
     ``labels`` maps region ids to classes. Pairs are ordered by the two frames,
     then the two region ids; each frame meets only the covered frames in its
-    window, found by bisection, so any window costs O(F log F + pairs).
+    window, found by bisection, so any window costs O(F log F + pairs). It
+    stays a keyword, as a window above 0 is a candidate context rule.
 
     ValueError: ``temporal_window`` below 0.
     """

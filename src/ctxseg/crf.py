@@ -48,10 +48,13 @@ from .regions import VideoSequence
 log = logging.getLogger(__name__)
 
 BRUTE_FORCE_LIMIT = 10 ** 7
+LAMBDA_REG = 1e-4  # train_unary's L2 weight; _GRAD_TOL was sized at this value only
 # train_unary stops at this gradient max-norm, or warns after this many steps; at
-# lambda_reg 1e-4 a step from a gradient below 5e-11 gains less than rounding
+# LAMBDA_REG a step from a gradient below 5e-11 gains less than rounding
 _GRAD_TOL = 1e-10
 _MAX_STEPS = 50
+P_FLOOR = 1e-6     # unary_potentials floors each probability here
+MAX_SWEEPS = 10    # infer stops after this many expansion sweeps
 
 
 @dataclass
@@ -71,28 +74,23 @@ class UnaryModel:
         return e / e.sum(axis=1, keepdims=True)
 
 
-def train_unary(labeled: Mapping[int, int], seq: VideoSequence, *,
-                lambda_reg: float = 1e-4) -> UnaryModel:
+def train_unary(labeled: Mapping[int, int], seq: VideoSequence) -> UnaryModel:
     """Fit a multinomial logistic model over classes 0..L-1, for L the largest
     label + 1, by Newton's method; equal inputs give equal bits.
 
     It minimises the mean cross-entropy of the N labeled regions plus
-    ``lambda_reg / 2`` times the squared ``[W b]``, over the design ``Z = [X 1]``.
+    ``LAMBDA_REG / 2`` times the squared ``[W b]``, over the design ``Z = [X 1]``.
     From zero it takes Newton steps (``H s = g``, s halved until the objective
     does not rise) until the gradient max-norm is at most ``_GRAD_TOL``; the
     step cap ``_MAX_STEPS`` warns. H is ``blockdiag_k(Z^T diag(P_k) Z) - U^T U``
-    over N plus ``lambda_reg I``, for the probabilities P and ``U[i, k (d+1)
+    over N plus ``LAMBDA_REG I``, for the probabilities P and ``U[i, k (d+1)
     + a] = P[i, k] Z[i, a]``: Z, P, U and H are the extra memory. The
     products are ``np.einsum`` without ``optimize``, which calls no BLAS;
     OpenBLAS threads the LAPACK solve from L (d+1) of about 100, so below
     that the bits do not depend on the thread count.
 
-    ValueError: lambda_reg not in (0, inf) (at 0 the softmax's shift
-    invariance makes H singular), no labels, a negative label, a class in
-    [0, L) without examples.
+    ValueError: no labels, a negative label, a class in [0, L) without examples.
     """
-    if not 0.0 < lambda_reg < np.inf:
-        raise ValueError(f"lambda_reg must lie in (0, inf), got {lambda_reg}")
     ids = sorted(labeled)
     if not ids:
         raise ValueError("no labeled regions to train on")
@@ -117,12 +115,12 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence, *,
         total = P.sum(axis=1)
         P /= total[:, None]
         loss = np.mean(np.log(total) - S[np.arange(N), y])
-        return loss + 0.5 * lambda_reg * np.einsum("ka,ka->", theta, theta), P
+        return loss + 0.5 * LAMBDA_REG * np.einsum("ka,ka->", theta, theta), P
 
     theta = np.zeros((L, D))
     f, P = objective(theta)
     for _ in range(_MAX_STEPS):
-        g = np.einsum("ik,ia->ka", P - Y, Z) / N + lambda_reg * theta
+        g = np.einsum("ik,ia->ka", P - Y, Z) / N + LAMBDA_REG * theta
         if np.abs(g).max() <= _GRAD_TOL:
             break
         U = (P[:, :, None] * Z[:, None, :]).reshape(N, L * D)
@@ -131,7 +129,7 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence, *,
             "ika,ib->kab", U.reshape(N, L, D), Z)
         del U  # so the next step's U is not made while this one lives
         H /= N
-        H.flat[::L * D + 1] += lambda_reg
+        H.flat[::L * D + 1] += LAMBDA_REG
         s = np.linalg.solve(H, g.reshape(-1)).reshape(L, D)
         f_new, P_new = objective(theta - s)
         while not f_new <= f:  # a NaN objective halves the step too
@@ -144,16 +142,10 @@ def train_unary(labeled: Mapping[int, int], seq: VideoSequence, *,
     return UnaryModel(theta[:, :-1].copy(), theta[:, -1].copy())
 
 
-def unary_potentials(model: UnaryModel, seq: VideoSequence,
-                     p_floor: float = 1e-6) -> np.ndarray:
-    """Negative log-likelihood table (n, L), probabilities floored at p_floor.
-
-    ValueError: ``p_floor`` not in (0, inf).
-    """
-    if not 0.0 < p_floor < np.inf:
-        raise ValueError("p_floor must be positive and finite")
+def unary_potentials(model: UnaryModel, seq: VideoSequence) -> np.ndarray:
+    """Negative log-likelihood table (n, L), probabilities floored at ``P_FLOOR``."""
     probs = model.probabilities(seq.feature_matrix())
-    return -np.log(np.maximum(probs, p_floor))
+    return -np.log(np.maximum(probs, P_FLOOR))
 
 
 def beta_adaptive(scores: Mapping[tuple[int, int], LinkScoreMatrix]) -> float:
@@ -416,21 +408,17 @@ def _fusion_terms(problem: CrfProblem, current: np.ndarray, proposal: np.ndarray
     return unary.T, pair_ends, pair
 
 
-def infer(problem: CrfProblem, max_sweeps: int = 10) -> Labeling:
+def infer(problem: CrfProblem) -> Labeling:
     """Expansion sweeps fused by QPBO, from the unary-argmin labeling.
 
     Each sweep offers every class as a constant proposal in order; a fuse is
     kept only when it strictly lowers the energy, and sweeping stops after a
-    full pass without improvement or ``max_sweeps``.
-
-    ValueError: ``max_sweeps`` below 1.
+    full pass without improvement or ``MAX_SWEEPS``.
     """
-    if not max_sweeps >= 1:
-        raise ValueError("max_sweeps must be >= 1")
     x = np.argmin(problem.unary, axis=1)
     e = energy(problem, x)
     trace = [e]
-    for sweeps_done in range(1, max_sweeps + 1):
+    for sweeps_done in range(1, MAX_SWEEPS + 1):
         improved = False
         for alpha in range(problem.num_classes):
             proposal = np.full(problem.n, alpha)

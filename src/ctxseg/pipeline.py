@@ -2,8 +2,9 @@
 that composes several calls. The graph and propagation stages are one call
 each, ``graph.build_knn_graph`` and ``propagation.predict_all_links``.
 
-The config holds the settings a run varies; every other stage setting is
-the default of the function that uses it.
+The config holds the settings a run varies. The method fixes the others as
+module constants, except two keywords that the stages here leave at their
+defaults: ``extract_exemplars``'s ``temporal_window`` and ``prune_eps``.
 
 Every stage consumes and produces the plain data types of the owning
 modules, so the CLI can run the pipeline in memory or as file-chained
@@ -32,11 +33,11 @@ def stage_seed(seed: int, stage: str) -> int:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The settings a run varies. Each construction checks every field, so a direct
-    call, ``dataclasses.replace`` and the CLI raise alike; the fields cannot be
-    assigned afterwards. ``seed`` seeds only ``ctxseg synth``'s scenario; it stays
-    a field because every subcommand takes the same flags, and ``perfbench``
-    passes ``seed=`` and ``--seed``."""
+    """The settings a run varies; the rest are module constants. Each construction
+    checks every field, so a direct call, ``dataclasses.replace`` and the CLI raise
+    alike; the fields cannot be assigned afterwards. ``seed`` seeds only the
+    scenario of ``ctxseg synth``; it stays a field because every subcommand takes
+    the same flags, and ``perfbench`` passes ``seed=`` and ``--seed``."""
 
     k: int = 20
     mu: float = 0.99

@@ -100,7 +100,8 @@ def predict_all_links(observed: dict[tuple[int, int], SparseMatrix],
     """Run both passes for every class pair with at least one observed link.
 
     The resolvent is computed once and shared by every pair and pass. Scores
-    below ``prune_eps`` are dropped from storage after each pass.
+    below ``prune_eps`` (a keyword, so tests can pass 0.0 and hold every score
+    to the closed form) are dropped from storage after each pass.
 
     ValueError: ``mu`` not in (0, 1), or ``prune_eps`` not in [0, inf).
     """

@@ -35,6 +35,7 @@ import numpy as np
 Box = tuple[float, float, float, float]
 
 WRITE_ROWS = 4096    # rows per block of a stage file's row list
+DET_THRESHOLD = 0.5  # a detection is kept when its confidence strictly exceeds this
 
 
 class IngestError(ValueError):
@@ -115,7 +116,7 @@ def _check_detection(d: Detection, at: str = "") -> None:
 
 
 class VideoSequence:
-    """Immutable, validated container for one video's regions and detections.
+    """Immutable, validated container for one video's regions (one or more) and detections.
 
     Regions are ordered by ascending ``region_id``; the position of a region
     in that order is its vertex index for every matrix built downstream. It
@@ -123,25 +124,24 @@ class VideoSequence:
     """
 
     def __init__(self, regions: Sequence[Region], detections: Sequence[Detection]):
+        if not regions:
+            raise IngestError("sequence holds no regions")
         seen: set[int] = set()
-        dim = regions[0].feature.size if regions else 0
         for r in regions:
-            _check_region(r, seen, dim)
+            _check_region(r, seen, regions[0].feature.size)
         regions = sorted(regions, key=lambda r: r.region_id)
         for det in detections:
             _check_detection(det)
-        if regions:  # one call for all features: a loader's reader refused any already
-            bad = np.flatnonzero(~np.isfinite(np.stack([r.feature for r in regions])).all(axis=1))
-            if bad.size:
-                raise IngestError(f"region {regions[bad[0]].region_id}: feature holds a "
-                                  "non-finite value")
+        # one call for all features: a loader's reader refused any already
+        bad = np.flatnonzero(~np.isfinite(np.stack([r.feature for r in regions])).all(axis=1))
+        if bad.size:
+            raise IngestError(f"region {regions[bad[0]].region_id}: feature holds a "
+                              "non-finite value")
 
         frames = [r.frame for r in regions] + [d.frame for d in detections]
-        self.frame_count = max(frames, default=-1) + 1
-        if self.frame_count <= 0:
-            raise IngestError("sequence must span at least one frame")
-        if min(frames, default=0) < 0:
+        if min(frames) < 0:
             raise IngestError("negative frame index")
+        self.frame_count = max(frames) + 1
 
         self.regions: list[Region] = list(regions)
         self.detections: list[Detection] = list(detections)
@@ -163,8 +163,6 @@ class VideoSequence:
 
     def feature_matrix(self) -> np.ndarray:
         """Stacked (n, d) feature matrix in vertex order."""
-        if not self.regions:
-            return np.zeros((0, 0))
         return np.stack([r.feature for r in self.regions])
 
 
@@ -410,24 +408,22 @@ def save_sequence(seq: VideoSequence, regions_path, detections_path=None) -> Non
     """Write a sequence back to the JSON-lines formats accepted by load."""
     def region_records():
         for r in seq.regions:
-            rec = {"id": r.region_id, "frame": r.frame,
-                   "feature": [float(x) for x in r.feature], "area": r.area}
+            rec = {"id": int(r.region_id), "frame": int(r.frame),
+                   "feature": [float(x) for x in r.feature], "area": int(r.area)}
             if r.bbox is not None:
                 rec["bbox"] = [float(v) for v in r.bbox]
             yield rec
     write_records(regions_path, region_records())
     if detections_path is not None:
         write_records(detections_path, (
-            {"frame": d.frame, "bbox": [float(v) for v in d.bbox],
-             "class": d.class_id, "confidence": float(d.confidence)}
+            {"frame": int(d.frame), "bbox": [float(v) for v in d.bbox],
+             "class": int(d.class_id), "confidence": float(d.confidence)}
             for d in seq.detections))
 
 
-def filter_detections(seq: VideoSequence, det_threshold: float = 0.5) -> list[Detection]:
-    """Detections with confidence strictly exceeding the threshold, order kept."""
-    if not (0.0 <= det_threshold <= 1.0):
-        raise ValueError(f"det_threshold {det_threshold} not in [0,1]")
-    return [d for d in seq.detections if d.confidence > det_threshold]
+def filter_detections(seq: VideoSequence) -> list[Detection]:
+    """Detections with confidence strictly exceeding ``DET_THRESHOLD``, order kept."""
+    return [d for d in seq.detections if d.confidence > DET_THRESHOLD]
 
 
 def _region_classes(records, seq: Optional[VideoSequence]) -> dict[int, int]:

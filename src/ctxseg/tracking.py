@@ -3,7 +3,7 @@
 Detections are consumed highest-confidence first: the top detection seeds a
 constant-velocity box tracker (a stand-in for a learned one) that runs toward
 both ends of the video, absorbing same-class detections that overlap the
-predicted box. Hypotheses keeping fewer than ``min_instances`` detections are
+predicted box. Hypotheses keeping fewer than ``MIN_INSTANCES`` detections are
 discarded, but the detections they consumed stay consumed.
 """
 
@@ -20,6 +20,11 @@ log = logging.getLogger(__name__)
 
 SOURCE_DETECTION = "det"
 SOURCE_TRACKER = "trk"
+
+IOU_THRESHOLD = 0.5  # a detection joins a track when its IoU with the prediction exceeds this
+MIN_INSTANCES = 3    # detections a hypothesis needs to be kept
+MAX_MISS = 5         # prediction-only frames in a row that end a direction
+RHO = 0.5            # share of a region's bbox a hypothesis box must cover to label it
 
 
 def _intersection_area(a: Box, b: Box) -> float:
@@ -74,33 +79,23 @@ def _rank_key(d: Detection):
     return (-d.confidence, d.frame, d.bbox[0], d.bbox[1], d.class_id)
 
 
-def associate_trajectories(dets: list[Detection], frame_count: int,
-                           iou_threshold: float = 0.5, min_instances: int = 3,
-                           max_miss: int = 5) -> list[TrajectoryHypothesis]:
+def associate_trajectories(dets: list[Detection],
+                           frame_count: int) -> list[TrajectoryHypothesis]:
     """Greedy confidence-ranked association of thresholded detections.
 
     Walks the detections in rank order (confidence descending, then frame,
     x, y, class). Each one still unconsumed seeds a hypothesis: track toward
     both video ends, and in each visited frame absorb the same-class
     detection whose IoU with the predicted box strictly exceeds
-    ``iou_threshold``, first by (IoU descending, confidence descending, x,
+    ``IOU_THRESHOLD``, first by (IoU descending, confidence descending, x,
     y), then rank order (predictions then extrapolate from it and the box
     accepted before it); otherwise keep the predicted box. A direction stops
-    at the video boundary or after ``max_miss`` consecutive prediction-only
-    frames. Hypotheses with at least ``min_instances`` detection-sourced
+    at the video boundary or after ``MAX_MISS`` consecutive prediction-only
+    frames. Hypotheses with at least ``MIN_INSTANCES`` detection-sourced
     entries are retained; either way the consumed detections never return.
     A visited frame reads only its own cell of a (frame, class) index, so
     the cost is linear in frames plus detections while cells stay small.
-
-    ValueError: ``iou_threshold`` outside [0, 1], or ``min_instances`` or
-    ``max_miss`` below 1.
     """
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise ValueError("iou_threshold must lie in [0, 1]")
-    if min_instances < 1:
-        raise ValueError(f"min_instances must be >= 1, got {min_instances}")
-    if max_miss < 1:
-        raise ValueError(f"max_miss must be >= 1, got {max_miss}")
     ranked = sorted(dets, key=_rank_key)
     cells: dict[tuple[int, int], list[Detection]] = {}  # unconsumed, in rank order
     for d in ranked:
@@ -116,10 +111,10 @@ def associate_trajectories(dets: list[Detection], frame_count: int,
             prev, last = None, (seed.frame, seed.bbox)
             misses = 0
             f = seed.frame + direction
-            while 0 <= f < frame_count and misses < max_miss:
+            while 0 <= f < frame_count and misses < MAX_MISS:
                 pred = _predict(prev, last, f)
                 cands = cells.get((f, seed.class_id), [])
-                best = min((d for d in cands if iou_box(pred, d.bbox) > iou_threshold),
+                best = min((d for d in cands if iou_box(pred, d.bbox) > IOU_THRESHOLD),
                            key=lambda d: (-iou_box(pred, d.bbox), -d.confidence,
                                           d.bbox[0], d.bbox[1]), default=None)
                 if best is not None:
@@ -135,25 +130,21 @@ def associate_trajectories(dets: list[Detection], frame_count: int,
             class_id=seed.class_id,
             entries=[entries[f] for f in sorted(entries)],
             seed_confidence=seed.confidence)
-        if hyp.instance_count >= min_instances:
+        if hyp.instance_count >= MIN_INSTANCES:
             retained.append(hyp)
     return retained
 
 
-def annotated_frames(hyps: list[TrajectoryHypothesis], seq: VideoSequence,
-                     rho: float = 0.5) -> tuple[frozenset[int], dict[int, int]]:
+def annotated_frames(hyps: list[TrajectoryHypothesis],
+                     seq: VideoSequence) -> tuple[frozenset[int], dict[int, int]]:
     """Frames covered by hypotheses, and the region labeling they induce.
 
     A region in a covered frame takes the class of the hypothesis box that
     ranks first by (the fraction of the region's bbox area inside the box,
-    seed confidence, smaller class id) if that fraction is at least ``rho``,
+    seed confidence, smaller class id) if that fraction is at least ``RHO``,
     and background 0 otherwise. Regions without a bbox in a covered frame
     are skipped with a warning and stay unlabeled.
-
-    ValueError: ``rho`` outside (0, 1].
     """
-    if not 0.0 < rho <= 1.0:
-        raise ValueError("rho must lie in (0, 1]")
     by_frame: dict[int, list[tuple[TrajectoryHypothesis, TrajectoryEntry]]] = {}
     for h in hyps:
         for e in h.entries:
@@ -172,7 +163,7 @@ def annotated_frames(hyps: list[TrajectoryHypothesis], seq: VideoSequence,
         frac, _, neg_class = max((_intersection_area(r.bbox, e.bbox) / area,
                                   h.seed_confidence, -h.class_id)
                                  for h, e in by_frame[r.frame])
-        labels[r.region_id] = -neg_class if frac >= rho else 0
+        labels[r.region_id] = -neg_class if frac >= RHO else 0
     return frames, labels
 
 
@@ -183,9 +174,9 @@ def dump_hypotheses(hyps: list[TrajectoryHypothesis], path) -> None:
     ties exactly as the in-memory pipeline does.
     """
     write_records(path, ({
-        "class": h.class_id,
+        "class": int(h.class_id),
         "seed_confidence": float(h.seed_confidence),
-        "entries": [{"frame": e.frame, "bbox": [float(v) for v in e.bbox],
+        "entries": [{"frame": int(e.frame), "bbox": [float(v) for v in e.bbox],
                      "source": e.source} for e in h.entries],
     } for h in hyps))
 

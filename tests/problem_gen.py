@@ -348,8 +348,7 @@ def list_dinic(n, tails, heads, caps, s, t):
     return flow, g.cap, g.source_side(s)
 
 
-def pool_associate_trajectories(dets, frame_count, iou_threshold=0.5, min_instances=3,
-                                max_miss=5):
+def pool_associate_trajectories(dets, frame_count, iou_threshold, min_instances, max_miss):
     """Reference ``tracking.associate_trajectories``: the unconsumed detections
     are one rank-ordered pool, scanned whole at every visited frame; a seed
     leaves it by ``pop(0)`` and an absorbed detection by ``remove``."""

@@ -185,7 +185,7 @@ def test_criterion_6_trajectory_semantics():
     dets = [Detection(0, (0, 0, 10, 10), 1, c) for c in (0.4, 0.5, 0.9)]
     seq = VideoSequence(regions, dets)
     from ctxseg.regions import filter_detections
-    assert [d.confidence for d in filter_detections(seq, 0.5)] == [0.9]
+    assert [d.confidence for d in filter_detections(seq)] == [0.9]
 
     # IoU > 0.5 association gate: exactly 0.5 overlap is rejected
     half_box = (0.0, 0.0, 10.0, 5.0)  # IoU with the 10x10 seed box = 0.5
@@ -193,7 +193,7 @@ def test_criterion_6_trajectory_semantics():
     half = [Detection(0, (0, 0, 10, 10), 1, 0.9),
             Detection(1, half_box, 1, 0.8),
             Detection(2, (0, 0, 10, 10), 1, 0.7)]
-    hyps = associate_trajectories(half, 3, iou_threshold=0.5)
+    hyps = associate_trajectories(half, 3)
     assert hyps == []  # the borderline middle link breaks the 3-instance chain
 
     # worked example: 3-frame chain, seeded at the highest confidence

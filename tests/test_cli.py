@@ -481,8 +481,20 @@ def trailing_empty_frames():
     return seq
 
 
+def numpy_integers():
+    """``tiled_sequence(7, 1, 2)`` with NumPy-integer ids, frames, areas and
+    detection classes, which ``VideoSequence`` accepts and the writers cast."""
+    seq, _ = tiled_sequence(7, 1, 2)
+    i64 = np.int64
+    return regions.VideoSequence(
+        [dataclasses.replace(r, region_id=i64(r.region_id), frame=i64(r.frame), area=i64(r.area))
+         for r in seq.regions],
+        [dataclasses.replace(d, frame=i64(d.frame), class_id=i64(d.class_id))
+         for d in seq.detections])
+
+
 # (name, sequence maker): classes dropped from ambiguity_scenario(7), feature
-# scales per region, and a timeline that ends in empty frames
+# scales per region, a timeline that ends in empty frames, and NumPy integers
 DIFFERENTIAL_INPUTS = [
     ("default", lambda: tiled((), np.ones)),
     ("x3", lambda: tiled((), lambda n: np.full(n, 3.0))),
@@ -493,6 +505,7 @@ DIFFERENTIAL_INPUTS = [
     ("no-1-3", lambda: tiled((1, 3), np.ones)),
     ("only-3", lambda: tiled((1, 2), np.ones)),
     ("trailing-empty-frames", trailing_empty_frames),
+    ("int64", numpy_integers),
 ]
 
 

@@ -5,9 +5,9 @@ from types import SimpleNamespace
 import pytest
 from problem_gen import tiled_sequence
 
-from ctxseg import context, crf, graph, pipeline, propagation, synthetic, tracking
+from ctxseg import context, graph, pipeline, propagation, synthetic, tracking
 from ctxseg.pipeline import PipelineConfig, stage_seed
-from ctxseg.regions import SparseMatrix, filter_detections
+from ctxseg.regions import SparseMatrix
 
 
 def test_config_json_roundtrip():
@@ -64,63 +64,46 @@ def test_config_rejects_non_finite_floats(field, bad):
 
 
 def test_stage_seeds_differ_by_stage_and_seed():
-    assert stage_seed(7, "unary") != stage_seed(7, "synth")
-    assert stage_seed(7, "unary") != stage_seed(8, "unary")
-    assert stage_seed(7, "unary") == stage_seed(7, "unary")
+    # "synth" is the one stage that draws; another name must give another seed
+    assert stage_seed(7, "other") != stage_seed(7, "synth")
+    assert stage_seed(7, "synth") != stage_seed(8, "synth")
+    assert stage_seed(7, "synth") == stage_seed(7, "synth")
 
 
 @pytest.fixture(scope="module")
 def stage_inputs():
     seq, _ = synthetic.generate(synthetic.ambiguity_scenario(7))
-    hyps = pipeline.tracks_stage(seq)
-    frames, labels = tracking.annotated_frames(hyps, seq)
-    model = crf.train_unary(labels, seq)
-    unary = crf.unary_potentials(model, seq)
+    frames, labels = tracking.annotated_frames(pipeline.tracks_stage(seq), seq)
     return SimpleNamespace(
-        seq=seq, hyps=hyps, frames=frames, labels=labels, model=model,
+        seq=seq, frames=frames, labels=labels,
         links=pipeline.links_stage(seq, frames, labels),
-        op=graph.build_knn_graph(seq, PipelineConfig().k).operator,
-        problem=crf.CrfProblem(unary, crf.build_pairwise({}, 1.0, 1.0, unary.shape[1])))
+        op=graph.build_knn_graph(seq, PipelineConfig().k).operator)
 
 
 NAN, INF = float("nan"), float("inf")
 SETTING_CALLS = {
-    "iou_threshold": lambda s, v: tracking.associate_trajectories(
-        filter_detections(s.seq), s.seq.frame_count, iou_threshold=v),
-    "rho": lambda s, v: tracking.annotated_frames(s.hyps, s.seq, rho=v),
     "temporal_window": lambda s, v: context.extract_exemplars(
         s.labels, s.frames, s.seq, temporal_window=v),
-    "p_floor": lambda s, v: crf.unary_potentials(s.model, s.seq, p_floor=v),
     "prune_eps": lambda s, v: propagation.predict_all_links(s.links, s.op, 0.5, prune_eps=v),
     "mu": lambda s, v: propagation.predict_all_links({}, s.op, v),  # no link to propagate
-    "max_sweeps": lambda s, v: crf.infer(s.problem, max_sweeps=v),
 }
 
 
 OUT_OF_RANGE = [
-    ("iou_threshold", NAN, "iou_threshold must lie in [0, 1]"),
-    ("iou_threshold", -1.0, "iou_threshold must lie in [0, 1]"),
-    ("iou_threshold", 1.5, "iou_threshold must lie in [0, 1]"),
-    ("rho", NAN, "rho must lie in (0, 1]"),
-    ("rho", 0.0, "rho must lie in (0, 1]"),
     ("temporal_window", -1, "temporal_window must be >= 0"),
-    ("p_floor", NAN, "p_floor must be positive"),
-    ("p_floor", INF, "p_floor must be positive"),
-    ("p_floor", 0.0, "p_floor must be positive"),
     ("prune_eps", INF, "prune_eps must be >= 0"),
     ("prune_eps", NAN, "prune_eps must be >= 0"),
     ("prune_eps", -1e-8, "prune_eps must be >= 0"),
     ("mu", 1.5, "mu must lie in (0, 1), got 1.5"),
     ("mu", NAN, "mu must lie in (0, 1), got nan"),
-    ("max_sweeps", 0, "max_sweeps must be >= 1"),
-    ("max_sweeps", -3, "max_sweeps must be >= 1"),
 ]
 
 
 @pytest.mark.parametrize("setting, value, message", OUT_OF_RANGE,
                          ids=[f"{setting}={value}" for setting, value, _ in OUT_OF_RANGE])
 def test_stage_setting_out_of_range_rejected(stage_inputs, setting, value, message):
-    # a library caller can pass any stage setting; none runs on a value outside its range
+    # the stage keywords a library caller can pass (the other settings are
+    # module constants) and mu: none runs on a value outside its range
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         SETTING_CALLS[setting](stage_inputs, value)
 

@@ -12,8 +12,8 @@ from ctxseg.context import dump_links, load_links
 from ctxseg.graph import SimilarityGraph, build_knn_graph, dump_graph
 from ctxseg.pipeline import PipelineConfig
 from ctxseg.propagation import LinkScoreMatrix, dump_scores, load_scores, predict_all_links
-from ctxseg.regions import (WRITE_ROWS, Detection, IngestError, Region, SparseMatrix,
-                            VideoSequence, filter_detections, load_ground_truth,
+from ctxseg.regions import (DET_THRESHOLD, WRITE_ROWS, Detection, IngestError, Region,
+                            SparseMatrix, VideoSequence, filter_detections, load_ground_truth,
                             load_labeling, load_sequence, save_labeling, save_sequence)
 from ctxseg.tracking import dump_hypotheses, load_hypotheses
 
@@ -112,9 +112,10 @@ FEATURE, BOX = np.array([1.0, 0.0]), (0.0, 0.0, 10.0, 10.0)
      "detection bbox must be 4 finite numbers"),
     ([Region(0, 0, FEATURE, 10)], [Detection(0, BOX, 1.5, 0.5)],
      "detection frame and class must be integers, got 0 and 1.5"),
+    ([], [Detection(0, BOX, 1, 0.9)], "sequence holds no regions"),
 ], ids=["nan-feature", "inf-feature", "empty-features", "inf-bbox", "nan-bbox",
         "fractional-frame", "bool-id", "fractional-area", "nan-detection-bbox",
-        "fractional-detection-class"])
+        "fractional-detection-class", "no-regions"])
 def test_in_memory_sequence_refuses_what_the_loader_refuses(regions, detections, message):
     with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
         VideoSequence(regions, detections)
@@ -186,22 +187,23 @@ def test_filter_detections_strictly_exceeds(tmp_path):
     d = write_jsonl(tmp_path / "d.jsonl",
                     [det_rec(conf=0.4), det_rec(conf=0.5), det_rec(conf=0.9)])
     seq = load_sequence(r, d)
-    kept = filter_detections(seq, 0.5)
+    assert DET_THRESHOLD == 0.5
+    kept = filter_detections(seq)
     assert [k.confidence for k in kept] == [0.9]
 
 
-def test_filter_detections_zero_threshold_keeps_all_in_order(tmp_path):
+def test_filter_detections_keeps_order(tmp_path):
     r = write_jsonl(tmp_path / "r.jsonl", [region_rec(0)])
-    d = write_jsonl(tmp_path / "d.jsonl",
-                    [det_rec(conf=0.7), det_rec(conf=0.2), det_rec(conf=0.9)])
+    d = write_jsonl(tmp_path / "d.jsonl", [det_rec(conf=c) for c in (0.7, 0.2, 0.9, 0.6, 1.0)])
     seq = load_sequence(r, d)
-    assert [k.confidence for k in filter_detections(seq, 0.0)] == [0.7, 0.2, 0.9]
+    assert [k.confidence for k in filter_detections(seq)] == [0.7, 0.9, 0.6, 1.0]
 
 
 def test_filter_detections_empty(tmp_path):
     r = write_jsonl(tmp_path / "r.jsonl", [region_rec(0)])
-    seq = load_sequence(r)
-    assert filter_detections(seq, 0.5) == []
+    d = write_jsonl(tmp_path / "d.jsonl", [det_rec(conf=0.0), det_rec(conf=0.5)])
+    assert filter_detections(load_sequence(r)) == []
+    assert filter_detections(load_sequence(r, d)) == []
 
 
 def test_ground_truth_roundtrip(tmp_path):

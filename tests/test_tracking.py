@@ -5,10 +5,10 @@ import pytest
 from problem_gen import pool_associate_trajectories
 
 from ctxseg.regions import Detection, Region, VideoSequence
-from ctxseg.tracking import (SOURCE_DETECTION, SOURCE_TRACKER, TrajectoryEntry,
-                             TrajectoryHypothesis, _predict, annotated_frames,
-                             associate_trajectories, dump_hypotheses, iou_box,
-                             load_hypotheses)
+from ctxseg.tracking import (IOU_THRESHOLD, MAX_MISS, MIN_INSTANCES, RHO, SOURCE_DETECTION,
+                             SOURCE_TRACKER, TrajectoryEntry, TrajectoryHypothesis,
+                             _predict, annotated_frames, associate_trajectories,
+                             dump_hypotheses, iou_box, load_hypotheses)
 
 
 class TestIouBox:
@@ -96,9 +96,10 @@ class TestAssociate:
 
     def test_direction_stops_after_max_miss(self):
         dets = chain_dets(1, [0, 1, 2], [0.9, 0.8, 0.7])
-        hyps = associate_trajectories(dets, 50, max_miss=2)
+        hyps = associate_trajectories(dets, 50)
         frames = [e.frame for e in hyps[0].entries]
-        assert max(frames) == 4  # two tracker frames past the last detection
+        assert MAX_MISS == 5
+        assert max(frames) == 7  # five tracker frames past the last detection
         trailing = [e for e in hyps[0].entries if e.frame > 2]
         assert all(e.source == SOURCE_TRACKER for e in trailing)
 
@@ -133,40 +134,31 @@ class TestAssociate:
     def test_empty_input(self):
         assert associate_trajectories([], 5) == []
 
-    @pytest.mark.parametrize("name", ["min_instances", "max_miss"])
-    @pytest.mark.parametrize("value", [0, -1])
-    def test_count_below_one_rejected(self, name, value):
-        dets = chain_dets(1, [0, 1, 2], [0.9, 0.8, 0.7])
-        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
-            associate_trajectories(dets, 3, **{name: value})
 
-
-def tied_dets(rng, frames, classes=3, count=40):
+def tied_dets(rng, frames, repeat_share, classes=3, count=40):
     """Detections on a coarse grid, so rank keys, IoUs and candidate keys tie,
-    with some repeated as equal but distinct objects."""
+    each repeated as an equal but distinct object with chance ``repeat_share``."""
     dets = [Detection(int(rng.integers(frames)),
                       (float(rng.integers(4)), float(rng.integers(3)),
                        float(rng.choice([4.0, 5.0])), float(rng.choice([4.0, 5.0]))),
                       int(rng.integers(classes)), float(rng.choice([0.5, 0.7, 0.9])))
             for _ in range(count)]
     dets += [Detection(d.frame, d.bbox, d.class_id, d.confidence)
-             for d in dets if rng.random() < 0.3]
+             for d in dets if rng.random() < repeat_share]
     return [dets[i] for i in rng.permutation(len(dets))]
 
 
 class TestAssociateMatchesPoolScan:
-    @pytest.mark.parametrize("iou_threshold", [0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("repeat_share", [0.0, 0.1, 0.5])
     @pytest.mark.parametrize("seed", range(4))
-    def test_equals_pool_scan_oracle(self, seed, iou_threshold):
-        rng = np.random.default_rng([seed, int(iou_threshold * 10)])
+    def test_equals_pool_scan_oracle(self, seed, repeat_share):
+        rng = np.random.default_rng([seed, int(repeat_share * 10)])
         for _ in range(25):
             frames = int(rng.integers(1, 12))
-            dets = tied_dets(rng, frames)
-            settings = dict(iou_threshold=iou_threshold,
-                            min_instances=int(rng.integers(1, 5)),
-                            max_miss=int(rng.integers(1, 5)))
-            assert (associate_trajectories(dets, frames, **settings)
-                    == pool_associate_trajectories(dets, frames, **settings))
+            dets = tied_dets(rng, frames, repeat_share)
+            assert (associate_trajectories(dets, frames)
+                    == pool_associate_trajectories(dets, frames, IOU_THRESHOLD,
+                                                   MIN_INSTANCES, MAX_MISS))
 
     def test_long_video_is_linear_in_frames(self):
         frames = 6000
@@ -227,13 +219,12 @@ class TestAnnotatedFrames:
         assert labels == {0: 2}
 
     def test_fraction_threshold_rho(self):
-        # 40% of the region bbox inside the hypothesis box
+        # 40%, 50% and 60% of the region bbox inside the hypothesis box
         seq = VideoSequence([region(0, 0, (0, 0, 10, 10))], [])
-        h = [hyp(1, [(0, (0, 0, 10, 4))])]
-        _, labels = annotated_frames(h, seq, rho=0.5)
-        assert labels == {0: 0}
-        _, labels = annotated_frames(h, seq, rho=0.4)
-        assert labels == {0: 1}
+        assert RHO == 0.5
+        for height, label in [(4, 0), (5, 1), (6, 1)]:
+            _, labels = annotated_frames([hyp(1, [(0, (0, 0, 10, height))])], seq)
+            assert labels == {0: label}
 
 
 def test_hypotheses_dump_roundtrip(tmp_path):
